@@ -22,7 +22,8 @@ from .pipeline import (Pipeline, PipelineHyperparams, compound_loss,
 from .propensity import (PropensityModel, calibration_table, predict_eta,
                          select_propensity)
 from .selection import (PROXY_KINDS, Auxiliaries, fit_auxiliaries,
-                        proxy_score, rank_agreement, select_candidate)
+                        proxy_score, proxy_terms, rank_agreement,
+                        score_candidate)
 from .twin import TwinMap, cross_pipeline_weights, mirror_twins
 
 __version__ = "0.1.0"

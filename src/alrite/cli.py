@@ -22,15 +22,15 @@ import numpy as np
 from .data import (AcicProtocol, Dataset, GroundTruth, generate_acic_like,
                    generate_ihdp_like, generate_two_cluster_toy, load_csv,
                    save_csv, split)
-from .learner import (AlriteModel, aggregate_mu, aggregate_tau, alrite_fit,
-                      alrite_predict, build_softmax_ensemble,
-                      build_topk_ensemble, ensemble_mu_risk, ensemble_predict,
-                      rank_members, select_ensemble_hyperparam)
+from .learner import (AlriteModel, _blend, alrite_fit, alrite_predict, build_softmax_ensemble,
+                      build_topk_ensemble, predict_ensemble_grid, rank_members,
+                      select_ensemble_hyperparam)
 from .metrics import (bound_m1, bound_m2, bound_m3, eps_ate,
                       make_linear_instance, pehe, policy_risks)
-from .pipeline import Pipeline, PipelineHyperparams, factual_mse, train_pipeline
-from .propensity import DEFAULT_PROPENSITY_GRID, PropensityModel, select_propensity
-from .selection import PROXY_KINDS, fit_auxiliaries, proxy_score, rank_agreement
+from .pipeline import (Pipeline, PipelineHyperparams, factual_mse, predict_mu, predict_tau,
+                       train_pipeline)
+from .propensity import DEFAULT_PROPENSITY_GRID, PropensityModel, predict_eta, select_propensity
+from .selection import PROXY_KINDS, fit_auxiliaries, proxy_terms, rank_agreement, score_candidate
 
 # hyper-parameter search domains
 ALPHA_GRID = (0.0,) + tuple(10.0 ** (k / 2) for k in range(-4, 5))
@@ -269,14 +269,17 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
 
     val = split_idx.validation
     x_val, t_val = dataset.x[val], dataset.t[val]
+    terms = proxy_terms(dataset, val, aux)
+    eta_val = predict_eta(eta, x_val)
+    tau = {k: predict_tau(pipelines[k], x_val) for k in ok0 + ok1}
+    mu = {k: predict_mu(pipelines[k], x_val, t_val) for k in ok0 + ok1}
     rows = []
     cid = 0
     for i in ok0:
         for j in ok1:
-            p0, p1 = pipelines[i], pipelines[j]
-            cand = {"tau": aggregate_tau(p0, p1, eta, x_val),
-                    "mu": aggregate_mu(p0, p1, eta, x_val, t_val)}
-            scores = [proxy_score(kind, cand, dataset, val, aux) for kind in PROXY_KINDS]
+            cand = {"tau": _blend(eta_val, tau[i], tau[j]),
+                    "mu": _blend(eta_val, mu[i], mu[j])}
+            scores = [score_candidate(kind, terms, cand) for kind in PROXY_KINDS]
             pehe_val = pehe(cand["tau"], truth, val)[0] if truth is not None else ""
             rows.append([cid, i, j] + scores + [pehe_val])
             cid += 1
@@ -350,20 +353,25 @@ def _read_candidates(out: Path):
     return header, rows
 
 
+def _proxy_winner(header: list[str], rows: list[list[str]], kind: str) -> int:
+    """Row of candidates.csv with the smallest `kind` score; ties keep the
+    first row."""
+    col = header.index(kind)
+    return int(np.argmin([float(r[col]) for r in rows]))
+
+
 def cmd_select(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     header, rows = _read_candidates(out)
     kind = cfg.selection["proxy"]
-    col = header.index(kind)
-    scores = [float(r[col]) for r in rows]
-    winner = int(np.argmin(scores))
-    pehe_col = header.index("pehe")
+    winner = rows[_proxy_winner(header, rows, kind)]
+    pehe_cell = winner[header.index("pehe")]
     payload = {
         "proxy": kind,
-        "winner_id": int(rows[winner][0]),
-        "i0": int(rows[winner][1]),
-        "i1": int(rows[winner][2]),
-        "score": scores[winner],
-        "pehe_if_known": float(rows[winner][pehe_col]) if rows[winner][pehe_col] else None,
+        "winner_id": int(winner[0]),
+        "i0": int(winner[1]),
+        "i1": int(winner[2]),
+        "score": float(winner[header.index(kind)]),
+        "pehe_if_known": float(pehe_cell) if pehe_cell else None,
     }
     _write_json(out / "selection.json", payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -408,20 +416,19 @@ def cmd_ensemble(cfg: ExperimentConfig, out: Path, workers: int) -> int:
         members0, members1, eta, mode, candidates, dataset,
         split_idx.validation, risks0, risks1)
 
-    rows = []
-    for row in table:
-        ens = build(members0, members1, eta, row["candidate"], risks0, risks1)
-        pehe_val = ""
-        if truth is not None:
-            tau_hat = ensemble_predict(ens, dataset.x[split_idx.test])
-            pehe_val = pehe(tau_hat, truth, split_idx.test)[0]
-        rows.append([row["candidate"], row["mu_risk"], pehe_val])
+    test_pehe = [""] * len(table)
+    if truth is not None:
+        test = split_idx.test
+        test_pehe = [pehe(tau_hat, truth, test)[0] for tau_hat in predict_ensemble_grid(
+            members0, members1, eta, mode, candidates, risks0, risks1, dataset.x[test])]
+    rows = [[row["candidate"], row["mu_risk"], p] for row, p in zip(table, test_pehe)]
     _write_csv(out / "ensemble_curve.csv", ["candidate", "val_mu_risk", "test_pehe"], rows)
 
     final = build(members0, members1, eta, chosen, risks0, risks1)
     _write_json(out / "ensemble.json", final.to_dict())
+    chosen_risk = table[candidates.index(chosen)]["mu_risk"]
     print(f"selected {mode} ensemble with parameter {chosen} "
-          f"(validation mu-risk {ensemble_mu_risk(final, dataset, split_idx.validation):.6g})")
+          f"(validation mu-risk {chosen_risk:.6g})")
     return 0
 
 
@@ -488,9 +495,8 @@ def cmd_report(cfg: ExperimentConfig, out: Path, workers: int) -> int:
                        ["kind", "spearman", "kendall", "dcg"], agree_rows)
             sel_rows = []
             for kind in PROXY_KINDS:
-                col = header.index(kind)
-                w = int(np.argmin([float(r[col]) for r in rows]))
-                sel_rows.append([kind, int(rows[w][0]), float(rows[w][col]), u[w]])
+                w = _proxy_winner(header, rows, kind)
+                sel_rows.append([kind, int(rows[w][0]), float(rows[w][header.index(kind)]), u[w]])
             _write_csv(out / "selection_summary.csv",
                        ["kind", "winner_id", "score", "pehe"], sel_rows)
             best = min(u)

@@ -7,11 +7,11 @@ sensitivity check for the aggregation step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, GroundTruth, SplitIndices
+from .data import Dataset, SplitIndices
 from .pipeline import (Pipeline, PipelineHyperparams, TrainReport, factual_mse,
                        predict_mu, predict_tau, train_pipeline)
 from .propensity import (DEFAULT_CLIP, DEFAULT_PROPENSITY_GRID, PropensityModel,
@@ -39,19 +39,23 @@ class AlriteModel:
                    PropensityModel.from_dict(d["eta"]), d.get("clip", DEFAULT_CLIP))
 
 
+def _blend(eta_hat, v0, v1):
+    """(1 - eta_hat) v0 + eta_hat v1: the control-driven estimate v0 and the
+    treatment-driven estimate v1 weighted by the propensity."""
+    return (1.0 - eta_hat) * v0 + eta_hat * v1
+
+
 def aggregate_tau(p0: Pipeline, p1: Pipeline, eta: PropensityModel,
                   x: np.ndarray, clip: float = DEFAULT_CLIP):
     """tau_hat(x) = (1 - eta_hat(x)) tau0(x) + eta_hat(x) tau1(x)."""
-    e = predict_eta(eta, x, clip)
-    return (1.0 - e) * predict_tau(p0, x) + e * predict_tau(p1, x)
+    return _blend(predict_eta(eta, x, clip), predict_tau(p0, x), predict_tau(p1, x))
 
 
 def aggregate_mu(p0: Pipeline, p1: Pipeline, eta: PropensityModel,
                  x: np.ndarray, arm, clip: float = DEFAULT_CLIP):
     """Factual prediction of the aggregated candidate: the two pipelines'
     arm predictions combined with the same propensity weights as tau_hat."""
-    e = predict_eta(eta, x, clip)
-    return (1.0 - e) * predict_mu(p0, x, arm) + e * predict_mu(p1, x, arm)
+    return _blend(predict_eta(eta, x, clip), predict_mu(p0, x, arm), predict_mu(p1, x, arm))
 
 
 def alrite_fit(dataset: Dataset, split: SplitIndices,
@@ -74,10 +78,6 @@ def alrite_predict(model: AlriteModel, x: np.ndarray):
     return aggregate_tau(model.p0, model.p1, model.eta, x, model.clip)
 
 
-def alrite_predict_mu(model: AlriteModel, x: np.ndarray, arm):
-    return aggregate_mu(model.p0, model.p1, model.eta, x, arm, model.clip)
-
-
 def eta_sensitivity_check(model: AlriteModel, eta_true: np.ndarray,
                           dataset: Dataset, tau_true: np.ndarray):
     """Both sides of the aggregation sensitivity inequality
@@ -91,8 +91,8 @@ def eta_sensitivity_check(model: AlriteModel, eta_true: np.ndarray,
     tau0 = np.atleast_1d(predict_tau(model.p0, x))
     tau1 = np.atleast_1d(predict_tau(model.p1, x))
     eta_hat = np.atleast_1d(predict_eta(model.eta, x, model.clip))
-    tau_hat = (1.0 - eta_hat) * tau0 + eta_hat * tau1
-    tau_oracle_eta = (1.0 - eta_true) * tau0 + eta_true * tau1
+    tau_hat = _blend(eta_hat, tau0, tau1)
+    tau_oracle_eta = _blend(eta_true, tau0, tau1)
 
     def norm(v):
         return float(np.sqrt(np.sum(v**2)))
@@ -196,7 +196,7 @@ def _combine(model: EnsembleModel, per_member0, per_member1, eta_hat):
     w1 = _arm_weights(model, model.mu_risks1, len(model.members1))
     agg0 = sum(w * v for w, v in zip(w0, per_member0))
     agg1 = sum(w * v for w, v in zip(w1, per_member1))
-    return (1.0 - eta_hat) * agg0 + eta_hat * agg1
+    return _blend(eta_hat, agg0, agg1)
 
 
 def ensemble_predict(model: EnsembleModel, x: np.ndarray):
@@ -206,19 +206,19 @@ def ensemble_predict(model: EnsembleModel, x: np.ndarray):
                     [predict_tau(p, x) for p in model.members1], eta_hat)
 
 
-def ensemble_predict_mu(model: EnsembleModel, x: np.ndarray, arm):
-    eta_hat = predict_eta(model.eta, x, model.clip)
-    return _combine(model,
-                    [predict_mu(p, x, arm) for p in model.members0],
-                    [predict_mu(p, x, arm) for p in model.members1], eta_hat)
-
-
-def ensemble_mu_risk(model: EnsembleModel, dataset: Dataset, indices) -> float:
-    idx = np.asarray(indices, dtype=int)
-    if idx.size == 0:
-        raise ValueError("empty index set")
-    pred = ensemble_predict_mu(model, dataset.x[idx], dataset.t[idx])
-    return float(np.mean((dataset.y[idx] - pred) ** 2))
+def predict_ensemble_grid(members0, members1, eta, mode: str, candidates,
+                          mu_risks0, mu_risks1, x: np.ndarray, arm=None,
+                          clip=DEFAULT_CLIP) -> list[np.ndarray]:
+    """Predictions at x of the ensemble built with each K or lambda in
+    `candidates`: effects, or factual outcomes when `arm` is given. Each
+    member and eta_hat are predicted once for the whole grid."""
+    build = build_topk_ensemble if mode == "top_k" else build_softmax_ensemble
+    predict = (lambda p: predict_tau(p, x)) if arm is None else (lambda p: predict_mu(p, x, arm))
+    per_member0 = [predict(p) for p in members0]
+    per_member1 = [predict(p) for p in members1]
+    eta_hat = predict_eta(eta, x, clip)
+    return [_combine(build(members0, members1, eta, c, mu_risks0, mu_risks1, clip),
+                     per_member0, per_member1, eta_hat) for c in candidates]
 
 
 def select_ensemble_hyperparam(members0, members1, eta, mode: str, candidates,
@@ -230,10 +230,12 @@ def select_ensemble_hyperparam(members0, members1, eta, mode: str, candidates,
     candidates = list(candidates)
     if not candidates:
         raise ValueError("empty candidate grid")
-    build = build_topk_ensemble if mode == "top_k" else build_softmax_ensemble
-    table = []
-    for c in candidates:
-        ens = build(members0, members1, eta, c, mu_risks0, mu_risks1, clip)
-        table.append({"candidate": c, "mu_risk": ensemble_mu_risk(ens, dataset, val_indices)})
+    idx = np.asarray(val_indices, dtype=int)
+    if idx.size == 0:
+        raise ValueError("empty index set")
+    preds = predict_ensemble_grid(members0, members1, eta, mode, candidates, mu_risks0,
+                                  mu_risks1, dataset.x[idx], dataset.t[idx], clip)
+    table = [{"candidate": c, "mu_risk": float(np.mean((dataset.y[idx] - pred) ** 2))}
+             for c, pred in zip(candidates, preds)]
     winner = int(np.argmin([row["mu_risk"] for row in table]))
     return candidates[winner], table

@@ -2,6 +2,10 @@
 (kernel ridge regressors and a propensity model), the eight proxy risk
 metrics computable from factual data, and rank-agreement statistics that
 measure how well a proxy orders candidates relative to their true error.
+
+Every proxy scores a candidate's predictions `pred` as mean(w * (a * pred -
+s) ** 2), where the weight w, coefficient a and surrogate s are fixed by the
+validation set and the auxiliaries: built once by `proxy_terms`.
 """
 
 from __future__ import annotations
@@ -112,12 +116,11 @@ class Auxiliaries:
 
     def rho(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Arm-wise inverse propensity, bounded by 1/clip."""
-        eta = np.atleast_1d(predict_eta(self.eta_hat, x, self.clip))
-        return np.where(np.asarray(t, dtype=int) == 1, 1.0 / eta, 1.0 / (1.0 - eta))
+        return _inverse_propensity(np.atleast_1d(predict_eta(self.eta_hat, x, self.clip)), t)
 
-    def mu_factual(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=int)
-        return np.where(t == 1, self.mu1_hat.predict(x), self.mu0_hat.predict(x))
+
+def _inverse_propensity(eta: np.ndarray, t) -> np.ndarray:
+    return np.where(np.asarray(t, dtype=int) == 1, 1.0 / eta, 1.0 / (1.0 - eta))
 
 
 def fit_auxiliaries(dataset: Dataset, train_indices, seed: int,
@@ -161,42 +164,53 @@ def _require(candidate: dict, key: str, kind: str) -> np.ndarray:
     return np.asarray(candidate[key], dtype=float)
 
 
-def proxy_score(kind: str, candidate: dict, dataset: Dataset, val_indices,
-                aux: Auxiliaries) -> float:
-    """Mean of the proxy risk expression over the validation indices.
-    `candidate` carries predictions aligned with `val_indices`: "tau" for
-    effect estimates, "mu" for the candidate's own factual predictions."""
-    if kind not in PROXY_KINDS:
-        raise ValueError(f"unknown proxy kind {kind!r}")
+def proxy_terms(dataset: Dataset, val_indices, aux: Auxiliaries | None) -> dict:
+    """Per proxy kind, the (w, a, s) of mean(w * (a * pred - s) ** 2) on one
+    validation set, each nuisance predicted once per row. Without auxiliaries
+    only mu_risk is available."""
     idx = np.asarray(val_indices, dtype=int)
     if idx.size == 0:
         raise ValueError("empty validation set")
     x, t, y = dataset.x[idx], dataset.t[idx], dataset.y[idx]
-
-    if kind == "mu_risk":
-        mu = _require(candidate, "mu", kind)
-        return float(np.mean((y - mu) ** 2))
-    if kind == "mu_risk_iptw":
-        mu = _require(candidate, "mu", kind)
-        return float(np.mean(aux.rho(x, t) * (y - mu) ** 2))
-
-    tau = _require(candidate, "tau", kind)
+    terms = {"mu_risk": (1.0, 1.0, y)}
+    if aux is None:
+        return terms
+    eta = np.atleast_1d(predict_eta(aux.eta_hat, x, aux.clip))
+    rho, rho_opposite = _inverse_propensity(eta, t), _inverse_propensity(eta, 1 - t)
+    mu0, mu1, m = aux.mu0_hat.predict(x), aux.mu1_hat.predict(x), aux.m_hat.predict(x)
     sign = 2.0 * t - 1.0
-    if kind == "r_risk":
-        eta = np.atleast_1d(predict_eta(aux.eta_hat, x, aux.clip))
-        return float(np.mean((tau * (t - eta) - (y - aux.m_hat.predict(x))) ** 2))
-    if kind == "tau_naive":
-        surrogate = aux.mu1_hat.predict(x) - aux.mu0_hat.predict(x)
-    elif kind == "tau_1nni":
-        surrogate = sign * (y - nn_imputed_outcome(aux, x, t))
-    elif kind == "tau_iptw":
-        surrogate = sign * aux.rho(x, t) * y
-    elif kind == "tau_u":
-        surrogate = sign * aux.rho(x, 1 - t) * (y - aux.m_hat.predict(x))
-    else:  # tau_dr
-        surrogate = (aux.mu1_hat.predict(x) - aux.mu0_hat.predict(x)
-                     + sign * aux.rho(x, t) * (y - aux.mu_factual(x, t)))
-    return float(np.mean((tau - surrogate) ** 2))
+    terms.update({
+        "mu_risk_iptw": (rho, 1.0, y),
+        "r_risk": (1.0, t - eta, y - m),
+        "tau_naive": (1.0, 1.0, mu1 - mu0),
+        "tau_1nni": (1.0, 1.0, sign * (y - nn_imputed_outcome(aux, x, t))),
+        "tau_iptw": (1.0, 1.0, sign * rho * y),
+        "tau_u": (1.0, 1.0, sign * rho_opposite * (y - m)),
+        "tau_dr": (1.0, 1.0, mu1 - mu0 + sign * rho * (y - np.where(t == 1, mu1, mu0))),
+    })
+    return terms
+
+
+def score_candidate(kind: str, terms: dict, candidate: dict) -> float:
+    """One proxy risk of one candidate from its validation set's
+    `proxy_terms`: mu_* kinds read the candidate's "mu", the others "tau"."""
+    if kind not in PROXY_KINDS:
+        raise ValueError(f"unknown proxy kind {kind!r}")
+    if kind not in terms:
+        raise ValueError(f"proxy kind {kind!r} requires auxiliaries")
+    w, a, s = terms[kind]
+    pred = _require(candidate, "mu" if kind.startswith("mu_") else "tau", kind)
+    return float(np.mean(w * (a * pred - s) ** 2))
+
+
+def proxy_score(kind: str, candidate: dict, dataset: Dataset, val_indices,
+                aux: Auxiliaries | None) -> float:
+    """Mean of the proxy risk mean(w * (a * pred - s) ** 2) over the
+    validation indices; w, a and s are fixed per validation set. `candidate`
+    carries predictions aligned with `val_indices`: "tau" for effect
+    estimates, "mu" for its own factual predictions. `aux` may be None for
+    mu_risk."""
+    return score_candidate(kind, proxy_terms(dataset, val_indices, aux), candidate)
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
@@ -246,20 +260,3 @@ def rank_agreement(u, v, p: int | None = None) -> dict:
     by_pehe = np.argsort(u, kind="stable")
     dcg = float(sum(2.0 ** norm_rank[by_pehe[j]] / np.log(j + 2) for j in range(p)))
     return {"spearman": spearman, "kendall": kendall, "dcg": dcg}
-
-
-def select_candidate(candidates: list[dict], kind: str, dataset: Dataset,
-                     val_indices, aux: Auxiliaries,
-                     pehe_values=None) -> tuple[int, list[dict]]:
-    """Argmin of the proxy score over the candidate pool (ties keep the
-    lowest index) plus the full score table for reporting."""
-    if not candidates:
-        raise ValueError("empty candidate pool")
-    table = []
-    for i, cand in enumerate(candidates):
-        row = {"candidate_id": i, "kind": kind,
-               "score": proxy_score(kind, cand, dataset, val_indices, aux),
-               "pehe_if_known": None if pehe_values is None else float(pehe_values[i])}
-        table.append(row)
-    winner = int(np.argmin([row["score"] for row in table]))
-    return winner, table

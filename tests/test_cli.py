@@ -145,6 +145,25 @@ def test_sweep_master_seed_determinism(tmp_path):
     assert (out_a / "sweep.json").read_bytes() == (out_b / "sweep.json").read_bytes()
 
 
+def test_sweep_bytes_independent_of_workers(tmp_path):
+    _, serial = run_sweep(tmp_path, "serial", ["--workers", "1"])
+    _, pooled = run_sweep(tmp_path, "pooled", ["--workers", "2"])
+    models = sorted(str(p.relative_to(serial)) for p in (serial / "models").glob("*.json"))
+    assert len(models) == 4
+    for name in ["candidates.csv", "sweep.json", "eta.json"] + models:
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+
+
+def test_proxy_winner_smallest_index_tie():
+    header = ["candidate_id", "i0", "i1", "mu_risk", "tau_dr", "pehe"]
+    rows = [["0", "0", "2", "0.5", "0.3", ""], ["1", "0", "3", "0.2", "0.1", ""],
+            ["2", "1", "2", "0.2", "0.1", ""], ["3", "1", "3", "0.9", "0.1", ""]]
+    assert cli._proxy_winner(header, rows, "mu_risk") == 1
+    assert cli._proxy_winner(header, rows, "tau_dr") == 1
+    assert cli._proxy_winner(header, rows[2:], "tau_dr") == 0
+    assert cli._proxy_winner(header, rows[:1], "mu_risk") == 0
+
+
 def test_sweep_crash_isolation(tmp_path, monkeypatch):
     real = cli.train_pipeline
 

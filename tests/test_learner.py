@@ -5,13 +5,13 @@ import pytest
 
 from alrite.data import generate_ihdp_like, split
 from alrite.learner import (AlriteModel, EnsembleModel, aggregate_tau,
-                            alrite_fit, alrite_predict, alrite_predict_mu,
-                            build_softmax_ensemble, build_topk_ensemble,
-                            ensemble_mu_risk, ensemble_predict,
-                            eta_sensitivity_check, rank_members,
-                            select_ensemble_hyperparam, softmax_weights)
+                            alrite_fit, alrite_predict, build_softmax_ensemble,
+                            build_topk_ensemble, ensemble_predict,
+                            eta_sensitivity_check, predict_ensemble_grid,
+                            rank_members, select_ensemble_hyperparam,
+                            softmax_weights)
 from alrite.metrics import make_linear_instance, pehe
-from alrite.pipeline import PipelineHyperparams, predict_tau
+from alrite.pipeline import PipelineHyperparams, predict_mu, predict_tau
 from alrite.propensity import PropensityModel, predict_eta
 
 
@@ -226,6 +226,27 @@ def test_select_ensemble_hyperparam_dominance_and_tie():
     only, _ = select_ensemble_hyperparam(ranked0, ranked1, eta, "top_k", [2],
                                          ds, idx, risks0, risks1)
     assert only == 2
+
+
+def test_ensemble_grid_matches_each_ensemble():
+    ds, truth, members0, members1 = linear_members(11)
+    eta = constant_eta_model(0.3)
+    risks = [0.1, 0.2, 0.3, 0.4]
+    lams = [0.5, 2.0, 8.0]
+    taus = predict_ensemble_grid(members0, members1, eta, "softmax", lams,
+                                 risks, risks, ds.x)
+    mus = predict_ensemble_grid(members0, members1, eta, "softmax", lams,
+                                risks, risks, ds.x, ds.t)
+    for lam, tau, mu in zip(lams, taus, mus):
+        ens = build_softmax_ensemble(members0, members1, eta, lam, risks, risks)
+        assert np.array_equal(tau, ensemble_predict(ens, ds.x))
+        per0 = [predict_mu(p, ds.x, ds.t) for p in members0]
+        per1 = [predict_mu(p, ds.x, ds.t) for p in members1]
+        e = predict_eta(eta, ds.x, ens.clip)
+        w = softmax_weights(risks, lam)
+        expect = (1 - e) * sum(wi * v for wi, v in zip(w, per0)) \
+            + e * sum(wi * v for wi, v in zip(w, per1))
+        assert np.allclose(mu, expect)
 
 
 def test_serialization_round_trips():

@@ -8,8 +8,8 @@ from alrite.data import Dataset, GroundTruth
 from alrite.propensity import PropensityModel
 from alrite.selection import (PROXY_KINDS, Auxiliaries, KernelRidge,
                               fit_auxiliaries, fit_kernel_ridge_cv,
-                              nn_imputed_outcome, proxy_score, rank_agreement,
-                              select_candidate, _average_ranks)
+                              nn_imputed_outcome, proxy_score, proxy_terms,
+                              rank_agreement, score_candidate, _average_ranks)
 
 
 class ConstPredictor:
@@ -74,6 +74,27 @@ def test_proxy_kind_mismatch_errors():
 def test_mu_risk_perfect_predictor_is_zero():
     ds, aux, _ = hand_table()
     assert proxy_score("mu_risk", {"mu": ds.y.copy()}, ds, np.arange(5), aux) == 0.0
+
+
+def test_terms_built_once_score_like_proxy_score():
+    ds, aux, candidate = hand_table()
+    terms = proxy_terms(ds, np.arange(5), aux)
+    assert set(terms) == set(PROXY_KINDS)
+    for kind in PROXY_KINDS:
+        w, a, s = terms[kind]
+        pred = candidate["mu" if kind.startswith("mu_") else "tau"]
+        assert score_candidate(kind, terms, candidate) == \
+            proxy_score(kind, candidate, ds, np.arange(5), aux) == \
+            float(np.mean(w * (a * pred - s) ** 2))
+
+
+def test_terms_without_auxiliaries_hold_mu_risk_only():
+    ds, _, candidate = hand_table()
+    terms = proxy_terms(ds, np.arange(5), None)
+    assert list(terms) == ["mu_risk"]
+    assert score_candidate("mu_risk", terms, candidate) == pytest.approx(0.076, rel=1e-12)
+    with pytest.raises(ValueError, match="auxiliaries"):
+        score_candidate("tau_dr", terms, candidate)
 
 
 def test_tau_naive_self_consistency():
@@ -188,21 +209,6 @@ def test_rank_agreement_errors():
         rank_agreement([1.0], [1.0])
 
 
-def test_select_candidate_basics():
-    ds, aux, candidate = hand_table()
-    winner, table = select_candidate([candidate], "mu_risk", ds, np.arange(5), aux)
-    assert winner == 0 and len(table) == 1
-    perfect = {"mu": ds.y.copy(), "tau": np.zeros(5)}
-    winner, table = select_candidate([candidate, perfect, candidate], "mu_risk",
-                                     ds, np.arange(5), aux)
-    assert winner == 1
-    assert table[1]["score"] == 0.0
-    # ties keep the lowest index
-    winner, _ = select_candidate([candidate, candidate], "mu_risk",
-                                 ds, np.arange(5), aux)
-    assert winner == 0
-
-
 def test_mu_risk_selection_tracks_pehe():
     # pool of perturbed predictors: factual risk must order like true error
     wins = 0
@@ -227,7 +233,8 @@ def test_mu_risk_selection_tracks_pehe():
             candidates.append({"tau": tau_hat,
                                "mu": np.where(t == 1, mu1_hat, mu0_hat)})
             pehes.append(float(np.mean((tau_hat - truth.tau) ** 2)))
-        winner, _ = select_candidate(candidates, "mu_risk", ds, np.arange(n), None)
+        winner = int(np.argmin([proxy_score("mu_risk", c, ds, np.arange(n), None)
+                                for c in candidates]))
         if pehes[winner] <= np.quantile(pehes, 0.25):
             wins += 1
     assert wins >= 8
