@@ -264,8 +264,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     eta = select_propensity(dataset.x[train_idx], dataset.t[train_idx], grid,
                             folds=5, seed=member_seed(cfg.seed, 10_000))
     _write_json(out / "eta.json", eta.to_dict())
-    aux = fit_auxiliaries(dataset, train_idx, member_seed(cfg.seed, 10_001),
-                          propensity_grid=grid)
+    aux = fit_auxiliaries(dataset, train_idx, member_seed(cfg.seed, 10_001), eta)
 
     val = split_idx.validation
     x_val, t_val = dataset.x[val], dataset.t[val]

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .propensity import (DEFAULT_CLIP, DEFAULT_PROPENSITY_GRID, PropensityModel,
-                         predict_eta, select_propensity)
+from .propensity import DEFAULT_CLIP, PropensityModel, predict_eta
 
 PROXY_KINDS = ("mu_risk", "mu_risk_iptw", "r_risk", "tau_naive",
                "tau_1nni", "tau_iptw", "tau_u", "tau_dr")
@@ -123,19 +122,19 @@ def _inverse_propensity(eta: np.ndarray, t) -> np.ndarray:
     return np.where(np.asarray(t, dtype=int) == 1, 1.0 / eta, 1.0 / (1.0 - eta))
 
 
-def fit_auxiliaries(dataset: Dataset, train_indices, seed: int,
-                    propensity_grid=DEFAULT_PROPENSITY_GRID,
+def fit_auxiliaries(dataset: Dataset, train_indices, seed: int, eta_hat: PropensityModel,
                     clip: float = DEFAULT_CLIP) -> Auxiliaries:
+    """Kernel ridge nuisances fitted on the training indices; `eta_hat` is the
+    propensity model already selected on the same rows."""
     idx = np.asarray(train_indices, dtype=int)
     x, t, y = dataset.x[idx], dataset.t[idx], dataset.y[idx]
     if t.sum() in (0, len(t)):
         raise ValueError("both arms required on the training indices")
-    s0, s1, sm, se = np.random.SeedSequence(seed).generate_state(4)
+    s0, s1, sm = np.random.SeedSequence(seed).generate_state(3)
     mu0 = fit_kernel_ridge_cv(x[t == 0], y[t == 0], int(s0))
     mu1 = fit_kernel_ridge_cv(x[t == 1], y[t == 1], int(s1))
     m = fit_kernel_ridge_cv(x, y, int(sm))
-    eta = select_propensity(x, t, propensity_grid, folds=5, seed=int(se), clip=clip)
-    return Auxiliaries(mu0, mu1, m, eta, x.copy(), t.copy(), y.copy(), clip)
+    return Auxiliaries(mu0, mu1, m, eta_hat, x.copy(), t.copy(), y.copy(), clip)
 
 
 def nn_imputed_outcome(aux: Auxiliaries, x: np.ndarray, t: np.ndarray) -> np.ndarray:

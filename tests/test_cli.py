@@ -9,6 +9,12 @@ import numpy as np
 import pytest
 
 import alrite.cli as cli
+from alrite.data import load_csv
+from alrite.learner import aggregate_mu, aggregate_tau
+from alrite.metrics import pehe
+from alrite.pipeline import Pipeline
+from alrite.propensity import PropensityModel
+from alrite.selection import PROXY_KINDS, fit_auxiliaries, proxy_score
 from alrite.cli import (ALPHA_GRID, BATCH_GRID, BETA_GRID, LAMBDA_GRID,
                         LAYER_GRID, WIDTH_GRID, ConfigError, main,
                         member_seed, sample_hyperparams, validate_config)
@@ -152,6 +158,29 @@ def test_sweep_bytes_independent_of_workers(tmp_path):
     assert len(models) == 4
     for name in ["candidates.csv", "sweep.json", "eta.json"] + models:
         assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+
+
+def test_candidate_rows_rebuild_from_written_members(tmp_path):
+    _, out = run_sweep(tmp_path, "run")
+    dataset, truth = load_csv(out / "dataset.csv")
+    split_raw = json.loads((out / "split.json").read_text())
+    train, val = (np.asarray(split_raw[k], dtype=int) for k in ("train", "validation"))
+    eta = PropensityModel.from_dict(json.loads((out / "eta.json").read_text()))
+    aux = fit_auxiliaries(dataset, train, member_seed(SMALL_CONFIG["seed"], 10_001), eta)
+    members = {m["index"]: Pipeline.from_dict(json.loads((out / m["path"]).read_text()))
+               for m in json.loads((out / "sweep.json").read_text())["members"]}
+    x_val, t_val = dataset.x[val], dataset.t[val]
+    expected = [["candidate_id", "i0", "i1", *PROXY_KINDS, "pehe"]]
+    for i in (0, 1):
+        for j in (2, 3):
+            p0, p1 = members[i], members[j]
+            cand = {"tau": aggregate_tau(p0, p1, eta, x_val),
+                    "mu": aggregate_mu(p0, p1, eta, x_val, t_val)}
+            scores = [proxy_score(kind, cand, dataset, val, aux) for kind in PROXY_KINDS]
+            expected.append([str(len(expected) - 1), str(i), str(j)]
+                            + [repr(v) for v in scores + [pehe(cand["tau"], truth, val)[0]]])
+    with open(out / "candidates.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == expected
 
 
 def test_proxy_winner_smallest_index_tie():

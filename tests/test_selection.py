@@ -130,7 +130,7 @@ def linear_dataset(seed, n=80, d=2, noise=0.0):
 
 def test_kernel_ridge_fits_noiseless_linear():
     ds, _ = linear_dataset(0)
-    aux = fit_auxiliaries(ds, np.arange(ds.n), seed=0)
+    aux = fit_auxiliaries(ds, np.arange(ds.n), seed=0, eta_hat=half_eta(2))
     for model, mask in ((aux.mu0_hat, ds.t == 0), (aux.mu1_hat, ds.t == 1),
                         (aux.m_hat, np.ones(ds.n, dtype=bool))):
         mse = float(np.mean((model.predict(ds.x[mask]) - ds.y[mask]) ** 2))
@@ -146,8 +146,8 @@ def test_kernel_ridge_constant_target():
 
 def test_fit_auxiliaries_deterministic():
     ds, _ = linear_dataset(2, noise=0.3)
-    a = fit_auxiliaries(ds, np.arange(ds.n), seed=7)
-    b = fit_auxiliaries(ds, np.arange(ds.n), seed=7)
+    a = fit_auxiliaries(ds, np.arange(ds.n), seed=7, eta_hat=half_eta(2))
+    b = fit_auxiliaries(ds, np.arange(ds.n), seed=7, eta_hat=half_eta(2))
     assert np.allclose(a.m_hat.predict(ds.x), b.m_hat.predict(ds.x))
     assert a.m_hat.bandwidth == b.m_hat.bandwidth
 
