@@ -19,12 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (AcicProtocol, Dataset, GroundTruth, generate_acic_like,
+from .data import (AcicProtocol, Dataset, GroundTruth, SplitIndices, generate_acic_like,
                    generate_ihdp_like, generate_two_cluster_toy, load_csv,
                    save_csv, split)
-from .learner import (AlriteModel, _blend, alrite_fit, alrite_predict, build_softmax_ensemble,
-                      build_topk_ensemble, predict_ensemble_grid, rank_members,
-                      select_ensemble_hyperparam)
+from .learner import (AlriteModel, EnsembleModel, _blend, alrite_fit, alrite_predict,
+                      predict_ensemble_grid, rank_members, select_ensemble_hyperparam)
 from .metrics import (bound_m1, bound_m2, bound_m3, eps_ate,
                       make_linear_instance, pehe, policy_risks)
 from .pipeline import (Pipeline, PipelineHyperparams, factual_mse, predict_mu, predict_tau,
@@ -227,13 +226,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     split_idx = _split_for(cfg, dataset)
     l0, l1 = cfg.search["l0"], cfg.search["l1"]
     hp_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-    jobs = []
-    for i in range(l0):
-        jobs.append((i, "control_driven", dataset, split_idx,
-                     sample_hyperparams(hp_rng, cfg.search), member_seed(cfg.seed, 1 + i)))
-    for j in range(l1):
-        jobs.append((l0 + j, "treatment_driven", dataset, split_idx,
-                     sample_hyperparams(hp_rng, cfg.search), member_seed(cfg.seed, 1 + l0 + j)))
+    roles = ["control_driven"] * l0 + ["treatment_driven"] * l1
+    jobs = [(k, role, dataset, split_idx, sample_hyperparams(hp_rng, cfg.search),
+             member_seed(cfg.seed, 1 + k)) for k, role in enumerate(roles)]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -273,15 +268,13 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     tau = {k: predict_tau(pipelines[k], x_val) for k in ok0 + ok1}
     mu = {k: predict_mu(pipelines[k], x_val, t_val) for k in ok0 + ok1}
     rows = []
-    cid = 0
     for i in ok0:
         for j in ok1:
             cand = {"tau": _blend(eta_val, tau[i], tau[j]),
                     "mu": _blend(eta_val, mu[i], mu[j])}
             scores = [score_candidate(kind, terms, cand) for kind in PROXY_KINDS]
             pehe_val = pehe(cand["tau"], truth, val)[0] if truth is not None else ""
-            rows.append([cid, i, j] + scores + [pehe_val])
-            cid += 1
+            rows.append([len(rows), i, j] + scores + [pehe_val])
 
     _write_json(out / "split.json", {k: getattr(split_idx, k).tolist()
                                      for k in ("train", "validation", "test")})
@@ -391,7 +384,6 @@ def _load_sweep_members(out: Path):
         eta = PropensityModel.from_dict(json.load(fh))
     with open(out / "split.json") as fh:
         raw = json.load(fh)
-    from .data import SplitIndices
     split_idx = SplitIndices(*(np.asarray(raw[k], dtype=int)
                                for k in ("train", "validation", "test")))
     return members0, members1, eta, split_idx
@@ -407,10 +399,8 @@ def cmd_ensemble(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     mode = cfg.ensemble["mode"]
     if mode == "top_k":
         candidates = list(range(1, min(len(members0), len(members1)) + 1))
-        build = build_topk_ensemble
     else:
         candidates = list(cfg.ensemble.get("candidates", LAMBDA_GRID))
-        build = build_softmax_ensemble
     chosen, table = select_ensemble_hyperparam(
         members0, members1, eta, mode, candidates, dataset,
         split_idx.validation, risks0, risks1)
@@ -423,7 +413,7 @@ def cmd_ensemble(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     rows = [[row["candidate"], row["mu_risk"], p] for row, p in zip(table, test_pehe)]
     _write_csv(out / "ensemble_curve.csv", ["candidate", "val_mu_risk", "test_pehe"], rows)
 
-    final = build(members0, members1, eta, chosen, risks0, risks1)
+    final = EnsembleModel(members0, members1, eta, mode, float(chosen), risks0, risks1)
     _write_json(out / "ensemble.json", final.to_dict())
     chosen_risk = table[candidates.index(chosen)]["mu_risk"]
     print(f"selected {mode} ensemble with parameter {chosen} "

@@ -200,10 +200,9 @@ def _combine(model: EnsembleModel, per_member0, per_member1, eta_hat):
 
 
 def ensemble_predict(model: EnsembleModel, x: np.ndarray):
-    eta_hat = predict_eta(model.eta, x, model.clip)
-    return _combine(model,
-                    [predict_tau(p, x) for p in model.members0],
-                    [predict_tau(p, x) for p in model.members1], eta_hat)
+    return predict_ensemble_grid(model.members0, model.members1, model.eta, model.mode,
+                                 [model.param], model.mu_risks0, model.mu_risks1, x,
+                                 clip=model.clip)[0]
 
 
 def predict_ensemble_grid(members0, members1, eta, mode: str, candidates,
@@ -213,7 +212,10 @@ def predict_ensemble_grid(members0, members1, eta, mode: str, candidates,
     `candidates`: effects, or factual outcomes when `arm` is given. Each
     member and eta_hat are predicted once for the whole grid."""
     build = build_topk_ensemble if mode == "top_k" else build_softmax_ensemble
-    predict = (lambda p: predict_tau(p, x)) if arm is None else (lambda p: predict_mu(p, x, arm))
+
+    def predict(p):
+        return predict_tau(p, x) if arm is None else predict_mu(p, x, arm)
+
     per_member0 = [predict(p) for p in members0]
     per_member1 = [predict(p) for p in members1]
     eta_hat = predict_eta(eta, x, clip)

@@ -184,9 +184,9 @@ def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap, hp: PipelineHyperparams,
     return total, terms, grads
 
 
-def _batch_indices(x, t, y, indices):
+def _batch_indices(indices, n):
     if indices is None:
-        return np.arange(len(t))
+        return np.arange(n)
     return np.asarray(indices, dtype=int)
 
 
@@ -205,7 +205,7 @@ def compound_loss(p: Pipeline, x: np.ndarray, t: np.ndarray, y: np.ndarray,
     nf = int(np.sum(t == focus)) if n_focus is None else n_focus
     no = int(np.sum(t == 1 - focus)) if n_other is None else n_other
     total, terms, _ = _loss_core(p, x, t, y, twinmap, hp, nf, no,
-                                 _batch_indices(x, t, y, batch), want_grads=False)
+                                 _batch_indices(batch, len(t)), want_grads=False)
     return total, terms
 
 
@@ -219,7 +219,7 @@ def compound_loss_grads(p: Pipeline, x, t, y, twinmap: TwinMap,
     nf = int(np.sum(t == focus))
     no = len(t) - nf
     total, terms, grads = _loss_core(p, x, t, y, twinmap, hp, nf, no,
-                                     _batch_indices(x, t, y, batch), want_grads=True)
+                                     _batch_indices(batch, len(t)), want_grads=True)
     gw_phi, gb_phi = grads["phi"]
     own_g, cross_g = grads["own"], grads["cross"]
     if p.focus_arm == 0:
@@ -319,8 +319,8 @@ def train_pipeline(dataset: Dataset, split_idx: SplitIndices, role: str,
     for epoch in range(hp.epochs):
         z = forward(p.phi, x)
         twinmap = mirror_twins(z, t)
-        # beta-normalizer sanity: the cross arm holds exactly n_focus votes
-        assert twinmap.weight[t == 1 - focus].sum() == n_focus
+        if twinmap.weight[t == 1 - focus].sum() != n_focus:
+            raise RuntimeError("beta normalizer: the cross arm must hold exactly n_focus votes")
         order = rng.permutation(n)
         epoch_terms = {"own_factual": 0.0, "cross_factual": 0.0,
                        "counterfactualizability": 0.0, "regularization": 0.0}

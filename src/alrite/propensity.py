@@ -8,7 +8,7 @@ bounding inverse-propensity weights by 100.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,15 +46,16 @@ class PropensityModel:
         for k, v in params.items():
             if isinstance(v, np.ndarray):
                 params[k] = v.tolist()
-        return {"variant": self.variant, "params": params, "fitted": self.fitted}
+        return {"variant": self.variant, "params": params, "fitted": self.fitted,
+                "warning": self.warning}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PropensityModel":
         params = dict(d["params"])
-        for k in ("weights", "x_mean", "x_scale", "ref_x", "ref_t", "nodes"):
+        for k in ("weights", "x_mean", "x_scale", "ref_x", "ref_t"):
             if k in params and isinstance(params[k], list):
                 params[k] = np.asarray(params[k], dtype=float)
-        return cls(d["variant"], params, d["fitted"])
+        return cls(d["variant"], params, d["fitted"], d.get("warning"))
 
 
 def train_propensity_lr(dataset_x: np.ndarray, t: np.ndarray, l2_strength: float,

@@ -157,12 +157,6 @@ def nn_imputed_outcome(aux: Auxiliaries, x: np.ndarray, t: np.ndarray) -> np.nda
     return out
 
 
-def _require(candidate: dict, key: str, kind: str) -> np.ndarray:
-    if key not in candidate or candidate[key] is None:
-        raise ValueError(f"proxy kind {kind!r} requires candidate {key!r} predictions")
-    return np.asarray(candidate[key], dtype=float)
-
-
 def proxy_terms(dataset: Dataset, val_indices, aux: Auxiliaries | None) -> dict:
     """Per proxy kind, the (w, a, s) of mean(w * (a * pred - s) ** 2) on one
     validation set, each nuisance predicted once per row. Without auxiliaries
@@ -197,9 +191,11 @@ def score_candidate(kind: str, terms: dict, candidate: dict) -> float:
         raise ValueError(f"unknown proxy kind {kind!r}")
     if kind not in terms:
         raise ValueError(f"proxy kind {kind!r} requires auxiliaries")
+    key = "mu" if kind.startswith("mu_") else "tau"
+    if candidate.get(key) is None:
+        raise ValueError(f"proxy kind {kind!r} requires candidate {key!r} predictions")
     w, a, s = terms[kind]
-    pred = _require(candidate, "mu" if kind.startswith("mu_") else "tau", kind)
-    return float(np.mean(w * (a * pred - s) ** 2))
+    return float(np.mean(w * (a * np.asarray(candidate[key], dtype=float) - s) ** 2))
 
 
 def proxy_score(kind: str, candidate: dict, dataset: Dataset, val_indices,

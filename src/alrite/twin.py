@@ -76,10 +76,14 @@ def mirror_twins(latent: np.ndarray, t: np.ndarray) -> TwinMap:
 def _assert_conservation(tm: TwinMap, t: np.ndarray) -> None:
     n = len(t)
     n0 = int(np.sum(t == 0))
-    assert tm.weight.sum() == n, "twin votes must total n"
-    assert tm.weight[t == 1].sum() == n0, "treated samples must hold all control votes"
-    assert tm.weight[t == 0].sum() == n - n0, "control samples must hold all treated votes"
-    assert np.all(t[tm.twin_index] == 1 - t), "twins must be opposite-arm"
+    if tm.weight.sum() != n:
+        raise RuntimeError("twin votes must total n")
+    if tm.weight[t == 1].sum() != n0:
+        raise RuntimeError("treated samples must hold all control votes")
+    if tm.weight[t == 0].sum() != n - n0:
+        raise RuntimeError("control samples must hold all treated votes")
+    if not np.all(t[tm.twin_index] == 1 - t):
+        raise RuntimeError("twins must be opposite-arm")
 
 
 def cross_pipeline_weights(latent0: np.ndarray, latent1: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -97,7 +101,8 @@ def cross_pipeline_weights(latent0: np.ndarray, latent1: np.ndarray, t: np.ndarr
     idx1, _ = _nearest_opposite(latent1, t, t == 1)
     votes = np.concatenate([idx0[t == 0], idx1[t == 1]])
     weight = np.bincount(votes, minlength=n)
-    assert weight.sum() == n
+    if weight.sum() != n:
+        raise RuntimeError("cross-pipeline votes must total n")
     return weight
 
 

@@ -171,3 +171,14 @@ def test_serialization_round_trip():
                   fit_tree(x, t, 2)):
         clone = PropensityModel.from_dict(model.to_dict())
         assert np.allclose(predict_eta(clone, x), predict_eta(model, x))
+
+
+def test_serialization_keeps_warning():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((40, 2))
+    t = (x[:, 0] > 0).astype(int)
+    model = train_propensity_lr(x, t, 0.0, max_steps=3)
+    assert model.warning is not None
+    clone = PropensityModel.from_dict(model.to_dict())
+    assert clone.warning == model.warning
+    assert PropensityModel.from_dict(fit_knn(x, t, 3).to_dict()).warning is None

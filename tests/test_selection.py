@@ -76,6 +76,33 @@ def test_mu_risk_perfect_predictor_is_zero():
     assert proxy_score("mu_risk", {"mu": ds.y.copy()}, ds, np.arange(5), aux) == 0.0
 
 
+def test_proxy_rows_match_direct_formulas_off_half_propensity():
+    # at eta = 0.5 both arms share one inverse propensity; 0.3 tells them apart
+    ds, aux, candidate = hand_table()
+    aux.eta_hat.params["bias"] = float(np.log(0.3 / 0.7))
+    x, t, y = ds.x, ds.t, ds.y
+    tau, mu = candidate["tau"], candidate["mu"]
+    eta = np.full(5, 0.3)
+    rho = np.where(t == 1, 1 / eta, 1 / (1 - eta))
+    rho_opposite = np.where(t == 1, 1 / (1 - eta), 1 / eta)
+    sign = 2.0 * t - 1.0
+    mu0, mu1, m = 0.5, 1.5, 1.0
+    expected = {
+        "mu_risk": np.mean((y - mu) ** 2),
+        "mu_risk_iptw": np.mean(rho * (y - mu) ** 2),
+        "r_risk": np.mean((tau * (t - eta) - (y - m)) ** 2),
+        "tau_naive": np.mean((tau - (mu1 - mu0)) ** 2),
+        "tau_1nni": np.mean((tau - sign * (y - nn_imputed_outcome(aux, x, t))) ** 2),
+        "tau_iptw": np.mean((tau - sign * rho * y) ** 2),
+        "tau_u": np.mean((tau - sign * rho_opposite * (y - m)) ** 2),
+        "tau_dr": np.mean((tau - (mu1 - mu0 + sign * rho * (y - np.where(t == 1, mu1, mu0))))
+                          ** 2),
+    }
+    for kind in PROXY_KINDS:
+        assert proxy_score(kind, candidate, ds, np.arange(5), aux) == \
+            pytest.approx(expected[kind], rel=1e-12), kind
+
+
 def test_terms_built_once_score_like_proxy_score():
     ds, aux, candidate = hand_table()
     terms = proxy_terms(ds, np.arange(5), aux)

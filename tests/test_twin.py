@@ -1,11 +1,17 @@
 """Mirror-twin search against exhaustive oracles, vote conservation and
 tie-breaking."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alrite
 from alrite.twin import (ArmError, counterfactualizability_summary,
                          cross_pipeline_weights, mirror_twins)
 
@@ -132,3 +138,18 @@ def test_property_twins_are_nearest(seed, n):
         opp = np.flatnonzero(t == 1 - t[i])
         dists = np.linalg.norm(latent[opp] - latent[i], axis=1)
         assert tm.twin_distance[i] <= dists.min() + 1e-12
+
+
+def test_conservation_check_survives_optimize_flag():
+    # a forged map whose votes do not total n must be refused even under -O,
+    # which strips assert statements
+    code = ("import numpy as np\n"
+            "from alrite.twin import TwinMap, _assert_conservation\n"
+            "t = np.array([0, 1, 1])\n"
+            "forged = TwinMap(np.array([1, 0, 0]), np.zeros(3), np.array([2, 1, 1]))\n"
+            "_assert_conservation(forged, t)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(alrite.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "twin votes must total n" in proc.stderr
