@@ -4,6 +4,14 @@ tree, plus grid-search cross-validation and calibration diagnostics.
 
 Predictions are always clipped into [clip, 1 - clip]; default clip 0.01,
 bounding inverse-propensity weights by 100.
+
+Tie rules, both exact:
+- kNN: the k nearest references are picked by partition; a row whose k-th
+  distance is shared by a reference outside the k falls back to a stable
+  sort, so equidistant neighbours are taken in index order.
+- Tree: splits are scanned feature by feature, left to right, and a split
+  replaces the best so far only if its Gini gain is larger by more than
+  1e-15, so the first of near-equal splits wins.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import AdamState, adam_step
+from .twin import pairwise_sq_dists
 
 DEFAULT_CLIP = 0.01
 
@@ -128,11 +137,38 @@ def fit_knn(x: np.ndarray, t: np.ndarray, k: int) -> PropensityModel:
     )
 
 
-def _gini(counts1: float, total: float) -> float:
-    if total == 0:
-        return 0.0
-    p = counts1 / total
+def _gini(count1, total):
+    p = count1 / total
     return 2.0 * p * (1.0 - p)
+
+
+def _scan_first_best(gain: np.ndarray, best):
+    """Where the sequential scan `if best is None or g > best + 1e-15: take g`
+    over `gain` ends: (index, gain), or (None, best) if nothing is taken.
+
+    Only strict running maxima can be taken. From a taken maximum the scan
+    moves to the next one unless that is within 1e-15 of it, so the loop
+    below runs once per such near-tie, not once per split."""
+    prev = np.empty_like(gain)
+    prev[0] = -np.inf
+    np.maximum.accumulate(gain[:-1], out=prev[1:])
+    rec = np.flatnonzero(gain > prev)
+    v = gain[rec]  # strictly increasing
+    r = 0 if best is None else int(np.searchsorted(v, best + 1e-15, side="right"))
+    if r == len(v):
+        return None, best
+    stalls = np.flatnonzero(v[1:] <= v[:-1] + 1e-15)  # successor not taken
+    while True:
+        s = np.searchsorted(stalls, r)
+        if s == len(stalls):
+            r = len(v) - 1
+            break
+        nxt = int(np.searchsorted(v, v[stalls[s]] + 1e-15, side="right"))
+        if nxt == len(v):
+            r = int(stalls[s])
+            break
+        r = nxt
+    return int(rec[r]), v[r]
 
 
 def _build_tree(x, t, depth, max_depth, min_leaf):
@@ -141,22 +177,26 @@ def _build_tree(x, t, depth, max_depth, min_leaf):
     node = {"leaf": True, "value": rate, "n": n}
     if depth >= max_depth or n < 2 * min_leaf or rate in (0.0, 1.0):
         return node
+    n1 = t.sum()
+    parent_impurity = _gini(n1, n)
+    # every feature sorted at once; row i - 1 of `size` splits after i samples
+    order = np.argsort(x, axis=0, kind="stable")
+    xv = np.take_along_axis(x, order, axis=0)
+    size = np.arange(min_leaf, n - min_leaf + 1)
+    left1 = np.cumsum(t[order], axis=0)[size - 1]
+    admissible = xv[size - 1] != xv[size]  # cannot split between equal values
     best = None
-    parent_impurity = _gini(t.sum(), n)
     for j in range(x.shape[1]):
-        order = np.argsort(x[:, j], kind="stable")
-        xv = x[order, j]
-        tv = t[order]
-        csum = np.cumsum(tv)
-        for i in range(min_leaf, n - min_leaf + 1):
-            if i < n and xv[i - 1] == xv[i]:
-                continue  # cannot split between equal values
-            left1, right1 = csum[i - 1], csum[-1] - csum[i - 1]
-            impurity = (i * _gini(left1, i) + (n - i) * _gini(right1, n - i)) / n
-            gain = parent_impurity - impurity
-            if best is None or gain > best[0] + 1e-15:
-                thr = xv[i - 1] if i == n else 0.5 * (xv[i - 1] + xv[i])
-                best = (gain, j, thr)
+        ok = admissible[:, j]
+        i, l1 = size[ok], left1[ok, j]
+        if i.size == 0:
+            continue
+        impurity = (i * _gini(l1, i) + (n - i) * _gini(n1 - l1, n - i)) / n
+        pos, gain = _scan_first_best(parent_impurity - impurity,
+                                     None if best is None else best[0])
+        if pos is not None:
+            k = i[pos]
+            best = (gain, j, 0.5 * (xv[k - 1, j] + xv[k, j]))
     if best is None or best[0] <= 1e-12:
         return node
     _, j, thr = best
@@ -172,6 +212,8 @@ def _build_tree(x, t, depth, max_depth, min_leaf):
 
 def fit_tree(x: np.ndarray, t: np.ndarray, max_depth: int, min_leaf: int = 10) -> PropensityModel:
     """Greedy CART on Gini impurity; leaves predict the treated rate."""
+    if min_leaf < 1:
+        raise ValueError("min_leaf must be at least 1")
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=int)
     root = _build_tree(x, t, 0, max_depth, min_leaf)
@@ -190,6 +232,17 @@ def _tree_predict(root, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _k_nearest(sq: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the columns of its k smallest entries, ties at the k-th value
+    taken in column order (as a stable argsort would), in no fixed order."""
+    nearest = np.argpartition(sq, k - 1, axis=1)[:, :k].copy()  # frees the full index block
+    kth = sq[np.arange(len(sq)), nearest[:, k - 1]]
+    tied = np.count_nonzero(sq <= kth[:, None], axis=1) != k
+    if tied.any():
+        nearest[tied] = np.argsort(sq[tied], axis=1, kind="stable")[:, :k]
+    return nearest
+
+
 def predict_eta(model: PropensityModel, x: np.ndarray, clip: float = DEFAULT_CLIP):
     """Clipped treatment probability; accepts a vector or an (n, d) batch."""
     if not model.fitted:
@@ -202,11 +255,7 @@ def predict_eta(model: PropensityModel, x: np.ndarray, clip: float = DEFAULT_CLI
         xs = (xb - p["x_mean"]) / p["x_scale"]
         eta = _sigmoid(xs @ p["weights"] + p["bias"])
     elif model.variant == "knn_classifier":
-        ref = p["ref_x"]
-        sq = (np.sum(xb * xb, axis=1)[:, None] - 2 * xb @ ref.T
-              + np.sum(ref * ref, axis=1)[None, :])
-        nearest = np.argsort(sq, axis=1, kind="stable")[:, : p["k"]]
-        eta = p["ref_t"][nearest].mean(axis=1)
+        eta = p["ref_t"][_k_nearest(pairwise_sq_dists(xb, p["ref_x"]), p["k"])].mean(axis=1)
     elif model.variant == "decision_tree":
         eta = _tree_predict(p["root"], xb)
     else:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .propensity import DEFAULT_CLIP, PropensityModel, predict_eta
+from .twin import pairwise_sq_dists
 
 PROXY_KINDS = ("mu_risk", "mu_risk_iptw", "r_risk", "tau_naive",
                "tau_1nni", "tau_iptw", "tau_u", "tau_dr")
@@ -47,8 +48,11 @@ class KernelRidge:
 
 
 def _rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
-    sq = (np.sum(a * a, axis=1)[:, None] - 2.0 * a @ b.T + np.sum(b * b, axis=1)[None, :])
-    return np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth**2))
+    k = pairwise_sq_dists(a, b)
+    np.maximum(k, 0.0, out=k)
+    np.negative(k, out=k)
+    k /= 2.0 * bandwidth**2
+    return np.exp(k, out=k)
 
 
 def _fit_kernel_ridge(x: np.ndarray, y: np.ndarray, bandwidth: float,
@@ -63,8 +67,8 @@ def _median_pairwise_distance(x: np.ndarray, rng: np.random.Generator) -> float:
     # subsample for large n; the bandwidth heuristic needs no precision
     if len(x) > 500:
         x = x[rng.choice(len(x), 500, replace=False)]
-    sq = np.maximum(np.sum(x * x, axis=1)[:, None] - 2.0 * x @ x.T
-                    + np.sum(x * x, axis=1)[None, :], 0.0)
+    sq = pairwise_sq_dists(x, x)
+    np.maximum(sq, 0.0, out=sq)
     d = np.sqrt(sq[np.triu_indices(len(x), k=1)])
     med = float(np.median(d)) if d.size else 1.0
     return med if med > 0 else 1.0
@@ -150,9 +154,7 @@ def nn_imputed_outcome(aux: Auxiliaries, x: np.ndarray, t: np.ndarray) -> np.nda
         donors = np.flatnonzero(aux.donors_t == 1 - arm)
         if donors.size == 0:
             raise ValueError("no opposite-arm donors available")
-        dx = aux.donors_x[donors]
-        sq = (np.sum(x[mask] ** 2, axis=1)[:, None] - 2.0 * x[mask] @ dx.T
-              + np.sum(dx * dx, axis=1)[None, :])
+        sq = pairwise_sq_dists(x[mask], aux.donors_x[donors])
         out[mask] = aux.donors_y[donors[np.argmin(sq, axis=1)]]
     return out
 

@@ -3,6 +3,16 @@ counterfactualizability statistics.
 
 Twin search is exact (vectorized all-pairs per query arm); ties break on the
 smallest index so runs are reproducible.
+
+`pairwise_sq_dists` is the package's one all-pairs distance kernel: the twin
+search, kNN propensity prediction, the kernel-ridge RBF kernel and bandwidth
+heuristic, and the nearest-neighbour imputation all call it. It computes
+|a|^2 - 2 a.b + |b|^2 into a single n x m buffer. The cross term is formed as
+`(2.0 * a) @ b.T`: doubling is exact, so this has the bits of
+`2.0 * (a @ b.T)`. Do not rewrite it as `a @ a.T` (or `a @ b.T` scaled
+afterwards) for a call with `b is a`: numpy hands a product of an array with
+its own transpose to the symmetric `syrk` BLAS kernel, whose summation order
+differs and changes the last bits.
 """
 
 from __future__ import annotations
@@ -28,14 +38,13 @@ def _check_arms(t: np.ndarray) -> None:
         raise ArmError("both treatment arms must be non-empty")
 
 
-def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # (len(a), len(b)) squared Euclidean distances, clipped against round-off
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        - 2.0 * (a @ b.T)
-        + np.sum(b * b, axis=1)[None, :]
-    )
-    return np.maximum(sq, 0.0)
+def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared Euclidean distances, unclipped: round-off can
+    leave tiny negatives. The only full-size allocation is the result."""
+    sq = (2.0 * a) @ b.T
+    np.subtract(np.sum(a * a, axis=1)[:, None], sq, out=sq)
+    sq += np.sum(b * b, axis=1)[None, :]
+    return sq
 
 
 def _nearest_opposite(latent: np.ndarray, t: np.ndarray, query_mask: np.ndarray):
@@ -49,10 +58,12 @@ def _nearest_opposite(latent: np.ndarray, t: np.ndarray, query_mask: np.ndarray)
         if q.size == 0:
             continue
         cand = np.flatnonzero(t == 1 - arm)
-        sq = _pairwise_sq_dists(latent[q], latent[cand])
+        sq = pairwise_sq_dists(latent[q], latent[cand])
+        np.maximum(sq, 0.0, out=sq)
         best = np.argmin(sq, axis=1)  # argmin returns the first (smallest-index) minimum
         twin_index[q] = cand[best]
         twin_distance[q] = np.sqrt(sq[np.arange(len(q)), best])
+        del sq  # freed before the other arm's block is allocated
     return twin_index, twin_distance
 
 

@@ -4,6 +4,7 @@ tie-breaking."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import alrite
 from alrite.twin import (ArmError, counterfactualizability_summary,
-                         cross_pipeline_weights, mirror_twins)
+                         cross_pipeline_weights, mirror_twins, pairwise_sq_dists)
 
 
 def oracle_twins(latent, t):
@@ -153,3 +154,34 @@ def test_conservation_check_survives_optimize_flag():
                           capture_output=True, text=True)
     assert proc.returncode != 0
     assert "twin votes must total n" in proc.stderr
+
+
+def three_temporaries(a, b):
+    """The all-pairs expression the distance kernel replaces."""
+    return (np.sum(a * a, axis=1)[:, None] - 2.0 * (a @ b.T)
+            + np.sum(b * b, axis=1)[None, :])
+
+
+def test_pairwise_kernel_bit_equal_to_three_temporaries():
+    rng = np.random.default_rng(0)
+    for n, m, d in ((300, 200, 50), (97, 311, 3), (500, 500, 58)):
+        a, b = rng.standard_normal((n, d)), rng.standard_normal((m, d)) * 3.0
+        assert pairwise_sq_dists(a, b).tobytes() == three_temporaries(a, b).tobytes()
+        # a is b: the product must not become a symmetric rank-k update
+        expect = (np.sum(a * a, axis=1)[:, None] - 2.0 * a @ a.T
+                  + np.sum(a * a, axis=1)[None, :])
+        assert pairwise_sq_dists(a, a).tobytes() == expect.tobytes()
+
+
+def test_pairwise_kernel_allocates_one_block():
+    rng = np.random.default_rng(1)
+    a, b = rng.standard_normal((1500, 4)), rng.standard_normal((1200, 4))
+    block = 1500 * 1200 * 8
+    tracemalloc.start()
+    try:
+        sq = pairwise_sq_dists(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sq.shape == (1500, 1200)
+    assert peak < 1.2 * block
