@@ -371,31 +371,35 @@ def cmd_select(cfg: ExperimentConfig, out: Path, workers: int) -> int:
 
 
 def _load_sweep_members(out: Path):
+    """Per role, the sweep's usable members and their validation mu-risks as
+    `sweep` recorded them; then the propensity model and the split."""
     with open(out / "sweep.json") as fh:
         sweep = json.load(fh)
-    members0, members1 = [], []
+    members = {"control_driven": ([], []), "treatment_driven": ([], [])}
     for m in sweep["members"]:
         if m["status"] != "ok":
             continue
         with open(out / m["path"]) as fh:
             p = Pipeline.from_dict(json.load(fh))
-        (members0 if m["role"] == "control_driven" else members1).append(p)
+        pipelines, risks = members[m["role"]]
+        pipelines.append(p)
+        risks.append(m["val_mu_risk"])
     with open(out / "eta.json") as fh:
         eta = PropensityModel.from_dict(json.load(fh))
     with open(out / "split.json") as fh:
         raw = json.load(fh)
     split_idx = SplitIndices(*(np.asarray(raw[k], dtype=int)
                                for k in ("train", "validation", "test")))
-    return members0, members1, eta, split_idx
+    return members["control_driven"], members["treatment_driven"], eta, split_idx
 
 
 def cmd_ensemble(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     if not (out / "sweep.json").exists():
         raise RuntimeError(f"no sweep results in {out}; run `sweep` first")
-    members0, members1, eta, split_idx = _load_sweep_members(out)
+    ranked0, ranked1, eta, split_idx = _load_sweep_members(out)
     dataset, truth = _resolve_dataset(cfg, out)
-    members0, risks0 = rank_members(members0, dataset, split_idx.validation)
-    members1, risks1 = rank_members(members1, dataset, split_idx.validation)
+    members0, risks0 = rank_members(*ranked0)
+    members1, risks1 = rank_members(*ranked1)
     mode = cfg.ensemble["mode"]
     if mode == "top_k":
         candidates = list(range(1, min(len(members0), len(members1)) + 1))

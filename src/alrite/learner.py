@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, SplitIndices
-from .pipeline import (Pipeline, PipelineHyperparams, TrainReport, factual_mse,
-                       predict_mu, predict_tau, train_pipeline)
+from .pipeline import (Pipeline, PipelineHyperparams, TrainReport, predict_mu,
+                       predict_tau, train_pipeline)
 from .propensity import (DEFAULT_CLIP, DEFAULT_PROPENSITY_GRID, PropensityModel,
                          predict_eta, select_propensity)
 
@@ -153,11 +153,10 @@ class EnsembleModel:
                    d["mu_risks0"], d["mu_risks1"], d.get("clip", DEFAULT_CLIP))
 
 
-def rank_members(pipelines: list[Pipeline], dataset: Dataset,
-                 val_indices) -> tuple[list[Pipeline], list[float]]:
-    """Sort sweep members by increasing validation factual MSE (stable, so
-    equal risks keep their submission order)."""
-    risks = [factual_mse(p, dataset, val_indices) for p in pipelines]
+def rank_members(pipelines: list[Pipeline],
+                 risks) -> tuple[list[Pipeline], list[float]]:
+    """Sort sweep members by increasing validation factual MSE `risks`
+    (stable, so equal risks keep their submission order)."""
     order = np.argsort(risks, kind="stable")
     return [pipelines[i] for i in order], [risks[i] for i in order]
 

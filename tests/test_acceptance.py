@@ -20,8 +20,8 @@ from alrite.metrics import (Lemma4Case, bound_m1, bound_m2, bound_m3,
                             lemma4_sanity, make_linear_instance, pehe)
 from alrite.nn import forward
 from alrite.pipeline import (PipelineHyperparams, compound_loss,
-                             compound_loss_grads, predict_tau, train_pipeline,
-                             _flat_params)
+                             compound_loss_grads, factual_mse, predict_tau,
+                             train_pipeline, _flat_params)
 from alrite.propensity import (DEFAULT_PROPENSITY_GRID, select_propensity)
 from alrite.selection import (_average_ranks, proxy_score, rank_agreement)
 from alrite.twin import cross_pipeline_weights, mirror_twins
@@ -179,8 +179,8 @@ def test_criterion_5_ensemble_identities():
     ds, truth, members0, members1 = linear_fleet(2)
     val = np.arange(ds.n)
     eta = train_propensity_lr(ds.x, ds.t, 1.0)
-    members0, risks0 = rank_members(members0, ds, val)
-    members1, risks1 = rank_members(members1, ds, val)
+    members0, risks0 = rank_members(members0, [factual_mse(p, ds, val) for p in members0])
+    members1, risks1 = rank_members(members1, [factual_mse(p, ds, val) for p in members1])
     top1 = build_topk_ensemble(members0, members1, eta, 1, risks0, risks1)
     single = AlriteModel(members0[0], members1[0], eta)
     from alrite.learner import alrite_predict
@@ -231,8 +231,10 @@ def run_benchmark_instance(seed):
         members1.append(p)
     eta = select_propensity(ds.x[sp.train], ds.t[sp.train],
                             DEFAULT_PROPENSITY_GRID, folds=5, seed=seed)
-    members0, risks0 = rank_members(members0, ds, sp.validation)
-    members1, risks1 = rank_members(members1, ds, sp.validation)
+    members0, risks0 = rank_members(members0,
+                                    [factual_mse(p, ds, sp.validation) for p in members0])
+    members1, risks1 = rank_members(members1,
+                                    [factual_mse(p, ds, sp.validation) for p in members1])
 
     single = build_topk_ensemble(members0, members1, eta, 1, risks0, risks1)
     single_rmse = pehe(ensemble_predict(single, ds.x[sp.test]), truth, sp.test)[1]

@@ -11,7 +11,7 @@ from alrite.learner import (AlriteModel, EnsembleModel, aggregate_tau,
                             rank_members, select_ensemble_hyperparam,
                             softmax_weights)
 from alrite.metrics import make_linear_instance, pehe
-from alrite.pipeline import PipelineHyperparams, predict_mu, predict_tau
+from alrite.pipeline import PipelineHyperparams, factual_mse, predict_mu, predict_tau
 from alrite.propensity import PropensityModel, predict_eta
 
 
@@ -205,17 +205,22 @@ def test_ensemble_validation():
 def test_rank_members_sorted_by_validation_risk():
     ds, truth, members0, _ = linear_members(7)
     idx = np.arange(ds.n)
-    ranked, risks = rank_members(members0, ds, idx)
-    assert risks == sorted(risks)
-    assert len(ranked) == len(members0)
+    mse = [factual_mse(p, ds, idx) for p in members0]
+    ranked, risks = rank_members(members0, mse)
+    assert risks == sorted(mse)
+    assert [id(p) for p in ranked] == [id(members0[i]) for i in np.argsort(mse)]
+    # stable: equal risks keep their submission order
+    ranked, risks = rank_members(members0, [0.5] * len(members0))
+    assert [id(p) for p in ranked] == [id(p) for p in members0]
+    assert risks == [0.5] * len(members0)
 
 
 def test_select_ensemble_hyperparam_dominance_and_tie():
     ds, truth, members0, members1 = linear_members(8)
     eta = constant_eta_model(0.5)
     idx = np.arange(ds.n)
-    ranked0, risks0 = rank_members(members0, ds, idx)
-    ranked1, risks1 = rank_members(members1, ds, idx)
+    ranked0, risks0 = rank_members(members0, [factual_mse(p, ds, idx) for p in members0])
+    ranked1, risks1 = rank_members(members1, [factual_mse(p, ds, idx) for p in members1])
     chosen, table = select_ensemble_hyperparam(ranked0, ranked1, eta, "top_k",
                                                [1, 2, 3, 4], ds, idx, risks0, risks1)
     assert chosen in (1, 2, 3, 4)
