@@ -146,29 +146,18 @@ def _scan_first_best(gain: np.ndarray, best):
     """Where the sequential scan `if best is None or g > best + 1e-15: take g`
     over `gain` ends: (index, gain), or (None, best) if nothing is taken.
 
-    Only strict running maxima can be taken. From a taken maximum the scan
-    moves to the next one unless that is within 1e-15 of it, so the loop
-    below runs once per such near-tie, not once per split."""
-    prev = np.empty_like(gain)
-    prev[0] = -np.inf
-    np.maximum.accumulate(gain[:-1], out=prev[1:])
-    rec = np.flatnonzero(gain > prev)
-    v = gain[rec]  # strictly increasing
-    r = 0 if best is None else int(np.searchsorted(v, best + 1e-15, side="right"))
-    if r == len(v):
-        return None, best
-    stalls = np.flatnonzero(v[1:] <= v[:-1] + 1e-15)  # successor not taken
+    Every gain before a taken one is at most `best + 1e-15`, so the next one
+    taken is the first whose running maximum exceeds that: one binary search
+    per taken split instead of one comparison per split."""
+    running = np.maximum.accumulate(gain)
+    pos = None
+    if best is None:
+        pos, best = 0, gain[0]
     while True:
-        s = np.searchsorted(stalls, r)
-        if s == len(stalls):
-            r = len(v) - 1
-            break
-        nxt = int(np.searchsorted(v, v[stalls[s]] + 1e-15, side="right"))
-        if nxt == len(v):
-            r = int(stalls[s])
-            break
-        r = nxt
-    return int(rec[r]), v[r]
+        q = int(np.searchsorted(running, best + 1e-15, side="right"))
+        if q == len(gain):
+            return pos, best
+        pos, best = q, gain[q]
 
 
 def _build_tree(x, t, depth, max_depth, min_leaf):
@@ -179,7 +168,8 @@ def _build_tree(x, t, depth, max_depth, min_leaf):
         return node
     n1 = t.sum()
     parent_impurity = _gini(n1, n)
-    # every feature sorted at once; row i - 1 of `size` splits after i samples
+    # every feature sorted at once; a split after the first `size` sorted
+    # samples leaves at least min_leaf on each side
     order = np.argsort(x, axis=0, kind="stable")
     xv = np.take_along_axis(x, order, axis=0)
     size = np.arange(min_leaf, n - min_leaf + 1)
