@@ -168,10 +168,23 @@ def _generate_dataset(cfg: ExperimentConfig) -> tuple[Dataset, GroundTruth | Non
 
 
 def _resolve_dataset(cfg: ExperimentConfig, out: Path) -> tuple[Dataset, GroundTruth | None]:
+    """The `dataset.csv` in `out`, else a freshly generated dataset. A file
+    whose `manifest.json` records another dataset config or dataset seed is
+    refused rather than reused."""
     path = out / "dataset.csv"
-    if path.exists():
-        return load_csv(path)
-    return _generate_dataset(cfg)
+    if not path.exists():
+        return _generate_dataset(cfg)
+    if (out / "manifest.json").exists():
+        with open(out / "manifest.json") as fh:
+            m = json.load(fh)
+        made = (m["dataset"], m["dataset"].get("seed", m["seed"]))
+        wanted = (cfg.dataset, cfg.dataset.get("seed", cfg.seed))
+        if made != wanted:
+            raise ConfigError(
+                f"{path} was generated from dataset {made[0]} with seed {made[1]}, "
+                f"but the config asks for dataset {wanted[0]} with seed {wanted[1]}; "
+                "use another --out or regenerate")
+    return load_csv(path)
 
 
 def _split_for(cfg: ExperimentConfig, dataset: Dataset):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, GroundTruth
-from .nn import Mlp, forward, lipschitz_upper_bound, param_norm_sq
+from .nn import Mlp, forward, lipschitz_upper_bound
 from .pipeline import Pipeline, PipelineHyperparams, compound_loss
 from .twin import cross_pipeline_weights, mirror_twins
 
@@ -195,7 +195,7 @@ def bound_m3(p0: Pipeline, p1: Pipeline, dataset: Dataset,
     cross_sum = (float(np.sum((cross1[t == 0] - y[t == 0]) ** 2))
                  + float(np.sum((cross0[t == 1] - y[t == 1]) ** 2))) / n
     kappa = _kappa_y(w, dataset, truth) / n
-    reg = gamma0 * param_norm_sq(*p0.networks()) + gamma1 * param_norm_sq(*p1.networks())
+    reg = gamma0 * float(p0.theta @ p0.theta) + gamma1 * float(p1.theta @ p1.theta)
     bound = 5.0 * (loss0 + loss1 - reg + kappa - own_sum - cross_sum)
     pehe_val = float(np.mean((tau_bar - truth.tau) ** 2))
     return BoundReport(

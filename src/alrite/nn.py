@@ -1,13 +1,13 @@
 """Minimal dense neural-network engine on numpy.
 
 Provides the Mlp container, exact reverse-mode backpropagation, Adam with
-exponential learning-rate decay, parameter norms and a spectral-norm based
-Lipschitz upper bound. No GPU, no stochastic layers.
+exponential learning-rate decay on one flat parameter vector and a
+spectral-norm based Lipschitz upper bound. No GPU, no stochastic layers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +43,6 @@ class Mlp:
     @property
     def out_dim(self) -> int:
         return self.layer_dims[-1]
-
-    def params(self) -> list[np.ndarray]:
-        return list(self.weights) + list(self.biases)
 
     def copy(self) -> "Mlp":
         return Mlp(
@@ -165,8 +162,8 @@ class AdamState:
     """Adam accumulators with exponential learning-rate decay
     (effective lr = base_lr * decay_rate ** (step / decay_period))."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int
     base_lr: float
     decay_rate: float = 0.97
@@ -176,11 +173,11 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], base_lr: float,
+    def for_params(cls, theta: np.ndarray, base_lr: float,
                    decay_rate: float = 0.97, decay_period: int = 100) -> "AdamState":
         return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
+            m=np.zeros_like(theta),
+            v=np.zeros_like(theta),
             step=0,
             base_lr=base_lr,
             decay_rate=decay_rate,
@@ -188,33 +185,22 @@ class AdamState:
         )
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
-    """One Adam update, in place on params and state."""
-    if len(params) != len(state.m) or len(grads) != len(params):
-        raise ValueError("params/grads/state length mismatch")
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One Adam update, in place on the flat parameter vector and state."""
+    if theta.shape != grad.shape or theta.shape != state.m.shape:
+        raise ValueError("theta/grad/state shape mismatch")
     lr = state.base_lr * state.decay_rate ** (state.step / state.decay_period)
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError("gradient shape mismatch")
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1 - b1) * grad
+    v *= b2
+    v += (1 - b2) * grad * grad
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    theta -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
     state.step = t
-
-
-def param_norm_sq(*mlps: Mlp) -> float:
-    """Sum of squared weights and biases over all given networks."""
-    total = 0.0
-    for mlp in mlps:
-        for p in mlp.params():
-            total += float(np.sum(p * p))
-    return total
 
 
 def spectral_norm(w: np.ndarray, iters: int = 50, tol: float = 1e-7) -> float:

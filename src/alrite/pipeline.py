@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset, Scaler, SplitIndices, identity_scaler, standardize
 from .nn import (AdamState, Mlp, adam_step, backward, forward, forward_cached,
-                 mlp_from_dict, mlp_init, mlp_to_dict, param_norm_sq)
+                 mlp_from_dict, mlp_init, mlp_to_dict)
 from .twin import ArmError, TwinMap, mirror_twins
 
 ROLES = ("control_driven", "treatment_driven")
@@ -27,11 +27,26 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class Pipeline:
+    """Embedding phi and heads h0, h1, whose parameters live in one float64
+    vector `theta`.
+
+    Layout: phi, then h0, then h1; within each network every layer's weight
+    matrix (row-major) in layer order, then every layer's bias. Each
+    network's `weights[l]` and `biases[l]` is a reshaped view into `theta`,
+    so Adam, the L2 term and the best-epoch snapshot are single array ops.
+
+    Ownership: construction copies the networks' values into a fresh `theta`
+    and re-points their arrays at it. A second Pipeline built from the same
+    networks therefore takes them over, and the first one's `theta` no
+    longer moves with them.
+    """
+
     phi: Mlp
     h0: Mlp
     h1: Mlp
     role: str
     scaler: Scaler | None = None
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.role not in ROLES:
@@ -39,6 +54,13 @@ class Pipeline:
         k = self.phi.out_dim
         if self.h0.in_dim != k or self.h1.in_dim != k:
             raise ValueError("head input dim must equal embedding output dim")
+        groups = [arrays for net in self.networks() for arrays in (net.weights, net.biases)]
+        self.theta = np.concatenate([np.ravel(a) for g in groups for a in g], dtype=float)
+        offset = 0
+        for arrays in groups:
+            for l, a in enumerate(arrays):
+                arrays[l] = self.theta[offset : offset + a.size].reshape(a.shape)
+                offset += a.size
 
     @property
     def focus_arm(self) -> int:
@@ -114,17 +136,12 @@ def build_pipeline(d: int, role: str, hp: PipelineHyperparams,
     return Pipeline(phi, h0, h1, role)
 
 
-def _orientation(p: Pipeline):
-    """(focus arm, own head, cross head). The own head models the focus arm's
-    outcome; the cross head models the opposite arm with twin-vote weights."""
-    if p.focus_arm == 0:
-        return 0, p.h0, p.h1
-    return 1, p.h1, p.h0
-
-
 def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap, hp: PipelineHyperparams,
                n_focus: int, n_other: int, batch: np.ndarray, want_grads: bool):
-    focus, own_head, cross_head = _orientation(p)
+    # heads[focus], the own head, fits the focus arm's outcome; heads[1 - focus],
+    # the cross head, fits the opposite arm with twin-vote weights.
+    focus = p.focus_arm
+    heads = (p.h0, p.h1)
     bf = batch[t[batch] == focus]
     bo = batch[t[batch] == 1 - focus]
     if n_focus == 0 or n_other == 0:
@@ -132,17 +149,14 @@ def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap, hp: PipelineHyperparams,
     twins = twinmap.twin_index[bf]
     union = np.unique(np.concatenate([bf, bo, twins]))
     z_union, cache_phi = forward_cached(p.phi, x[union])
-    row = {s: r for r, s in enumerate(union)}
-    rf = np.asarray([row[s] for s in bf], dtype=int)
-    ro = np.asarray([row[s] for s in bo], dtype=int)
-    rm = np.asarray([row[s] for s in twins], dtype=int)
+    rf, ro, rm = (np.searchsorted(union, rows) for rows in (bf, bo, twins))
 
     terms = {}
-    pred_f, cache_own = forward_cached(own_head, z_union[rf]) if len(rf) else (np.zeros((0, 1)), None)
+    pred_f, cache_own = forward_cached(heads[focus], z_union[rf])
     res_f = pred_f[:, 0] - y[bf]
     terms["own_factual"] = float(np.sum(res_f**2)) / n_focus
 
-    pred_o, cache_cross = forward_cached(cross_head, z_union[ro]) if len(ro) else (np.zeros((0, 1)), None)
+    pred_o, cache_cross = forward_cached(heads[1 - focus], z_union[ro])
     res_o = pred_o[:, 0] - y[bo]
     w_o = 1.0 + hp.beta * twinmap.weight[bo]
     denom = n_other + hp.beta * n_focus
@@ -151,37 +165,29 @@ def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap, hp: PipelineHyperparams,
     diff = z_union[rf] - z_union[rm]
     terms["counterfactualizability"] = hp.alpha / n_focus * float(np.sum(diff**2))
 
-    terms["regularization"] = hp.gamma * param_norm_sq(*p.networks())
+    terms["regularization"] = hp.gamma * float(p.theta @ p.theta)
     total = sum(terms.values())
     if not want_grads:
         return total, terms, None
 
+    # rf and ro are unique and disjoint, so plain fancy-index adds are exact;
+    # an arm with no rows in the batch backpropagates exact zeros.
     gz = np.zeros_like(z_union)
-    grads = {}
-    if len(rf):
-        up = (2.0 / n_focus) * res_f[:, None]
-        gw, gb, gin = backward(own_head, cache_own, up)
-        grads["own"] = (gw, gb)
-        np.add.at(gz, rf, gin)
-    else:
-        grads["own"] = ([np.zeros_like(w) for w in own_head.weights],
-                        [np.zeros_like(b) for b in own_head.biases])
-    if len(ro):
-        up = (2.0 / denom) * (w_o * res_o)[:, None]
-        gw, gb, gin = backward(cross_head, cache_cross, up)
-        grads["cross"] = (gw, gb)
-        np.add.at(gz, ro, gin)
-    else:
-        grads["cross"] = ([np.zeros_like(w) for w in cross_head.weights],
-                          [np.zeros_like(b) for b in cross_head.biases])
+    head_grads = [None, None]  # h0, h1
+    up_f = (2.0 / n_focus) * res_f[:, None]
+    up_o = (2.0 / denom) * (w_o * res_o)[:, None]
+    for arm, cache, rows, up in ((focus, cache_own, rf, up_f), (1 - focus, cache_cross, ro, up_o)):
+        gw, gb, gin = backward(heads[arm], cache, up)
+        head_grads[arm] = gw + gb
+        gz[rows] += gin
     # alpha term: gradient flows through both endpoints, never through the
-    # twin index itself
+    # twin index itself; twins (rm) can repeat, so they need a scatter-add
     coef = 2.0 * hp.alpha / n_focus
-    np.add.at(gz, rf, coef * diff)
+    gz[rf] += coef * diff
     np.add.at(gz, rm, -coef * diff)
     gw, gb, _ = backward(p.phi, cache_phi, gz)
-    grads["phi"] = (gw, gb)
-    return total, terms, grads
+    grad = np.concatenate([g.ravel() for g in gw + gb + head_grads[0] + head_grads[1]])
+    return total, terms, grad
 
 
 def _batch_indices(indices, n):
@@ -211,33 +217,17 @@ def compound_loss(p: Pipeline, x: np.ndarray, t: np.ndarray, y: np.ndarray,
 
 def compound_loss_grads(p: Pipeline, x, t, y, twinmap: TwinMap,
                         hp: PipelineHyperparams, batch=None):
-    """Loss, breakdown and parameter gradients (phi, h0, h1 order)."""
+    """Loss, breakdown and the gradient as one vector laid out like `p.theta`."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=int)
     y = np.asarray(y, dtype=float)
     focus = p.focus_arm
     nf = int(np.sum(t == focus))
     no = len(t) - nf
-    total, terms, grads = _loss_core(p, x, t, y, twinmap, hp, nf, no,
-                                     _batch_indices(batch, len(t)), want_grads=True)
-    gw_phi, gb_phi = grads["phi"]
-    own_g, cross_g = grads["own"], grads["cross"]
-    if p.focus_arm == 0:
-        h0_g, h1_g = own_g, cross_g
-    else:
-        h0_g, h1_g = cross_g, own_g
-    flat = list(gw_phi) + list(gb_phi) + list(h0_g[0]) + list(h0_g[1]) \
-        + list(h1_g[0]) + list(h1_g[1])
-    params = _flat_params(p)
-    for g, prm in zip(flat, params):
-        g += 2.0 * hp.gamma * prm
-    return total, terms, flat
-
-
-def _flat_params(p: Pipeline) -> list[np.ndarray]:
-    return (list(p.phi.weights) + list(p.phi.biases)
-            + list(p.h0.weights) + list(p.h0.biases)
-            + list(p.h1.weights) + list(p.h1.biases))
+    total, terms, grad = _loss_core(p, x, t, y, twinmap, hp, nf, no,
+                                    _batch_indices(batch, len(t)), want_grads=True)
+    grad += 2.0 * hp.gamma * p.theta
+    return total, terms, grad
 
 
 def _latent(p: Pipeline, x_std: np.ndarray) -> np.ndarray:
@@ -307,14 +297,13 @@ def train_pipeline(dataset: Dataset, split_idx: SplitIndices, role: str,
     rng = np.random.default_rng(seed)
     p = build_pipeline(dataset.d, role, hp, rng)
     p.scaler = scaler
-    params = _flat_params(p)
-    state = AdamState.for_params(params, hp.base_lr, hp.decay_rate, hp.decay_period)
+    state = AdamState.for_params(p.theta, hp.base_lr, hp.decay_rate, hp.decay_period)
 
     breakdowns: list[dict] = []
     val_mses = [_val_factual_mse_std(p, ds_std.x, ds_std.t, ds_std.y, val_idx)]
     best_epoch = 0
     best_mse = val_mses[0]
-    best_params = [prm.copy() for prm in params]
+    best_theta = p.theta.copy()
 
     for epoch in range(hp.epochs):
         z = forward(p.phi, x)
@@ -327,11 +316,11 @@ def train_pipeline(dataset: Dataset, split_idx: SplitIndices, role: str,
         n_batches = 0
         for start in range(0, n, hp.batch_size):
             batch = order[start : start + hp.batch_size]
-            loss, terms, grads = compound_loss_grads(p, x, t, y, twinmap, hp, batch)
+            loss, terms, grad = compound_loss_grads(p, x, t, y, twinmap, hp, batch)
             if not np.isfinite(loss):
                 bad = [k for k, v in terms.items() if not np.isfinite(v)]
                 raise TrainingError(f"non-finite loss at epoch {epoch}; offending terms: {bad}")
-            adam_step(params, grads, state)
+            adam_step(p.theta, grad, state)
             for k, v in terms.items():
                 epoch_terms[k] += v
             n_batches += 1
@@ -342,8 +331,7 @@ def train_pipeline(dataset: Dataset, split_idx: SplitIndices, role: str,
         if val_mse < best_mse:
             best_mse = val_mse
             best_epoch = epoch + 1
-            best_params = [prm.copy() for prm in params]
+            best_theta = p.theta.copy()
 
-    for prm, best in zip(params, best_params):
-        prm[...] = best
+    p.theta[:] = best_theta
     return p, TrainReport(breakdowns, val_mses, best_epoch)

@@ -82,10 +82,10 @@ def train_propensity_lr(dataset_x: np.ndarray, t: np.ndarray, l2_strength: float
     xs = (x - mean) / sd
     n1 = int(t.sum())
     n0 = len(t) - n1
-    w = np.zeros(x.shape[1])
-    b = np.zeros(1)
-    state = AdamState.for_params([w, b], base_lr=base_lr, decay_rate=1.0)
-    best = (np.inf, w.copy(), b.copy())
+    theta = np.zeros(x.shape[1] + 1)  # [weights, bias]
+    w, b = theta[:-1], theta[-1:]
+    state = AdamState.for_params(theta, base_lr=base_lr, decay_rate=1.0)
+    best = (np.inf, theta.copy())
     converged = False
     for _ in range(max_steps):
         eta = _sigmoid(xs @ w + b[0])
@@ -95,13 +95,13 @@ def train_propensity_lr(dataset_x: np.ndarray, t: np.ndarray, l2_strength: float
         gb = np.array([r.sum()])
         loss = balanced_cross_entropy(eta, t) + l2_strength * float(w @ w)
         if loss < best[0]:
-            best = (loss, w.copy(), b.copy())
+            best = (loss, theta.copy())
         gnorm = np.sqrt(float(gw @ gw) + float(gb @ gb))
         if gnorm < grad_tol:
             converged = True
             break
-        adam_step([w, b], [gw, gb], state)
-    _, w, b = best
+        adam_step(theta, np.concatenate([gw, gb]), state)
+    w, b = best[1][:-1], best[1][-1:]
     model = PropensityModel(
         "logistic_regression",
         {"weights": w, "bias": float(b[0]), "l2_strength": l2_strength,

@@ -21,7 +21,7 @@ from alrite.metrics import (Lemma4Case, bound_m1, bound_m2, bound_m3,
 from alrite.nn import forward
 from alrite.pipeline import (PipelineHyperparams, compound_loss,
                              compound_loss_grads, factual_mse, predict_tau,
-                             train_pipeline, _flat_params)
+                             train_pipeline)
 from alrite.propensity import (DEFAULT_PROPENSITY_GRID, select_propensity)
 from alrite.selection import (_average_ranks, proxy_score, rank_agreement)
 from alrite.twin import cross_pipeline_weights, mirror_twins
@@ -59,20 +59,17 @@ def test_criterion_1_gradient_suite():
             for b in net.biases:
                 b += 0.1 * rng.standard_normal(b.shape)
         tm = mirror_twins(forward(p.phi, x), t)
-        _, _, grads = compound_loss_grads(p, x, t, y, tm, hp)
+        _, _, grad = compound_loss_grads(p, x, t, y, tm, hp)
         h = 1e-6
-        for prm, g in zip(_flat_params(p), grads):
-            it = np.nditer(prm, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                old = prm[idx]
-                prm[idx] = old + h
-                up, _ = compound_loss(p, x, t, y, tm, hp)
-                prm[idx] = old - h
-                down, _ = compound_loss(p, x, t, y, tm, hp)
-                prm[idx] = old
-                fd = (up - down) / (2 * h)
-                worst = max(worst, abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-6))
+        for j in range(p.theta.size):
+            old = p.theta[j]
+            p.theta[j] = old + h
+            up, _ = compound_loss(p, x, t, y, tm, hp)
+            p.theta[j] = old - h
+            down, _ = compound_loss(p, x, t, y, tm, hp)
+            p.theta[j] = old
+            fd = (up - down) / (2 * h)
+            worst = max(worst, abs(fd - grad[j]) / max(abs(fd), abs(grad[j]), 1e-6))
     elapsed = time.perf_counter() - start
     report(1, worst < 1e-4 and elapsed < 30,
            f"max relative gradient error {worst:.2e} over 50 instances, {elapsed:.1f}s")

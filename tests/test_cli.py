@@ -275,3 +275,33 @@ def test_seed_override(tmp_path):
     assert main(["generate", "--config", cfg, "--out", str(b)]) == 0
     assert (a / "dataset.csv").read_bytes() != (b / "dataset.csv").read_bytes()
     assert json.loads((a / "manifest.json").read_text())["seed"] == 11
+
+
+def test_dataset_from_another_config_is_refused(tmp_path, capsys):
+    out = tmp_path / "run"
+    small = write_config(tmp_path)
+    assert main(["generate", "--config", small, "--out", str(out)]) == 0
+    raw = json.loads(Path(small).read_text())
+    raw["dataset"]["n"] = 320
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(raw))
+    assert main(["fit", "--config", str(big), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'n': 160" in err and "'n': 320" in err
+    # another experiment seed is another dataset seed when the dataset has none
+    assert main(["fit", "--config", small, "--out", str(out), "--seed", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "seed 3" in err and "seed 4" in err
+    assert not (out / "model.json").exists()
+
+    # the matching config reuses the file
+    assert main(["fit", "--config", small, "--out", str(out)]) == 0
+    assert main(["evaluate", "--config", small, "--out", str(out)]) == 0
+    evaluation = (out / "evaluation.json").read_bytes()
+    assert json.loads(evaluation)["n_test"] == 32
+    assert main(["evaluate", "--config", str(big), "--out", str(out)]) == 1
+    assert (out / "evaluation.json").read_bytes() == evaluation
+    # so does any config when no manifest says where the file came from
+    (out / "manifest.json").unlink()
+    assert main(["evaluate", "--config", str(big), "--out", str(out)]) == 0
+    assert json.loads((out / "evaluation.json").read_text())["n_test"] == 32

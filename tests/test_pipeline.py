@@ -1,19 +1,19 @@
 """Compound loss: term-by-term scalar oracle, finite-difference gradients,
-role mirror symmetry, batch additivity and the training loop."""
+role mirror symmetry, batch additivity, the flat parameter layout and the
+training loop."""
 
 import numpy as np
 import pytest
 
-from alrite.data import Dataset, SplitIndices, generate_ihdp_like, split
-from alrite.nn import forward, param_norm_sq
+from alrite.data import SplitIndices, generate_ihdp_like, split
+from alrite.nn import forward
 from alrite.pipeline import (Pipeline, PipelineHyperparams, build_pipeline,
                              compound_loss, compound_loss_grads, factual_mse,
-                             predict_mu, predict_tau, train_pipeline,
-                             _flat_params)
+                             predict_mu, predict_tau, train_pipeline)
 from alrite.twin import mirror_twins
 
 
-def tiny_instance(seed, n=14, d=3, normalize=False):
+def tiny_instance(seed, n=14, d=3, normalize=False, role="control_driven"):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     t = rng.integers(0, 2, size=n)
@@ -22,7 +22,7 @@ def tiny_instance(seed, n=14, d=3, normalize=False):
     hp = PipelineHyperparams(alpha=0.7, beta=0.4, gamma=0.01, embed_layers=1,
                              head_layers=1, embed_width=4, head_width=4,
                              batch_size=n, epochs=3, normalize_embedding=normalize)
-    p = build_pipeline(d, "control_driven", hp, rng)
+    p = build_pipeline(d, role, hp, rng)
     for net in p.networks():
         for b in net.biases:
             b += 0.1 * rng.standard_normal(b.shape)
@@ -42,7 +42,8 @@ def test_loss_terms_scalar_oracle():
                 for i in range(len(t)) if t[i] == 1) / (n1 + hp.beta * n0)
     cf = hp.alpha / n0 * sum(np.sum((z[i] - z[tm.twin_index[i]]) ** 2)
                              for i in range(len(t)) if t[i] == 0)
-    reg = hp.gamma * param_norm_sq(*p.networks())
+    reg = hp.gamma * sum(float(np.sum(a * a)) for net in p.networks()
+                         for a in net.weights + net.biases)
     assert np.isclose(terms["own_factual"], own)
     assert np.isclose(terms["cross_factual"], cross)
     assert np.isclose(terms["counterfactualizability"], cf)
@@ -52,24 +53,59 @@ def test_loss_terms_scalar_oracle():
 
 @pytest.mark.parametrize("normalize", [False, True])
 def test_compound_loss_gradients_finite_differences(normalize):
-    x, t, y, p, tm, hp = tiny_instance(1, normalize=normalize)
-    _, _, grads = compound_loss_grads(p, x, t, y, tm, hp)
-    params = _flat_params(p)
-    h = 1e-6
-    worst = 0.0
-    for prm, g in zip(params, grads):
-        it = np.nditer(prm, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            old = prm[idx]
-            prm[idx] = old + h
-            up, _ = compound_loss(p, x, t, y, tm, hp)
-            prm[idx] = old - h
-            down, _ = compound_loss(p, x, t, y, tm, hp)
-            prm[idx] = old
-            fd = (up - down) / (2 * h)
-            worst = max(worst, abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-6))
-    assert worst < 1e-4
+    # every role on the whole set and on single-arm minibatches, where one
+    # head sees no rows and must get an exact zero gradient
+    for role in ("control_driven", "treatment_driven"):
+        x, t, y, p, tm, hp = tiny_instance(1, normalize=normalize, role=role)
+        for rows, batch in (("all", None), ("control", np.flatnonzero(t == 0)),
+                            ("treated", np.flatnonzero(t == 1))):
+            _, _, grad = compound_loss_grads(p, x, t, y, tm, hp, batch)
+            assert grad.shape == p.theta.shape
+            h = 1e-6
+            worst = 0.0
+            for i in range(p.theta.size):
+                old = p.theta[i]
+                p.theta[i] = old + h
+                up, _ = compound_loss(p, x, t, y, tm, hp, batch=batch)
+                p.theta[i] = old - h
+                down, _ = compound_loss(p, x, t, y, tm, hp, batch=batch)
+                p.theta[i] = old
+                fd = (up - down) / (2 * h)
+                worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6))
+            assert worst < 1e-4, (role, rows, worst)
+
+
+def test_networks_are_views_into_theta_at_layout_offsets():
+    _, _, _, p, _, _ = tiny_instance(7)
+    offset = 0
+    for net in (p.phi, p.h0, p.h1):
+        for a in net.weights + net.biases:
+            assert np.shares_memory(a, p.theta)
+            assert a.ctypes.data == p.theta.ctypes.data + offset * p.theta.itemsize
+            assert np.array_equal(a.ravel(), p.theta[offset : offset + a.size])
+            offset += a.size
+    assert offset == p.theta.size
+    p.theta[0] = 5.0
+    assert p.phi.weights[0][0, 0] == 5.0
+
+
+def test_pipeline_copy_owns_its_theta():
+    _, _, _, p, _, _ = tiny_instance(8)
+    q = p.copy()
+    assert np.array_equal(q.theta, p.theta)
+    q_arrays = [q.theta] + [a for net in q.networks() for a in net.weights + net.biases]
+    p_arrays = [p.theta] + [a for net in p.networks() for a in net.weights + net.biases]
+    for a in q_arrays:
+        assert not any(np.shares_memory(a, b) for b in p_arrays)
+    for a in q_arrays[1:]:
+        assert np.shares_memory(a, q.theta)
+
+
+def test_theta_round_trips_through_dict_bit_exact():
+    _, _, _, p, _, _ = tiny_instance(9)
+    clone = Pipeline.from_dict(p.to_dict())
+    assert clone.theta.dtype == np.float64
+    assert clone.theta.tobytes() == p.theta.tobytes()
 
 
 def test_role_mirror_symmetry():
