@@ -276,8 +276,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
 
     val = split_idx.validation
     x_val, t_val = dataset.x[val], dataset.t[val]
-    terms = proxy_terms(dataset, val, aux)
-    eta_val = predict_eta(eta, x_val)
+    eta_val = predict_eta(eta, x_val, aux.clip)
+    terms = proxy_terms(dataset, val, aux, eta_val)
     tau = {k: predict_tau(pipelines[k], x_val) for k in ok0 + ok1}
     mu = {k: predict_mu(pipelines[k], x_val, t_val) for k in ok0 + ok1}
     rows = []

@@ -7,7 +7,7 @@ spectral-norm based Lipschitz upper bound. No GPU, no stochastic layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -160,7 +160,8 @@ def backward(mlp: Mlp, cache, upstream: np.ndarray):
 @dataclass
 class AdamState:
     """Adam accumulators with exponential learning-rate decay
-    (effective lr = base_lr * decay_rate ** (step / decay_period))."""
+    (effective lr = base_lr * decay_rate ** (step / decay_period)), plus two
+    parameter-sized scratch rows so a step allocates nothing."""
 
     m: np.ndarray
     v: np.ndarray
@@ -171,6 +172,10 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty((2,) + np.shape(self.m))
 
     @classmethod
     def for_params(cls, theta: np.ndarray, base_lr: float,
@@ -193,13 +198,21 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     m, v = state.m, state.v
+    a, b = state.scratch
+    # the operations of m += (1 - b1) * grad, v += (1 - b2) * grad * grad and
+    # theta -= lr * m_hat / (sqrt(v_hat) + eps) in their order, so the bits
+    # match those expressions
     m *= b1
-    m += (1 - b1) * grad
+    m += np.multiply(1 - b1, grad, out=a)
     v *= b2
-    v += (1 - b2) * grad * grad
-    m_hat = m / (1 - b1**t)
-    v_hat = v / (1 - b2**t)
-    theta -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    np.multiply(1 - b2, grad, out=a)
+    v += np.multiply(a, grad, out=a)
+    np.divide(m, 1 - b1**t, out=a)
+    a *= lr
+    np.divide(v, 1 - b2**t, out=b)
+    np.sqrt(b, out=b)
+    b += state.eps
+    theta -= np.divide(a, b, out=a)
     state.step = t
 
 
@@ -238,22 +251,3 @@ def lipschitz_upper_bound(mlp: Mlp) -> float:
         bound *= spectral_norm(w)
     return bound
 
-
-def mlp_to_dict(mlp: Mlp) -> dict:
-    return {
-        "layer_dims": list(mlp.layer_dims),
-        "activation": mlp.activation,
-        "output_normalization": mlp.output_normalization,
-        "weights": [w.tolist() for w in mlp.weights],
-        "biases": [b.tolist() for b in mlp.biases],
-    }
-
-
-def mlp_from_dict(d: dict) -> Mlp:
-    return Mlp(
-        layer_dims=list(d["layer_dims"]),
-        weights=[np.asarray(w, dtype=float) for w in d["weights"]],
-        biases=[np.asarray(b, dtype=float) for b in d["biases"]],
-        activation=d["activation"],
-        output_normalization=bool(d["output_normalization"]),
-    )

@@ -9,16 +9,17 @@ mirror image.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, Scaler, SplitIndices, identity_scaler, standardize
-from .nn import (AdamState, Mlp, adam_step, backward, forward, forward_cached,
-                 mlp_from_dict, mlp_init, mlp_to_dict)
+from .nn import AdamState, Mlp, adam_step, backward, forward, forward_cached, mlp_init
 from .twin import ArmError, TwinMap, mirror_twins
 
 ROLES = ("control_driven", "treatment_driven")
+NETWORKS = ("phi", "h0", "h1")
 
 
 class TrainingError(RuntimeError):
@@ -34,6 +35,10 @@ class Pipeline:
     matrix (row-major) in layer order, then every layer's bias. Each
     network's `weights[l]` and `biases[l]` is a reshaped view into `theta`,
     so Adam, the L2 term and the best-epoch snapshot are single array ops.
+
+    Serialized form (`to_dict`): "phi", "h0" and "h1" hold each network's
+    `layer_dims`, `activation` and `output_normalization`; "theta" holds
+    base64 of theta as little-endian float64, an exact round trip.
 
     Ownership: construction copies the networks' values into a fresh `theta`
     and re-points their arrays at it. A second Pipeline built from the same
@@ -73,19 +78,40 @@ class Pipeline:
         return Pipeline(self.phi.copy(), self.h0.copy(), self.h1.copy(), self.role, self.scaler)
 
     def to_dict(self) -> dict:
-        return {
-            "role": self.role,
-            "phi": mlp_to_dict(self.phi),
-            "h0": mlp_to_dict(self.h0),
-            "h1": mlp_to_dict(self.h1),
-            "scaler": self.scaler.to_dict() if self.scaler else None,
-        }
+        d = {"role": self.role,
+             "theta": base64.b64encode(self.theta.astype("<f8").tobytes()).decode("ascii"),
+             "scaler": self.scaler.to_dict() if self.scaler else None}
+        for name, net in zip(NETWORKS, self.networks()):
+            d[name] = {"layer_dims": list(net.layer_dims), "activation": net.activation,
+                       "output_normalization": net.output_normalization}
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Pipeline":
+        """Inverse of `to_dict`; a missing, undecodable or wrongly sized
+        "theta" raises ValueError."""
+        rerun = "rerun `sweep` or `fit` to rewrite the model"
+        if "theta" not in d:
+            raise ValueError(f"model has no 'theta' field (an older format?); {rerun}")
+        try:
+            raw = base64.b64decode(d["theta"], validate=True)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"model 'theta' is not valid base64 ({exc}); {rerun}") from None
+        # zero networks of the stored shapes let __post_init__ lay out theta;
+        # the decoded vector then fills it
+        nets = []
+        for spec in (d[name] for name in NETWORKS):
+            dims = list(spec["layer_dims"])
+            nets.append(Mlp(dims, [np.zeros(shape) for shape in zip(dims[:-1], dims[1:])],
+                            [np.zeros(n) for n in dims[1:]], spec["activation"],
+                            bool(spec["output_normalization"])))
         scaler = Scaler.from_dict(d["scaler"]) if d.get("scaler") else None
-        return cls(mlp_from_dict(d["phi"]), mlp_from_dict(d["h0"]),
-                   mlp_from_dict(d["h1"]), d["role"], scaler)
+        p = cls(*nets, d["role"], scaler)
+        if len(raw) != 8 * p.theta.size:
+            raise ValueError(f"model 'theta' holds {len(raw)} bytes, but its layer_dims "
+                             f"need {8 * p.theta.size}; {rerun}")
+        p.theta[:] = np.frombuffer(raw, "<f8")
+        return p
 
 
 @dataclass

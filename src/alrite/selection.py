@@ -159,10 +159,12 @@ def nn_imputed_outcome(aux: Auxiliaries, x: np.ndarray, t: np.ndarray) -> np.nda
     return out
 
 
-def proxy_terms(dataset: Dataset, val_indices, aux: Auxiliaries | None) -> dict:
+def proxy_terms(dataset: Dataset, val_indices, aux: Auxiliaries | None,
+                eta: np.ndarray | None = None) -> dict:
     """Per proxy kind, the (w, a, s) of mean(w * (a * pred - s) ** 2) on one
-    validation set, each nuisance predicted once per row. Without auxiliaries
-    only mu_risk is available."""
+    validation set, each nuisance predicted once per row. `eta` is the
+    clipped `aux.eta_hat` on those rows, predicted here when not given.
+    Without auxiliaries only mu_risk is available."""
     idx = np.asarray(val_indices, dtype=int)
     if idx.size == 0:
         raise ValueError("empty validation set")
@@ -170,7 +172,8 @@ def proxy_terms(dataset: Dataset, val_indices, aux: Auxiliaries | None) -> dict:
     terms = {"mu_risk": (1.0, 1.0, y)}
     if aux is None:
         return terms
-    eta = np.atleast_1d(predict_eta(aux.eta_hat, x, aux.clip))
+    if eta is None:
+        eta = np.atleast_1d(predict_eta(aux.eta_hat, x, aux.clip))
     rho, rho_opposite = _inverse_propensity(eta, t), _inverse_propensity(eta, 1 - t)
     mu0, mu1, m = aux.mu0_hat.predict(x), aux.mu1_hat.predict(x), aux.m_hat.predict(x)
     sign = 2.0 * t - 1.0

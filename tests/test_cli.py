@@ -10,9 +10,10 @@ import pytest
 
 import alrite.cli as cli
 from alrite.data import load_csv
-from alrite.learner import aggregate_mu, aggregate_tau
+from alrite.learner import (EnsembleModel, aggregate_mu, aggregate_tau, ensemble_predict,
+                            rank_members)
 from alrite.metrics import pehe
-from alrite.pipeline import Pipeline
+from alrite.pipeline import Pipeline, predict_tau
 from alrite.propensity import PropensityModel
 from alrite.selection import PROXY_KINDS, fit_auxiliaries, proxy_score
 from alrite.cli import (ALPHA_GRID, BATCH_GRID, BETA_GRID, LAMBDA_GRID,
@@ -244,6 +245,33 @@ def test_select_and_ensemble_and_report(tmp_path):
     assert "missing" not in digest
     assert (out / "rank_agreement.csv").exists()
     assert (out / "selection_summary.csv").exists()
+
+
+def test_ensemble_json_predicts_like_the_written_members(tmp_path):
+    cfg, out = run_sweep(tmp_path, "run")
+    assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
+    ens = EnsembleModel.from_dict(json.loads((out / "ensemble.json").read_text()))
+    ranked0, ranked1, eta, split_idx = cli._load_sweep_members(out)
+    members0, risks0 = rank_members(*ranked0)
+    members1, risks1 = rank_members(*ranked1)
+    for loaded, written in ((ens.members0, members0), (ens.members1, members1)):
+        assert [p.theta.tobytes() for p in loaded] == [p.theta.tobytes() for p in written]
+    x = load_csv(out / "dataset.csv")[0].x[split_idx.test]
+    for p, q in zip(ens.members0 + ens.members1, members0 + members1):
+        assert predict_tau(p, x).tobytes() == predict_tau(q, x).tobytes()
+    rebuilt = EnsembleModel(members0, members1, eta, ens.mode, ens.param, risks0, risks1)
+    assert ensemble_predict(ens, x).tobytes() == ensemble_predict(rebuilt, x).tobytes()
+
+
+def test_malformed_member_file_exits_2(tmp_path, capsys):
+    cfg, out = run_sweep(tmp_path, "run")
+    member = out / "models" / "member_000.json"
+    d = json.loads(member.read_text())
+    del d["theta"]
+    member.write_text(json.dumps(d))
+    assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ValueError" in err and "rerun `sweep` or `fit`" in err
 
 
 def test_report_flags_missing_artifacts(tmp_path):

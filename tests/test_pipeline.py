@@ -1,6 +1,9 @@
 """Compound loss: term-by-term scalar oracle, finite-difference gradients,
-role mirror symmetry, batch additivity, the flat parameter layout and the
-training loop."""
+role mirror symmetry, batch additivity, the flat parameter layout, its
+serialized form and the training loop."""
+
+import base64
+import json
 
 import numpy as np
 import pytest
@@ -102,10 +105,60 @@ def test_pipeline_copy_owns_its_theta():
 
 
 def test_theta_round_trips_through_dict_bit_exact():
+    # one-layer networks; signed zeros, infinities, NaN and subnormals
     _, _, _, p, _, _ = tiny_instance(9)
-    clone = Pipeline.from_dict(p.to_dict())
+    assert [len(net.weights) for net in p.networks()] == [1, 1, 1]
+    special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, np.finfo(float).max]
+    p.theta[: len(special)] = special
+    d = json.loads(json.dumps(p.to_dict()))
+    assert set(d["phi"]) == {"layer_dims", "activation", "output_normalization"}
+    assert base64.b64decode(d["theta"]) == p.theta.astype("<f8").tobytes()
+    clone = Pipeline.from_dict(d)
     assert clone.theta.dtype == np.float64
     assert clone.theta.tobytes() == p.theta.tobytes()
+
+
+def test_loaded_theta_is_owned_and_writable():
+    _, _, _, p, _, _ = tiny_instance(11)
+    clone = Pipeline.from_dict(p.to_dict())
+    assert clone.theta.flags.owndata and clone.theta.flags.writeable
+    for net in clone.networks():
+        for a in net.weights + net.biases:
+            assert np.shares_memory(a, clone.theta) and a.flags.writeable
+    clone.theta[0] += 1.0
+    assert clone.phi.weights[0][0, 0] == p.theta[0] + 1.0
+
+
+def test_networks_round_trip_through_dict():
+    rng = np.random.default_rng(7)
+    hp = PipelineHyperparams(embed_layers=2, head_layers=2, embed_width=5, head_width=4,
+                             normalize_embedding=True)
+    p = build_pipeline(3, "control_driven", hp, rng)
+    clone = Pipeline.from_dict(p.to_dict())
+    x = rng.standard_normal((4, 3))
+    for net, other in zip(p.networks(), clone.networks()):
+        assert (net.layer_dims, net.activation, net.output_normalization) == \
+            (other.layer_dims, other.activation, other.output_normalization)
+    z = forward(p.phi, x)
+    assert np.array_equal(z, forward(clone.phi, x))
+    assert np.array_equal(forward(p.h0, z), forward(clone.h0, z))
+    assert np.array_equal(forward(p.h1, z), forward(clone.h1, z))
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda d: d.pop("theta"), "no 'theta'"),
+    (lambda d: d.update(theta=d["theta"][:-4] + "!!!!"), "not valid base64"),
+    (lambda d: d.update(theta=[0.0, 1.0]), "not valid base64"),
+    (lambda d: d.update(theta=d["theta"][:-12]), "layer_dims"),
+    (lambda d: d["h1"].update(layer_dims=[4, 5, 1]), "layer_dims"),
+])
+def test_malformed_theta_raises_value_error(edit, fragment):
+    _, _, _, p, _, _ = tiny_instance(12)
+    d = p.to_dict()
+    edit(d)
+    with pytest.raises(ValueError, match=fragment) as info:
+        Pipeline.from_dict(d)
+    assert "rerun `sweep` or `fit`" in str(info.value)
 
 
 def test_role_mirror_symmetry():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from alrite.data import Dataset, GroundTruth
-from alrite.propensity import PropensityModel
+from alrite.propensity import PropensityModel, predict_eta
 from alrite.selection import (PROXY_KINDS, Auxiliaries, KernelRidge,
                               fit_auxiliaries, fit_kernel_ridge_cv,
                               nn_imputed_outcome, proxy_score, proxy_terms,
@@ -113,6 +113,18 @@ def test_terms_built_once_score_like_proxy_score():
         assert score_candidate(kind, terms, candidate) == \
             proxy_score(kind, candidate, ds, np.arange(5), aux) == \
             float(np.mean(w * (a * pred - s) ** 2))
+
+
+def test_terms_take_given_eta_instead_of_predicting():
+    ds, aux, candidate = hand_table()
+    eta = predict_eta(aux.eta_hat, ds.x, aux.clip)
+    given, computed = proxy_terms(ds, np.arange(5), aux, eta), proxy_terms(ds, np.arange(5), aux)
+    for kind in PROXY_KINDS:
+        assert score_candidate(kind, given, candidate) == score_candidate(kind, computed, candidate)
+    # the given eta is used as is: another one moves the propensity-weighted terms
+    shifted = proxy_terms(ds, np.arange(5), aux, np.full(5, 0.25))
+    assert score_candidate("tau_dr", shifted, candidate) != \
+        score_candidate("tau_dr", computed, candidate)
 
 
 def test_terms_without_auxiliaries_hold_mu_risk_only():
