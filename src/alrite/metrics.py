@@ -115,19 +115,17 @@ def bound_m1(p: Pipeline, dataset: Dataset, truth: GroundTruth | None,
 
 
 def _cross_quantities(p0: Pipeline, p1: Pipeline, dataset: Dataset):
-    """Latents, cross weights, per-sample own-embedding twin distances and
-    the plug-in effect surrogate shared by the two-pipeline bounds."""
+    """Latents, the cross-pipeline twin map (each arm searched under its own
+    pipeline's embedding) and the cross heads' predictions and plug-in effect
+    surrogate shared by the two-pipeline bounds."""
     x, t, y = dataset.x, dataset.t, dataset.y
     z0 = forward(p0.phi, x)
     z1 = forward(p1.phi, x)
-    w = cross_pipeline_weights(z0, z1, t)
-    tm0 = mirror_twins(z0, t)
-    tm1 = mirror_twins(z1, t)
-    dist = np.where(t == 0, tm0.twin_distance, tm1.twin_distance)
+    tm = cross_pipeline_weights(z0, z1, t)
     cross0 = forward(p0.h1, z0)[:, 0]  # treated head of the control pipeline
     cross1 = forward(p1.h0, z1)[:, 0]  # control head of the treatment pipeline
     tau_bar = np.where(t == 0, cross0 - y, y - cross1)
-    return z0, z1, w, dist, cross0, cross1, tau_bar
+    return z0, z1, tm, cross0, cross1, tau_bar
 
 
 def _kappa_y(w: np.ndarray, dataset: Dataset, truth: GroundTruth) -> float:
@@ -144,10 +142,11 @@ def bound_m2(p0: Pipeline, p1: Pipeline, dataset: Dataset,
     _require_unscaled(p0, p1)
     t, y = dataset.t, dataset.y
     n = dataset.n
-    _, _, w, dist, cross0, cross1, tau_bar = _cross_quantities(p0, p1, dataset)
+    _, _, tm, cross0, cross1, tau_bar = _cross_quantities(p0, p1, dataset)
+    w = tm.weight
     factual = float(np.sum(w[t == 1] * (cross0[t == 1] - y[t == 1]) ** 2)
                     + np.sum(w[t == 0] * (cross1[t == 0] - y[t == 0]) ** 2))
-    dist_sq = float(np.sum(dist**2))
+    dist_sq = float(np.sum(tm.twin_distance**2))
     kappa = _kappa_y(w, dataset, truth)
     l_hat = _head_bound(p0.h1, p1.h0)
     certified = L is not None
@@ -177,24 +176,24 @@ def bound_m3(p0: Pipeline, p1: Pipeline, dataset: Dataset,
     n, n1 = dataset.n, dataset.n1
     n0 = n - n1
     p_frac = n1 / n
-    z0, z1, w, _, cross0, cross1, tau_bar = _cross_quantities(p0, p1, dataset)
+    z0, z1, tm, cross0, cross1, tau_bar = _cross_quantities(p0, p1, dataset)
     l_hat = _head_bound(p0.h1, p1.h0)
     certified = L is not None
     l_true = L if certified else 0.0
     lam = l_true**2 + l_hat**2
     hp0 = PipelineHyperparams(alpha=(1 - p_frac) * lam, beta=1.0, gamma=gamma0)
     hp1 = PipelineHyperparams(alpha=p_frac * lam, beta=1.0, gamma=gamma1)
-    tm0 = mirror_twins(z0, t)
-    tm1 = mirror_twins(z1, t)
-    loss0, _ = compound_loss(p0, x, t, y, tm0, hp0)
-    loss1, _ = compound_loss(p1, x, t, y, tm1, hp1)
+    # p0 reads control rows' twins and treated rows' votes, p1 the mirror:
+    # both are in the one cross map
+    loss0, _ = compound_loss(p0, x, t, y, tm, hp0)
+    loss1, _ = compound_loss(p1, x, t, y, tm, hp1)
     own0 = forward(p0.h0, z0)[:, 0]
     own1 = forward(p1.h1, z1)[:, 0]
     own_sum = float(np.sum((own0[t == 0] - y[t == 0]) ** 2)) / n0 \
         + float(np.sum((own1[t == 1] - y[t == 1]) ** 2)) / n1
     cross_sum = (float(np.sum((cross1[t == 0] - y[t == 0]) ** 2))
                  + float(np.sum((cross0[t == 1] - y[t == 1]) ** 2))) / n
-    kappa = _kappa_y(w, dataset, truth) / n
+    kappa = _kappa_y(tm.weight, dataset, truth) / n
     reg = gamma0 * float(p0.theta @ p0.theta) + gamma1 * float(p1.theta @ p1.theta)
     bound = 5.0 * (loss0 + loss1 - reg + kappa - own_sum - cross_sum)
     pehe_val = float(np.mean((tau_bar - truth.tau) ** 2))

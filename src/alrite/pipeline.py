@@ -173,6 +173,9 @@ def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap, hp: PipelineHyperparams,
     if n_focus == 0 or n_other == 0:
         raise ArmError("both treatment arms must be non-empty")
     twins = twinmap.twin_index[bf]
+    if np.any(twins < 0):
+        raise ValueError("twin map holds no twins for the focus arm's rows; "
+                         "search it with mirror_twins(z, t, arm=focus)")
     union = np.unique(np.concatenate([bf, bo, twins]))
     z_union, cache_phi = forward_cached(p.phi, x[union])
     rf, ro, rm = (np.searchsorted(union, rows) for rows in (bf, bo, twins))
@@ -302,9 +305,10 @@ def _val_factual_mse_std(p: Pipeline, x_std, t, y_std, idx) -> float:
 
 def train_pipeline(dataset: Dataset, split_idx: SplitIndices, role: str,
                    hp: PipelineHyperparams, seed: int) -> tuple[Pipeline, TrainReport]:
-    """Epoch loop: refresh twins under the current embedding, sweep shuffled
-    minibatches with Adam, then score validation factual MSE; the parameters
-    of the best-scoring epoch are retained."""
+    """Epoch loop: search the focus arm's twins (the only ones the loss
+    reads) under the current embedding, sweep shuffled minibatches with Adam,
+    then score validation factual MSE; the parameters of the best-scoring
+    epoch are retained."""
     train_idx = np.asarray(split_idx.train, dtype=int)
     val_idx = np.asarray(split_idx.validation, dtype=int)
     for part, name in ((train_idx, "train"), (val_idx, "validation")):
@@ -316,9 +320,6 @@ def train_pipeline(dataset: Dataset, split_idx: SplitIndices, role: str,
     t = ds_std.t[train_idx]
     y = ds_std.y[train_idx]
     n = len(train_idx)
-    focus = 0 if role == "control_driven" else 1
-    n_focus = int(np.sum(t == focus))
-    n_other = n - n_focus
 
     rng = np.random.default_rng(seed)
     p = build_pipeline(dataset.d, role, hp, rng)
@@ -333,9 +334,7 @@ def train_pipeline(dataset: Dataset, split_idx: SplitIndices, role: str,
 
     for epoch in range(hp.epochs):
         z = forward(p.phi, x)
-        twinmap = mirror_twins(z, t)
-        if twinmap.weight[t == 1 - focus].sum() != n_focus:
-            raise RuntimeError("beta normalizer: the cross arm must hold exactly n_focus votes")
+        twinmap = mirror_twins(z, t, arm=p.focus_arm)
         order = rng.permutation(n)
         epoch_terms = {"own_factual": 0.0, "cross_factual": 0.0,
                        "counterfactualizability": 0.0, "regularization": 0.0}

@@ -80,27 +80,20 @@ def train_propensity_lr(dataset_x: np.ndarray, t: np.ndarray, l2_strength: float
     sd = x.std(axis=0)
     sd = np.where(sd > 0, sd, 1.0)
     xs = (x - mean) / sd
-    n1 = int(t.sum())
-    n0 = len(t) - n1
     theta = np.zeros(x.shape[1] + 1)  # [weights, bias]
     w, b = theta[:-1], theta[-1:]
     state = AdamState.for_params(theta, base_lr=base_lr, decay_rate=1.0)
     best = (np.inf, theta.copy())
     converged = False
     for _ in range(max_steps):
-        eta = _sigmoid(xs @ w + b[0])
-        # d/du of the balanced CE: -(eta-ish) residual, arm-normalized
-        r = np.where(t == 1, -(1 - eta) / n1, eta / n0)
-        gw = xs.T @ r + 2.0 * l2_strength * w
-        gb = np.array([r.sum()])
-        loss = balanced_cross_entropy(eta, t) + l2_strength * float(w @ w)
+        loss, gw, gb = lr_loss_and_grad(xs, t, w, b[0], l2_strength)
         if loss < best[0]:
             best = (loss, theta.copy())
-        gnorm = np.sqrt(float(gw @ gw) + float(gb @ gb))
+        gnorm = np.sqrt(float(gw @ gw) + gb * gb)
         if gnorm < grad_tol:
             converged = True
             break
-        adam_step(theta, np.concatenate([gw, gb]), state)
+        adam_step(theta, np.append(gw, gb), state)
     w, b = best[1][:-1], best[1][-1:]
     model = PropensityModel(
         "logistic_regression",
@@ -115,12 +108,14 @@ def train_propensity_lr(dataset_x: np.ndarray, t: np.ndarray, l2_strength: float
 
 def lr_loss_and_grad(x: np.ndarray, t: np.ndarray, w: np.ndarray, b: float,
                      l2_strength: float):
-    """Balanced cross-entropy objective and its exact gradient, for checking."""
+    """Balanced cross-entropy objective and its exact gradient in the weights
+    and the bias (the L2 penalty excludes the bias)."""
     t = np.asarray(t, dtype=int)
     n1 = int(t.sum())
     n0 = len(t) - n1
     eta = _sigmoid(x @ w + b)
     loss = balanced_cross_entropy(eta, t) + l2_strength * float(w @ w)
+    # d/du of the balanced CE: arm-normalized residual
     r = np.where(t == 1, -(1 - eta) / n1, eta / n0)
     gw = x.T @ r + 2.0 * l2_strength * w
     gb = float(r.sum())

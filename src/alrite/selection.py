@@ -37,15 +37,6 @@ class KernelRidge:
         k = _rbf_kernel(x, self.x_train, self.bandwidth)
         return self.y_mean + k @ self.alpha
 
-    def to_dict(self) -> dict:
-        return {"x_train": self.x_train.tolist(), "alpha": self.alpha.tolist(),
-                "bandwidth": self.bandwidth, "ridge": self.ridge, "y_mean": self.y_mean}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KernelRidge":
-        return cls(np.asarray(d["x_train"], dtype=float), np.asarray(d["alpha"], dtype=float),
-                   d["bandwidth"], d["ridge"], d["y_mean"])
-
 
 def _rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
     k = pairwise_sq_dists(a, b)
@@ -116,10 +107,6 @@ class Auxiliaries:
     donors_t: np.ndarray
     donors_y: np.ndarray
     clip: float = DEFAULT_CLIP
-
-    def rho(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Arm-wise inverse propensity, bounded by 1/clip."""
-        return _inverse_propensity(np.atleast_1d(predict_eta(self.eta_hat, x, self.clip)), t)
 
 
 def _inverse_propensity(eta: np.ndarray, t) -> np.ndarray:

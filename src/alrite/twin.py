@@ -1,8 +1,12 @@
 """Mirror twins in latent space, counterfactual importance weights and
 counterfactualizability statistics.
 
-Twin search is exact (vectorized all-pairs per query arm); ties break on the
-smallest index so runs are reproducible.
+Twin search runs once per (embedding, query arm): exact, vectorized
+all-pairs from that arm's rows to the opposite arm's, with ties broken on the
+smallest index so runs are reproducible. `mirror_twins` searches one arm or
+both under one embedding; `cross_pipeline_weights` searches control rows
+under the control pipeline's embedding and treated rows under the treatment
+pipeline's. Training and every bound read the one map they are given.
 
 `pairwise_sq_dists` is the package's one all-pairs distance kernel: the twin
 search, kNN propensity prediction, the kernel-ridge RBF kernel and bandwidth
@@ -24,9 +28,9 @@ import numpy as np
 
 @dataclass
 class TwinMap:
-    twin_index: np.ndarray  # (n,) index of the nearest opposite-arm sample
-    twin_distance: np.ndarray  # (n,) Euclidean latent distance to the twin
-    weight: np.ndarray  # (n,) how many samples picked this one as twin
+    twin_index: np.ndarray  # (n,) index of the nearest opposite-arm sample; -1 if not searched
+    twin_distance: np.ndarray  # (n,) Euclidean latent distance to the twin; NaN if not searched
+    weight: np.ndarray  # (n,) how many searched samples picked this one as twin
 
 
 class ArmError(ValueError):
@@ -47,78 +51,76 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _nearest_opposite(latent: np.ndarray, t: np.ndarray, query_mask: np.ndarray):
-    """For each query sample, index and distance of its nearest opposite-arm
-    sample under the given latent coordinates."""
+def _prepare(latent: np.ndarray, t: np.ndarray) -> np.ndarray:
+    latent = np.asarray(latent, dtype=float)
+    if latent.ndim == 1:
+        latent = latent[:, None]
+    if len(latent) != len(t):
+        raise ValueError("latent matrices must cover all samples")
+    if not np.all(np.isfinite(latent)):
+        raise ValueError("non-finite latent coordinates")
+    return latent
+
+
+def _search(t: np.ndarray, searches) -> TwinMap:
+    """Twin map of the given (latent, query arm) searches. Rows of an arm not
+    searched keep index -1 and distance NaN, and cast no votes."""
+    _check_arms(t)
     n = len(t)
     twin_index = np.full(n, -1, dtype=int)
     twin_distance = np.full(n, np.nan)
-    for arm in (0, 1):
-        q = np.flatnonzero(query_mask & (t == arm))
-        if q.size == 0:
-            continue
-        cand = np.flatnonzero(t == 1 - arm)
+    for latent, arm in searches:
+        q = np.flatnonzero(t == arm)
+        cand = np.flatnonzero(t != arm)
         sq = pairwise_sq_dists(latent[q], latent[cand])
         np.maximum(sq, 0.0, out=sq)
         best = np.argmin(sq, axis=1)  # argmin returns the first (smallest-index) minimum
         twin_index[q] = cand[best]
         twin_distance[q] = np.sqrt(sq[np.arange(len(q)), best])
-        del sq  # freed before the other arm's block is allocated
-    return twin_index, twin_distance
-
-
-def mirror_twins(latent: np.ndarray, t: np.ndarray) -> TwinMap:
-    """Nearest opposite-arm sample for every sample, plus vote counts."""
-    latent = np.asarray(latent, dtype=float)
-    t = np.asarray(t, dtype=int)
-    if latent.ndim == 1:
-        latent = latent[:, None]
-    if not np.all(np.isfinite(latent)):
-        raise ValueError("non-finite latent coordinates")
-    _check_arms(t)
-    n = len(t)
-    twin_index, twin_distance = _nearest_opposite(latent, t, np.ones(n, dtype=bool))
-    weight = np.bincount(twin_index, minlength=n)
+        del sq  # freed before the next block is allocated
+    weight = np.bincount(twin_index[twin_index >= 0], minlength=n)
     tm = TwinMap(twin_index, twin_distance, weight)
     _assert_conservation(tm, t)
     return tm
 
 
+def mirror_twins(latent: np.ndarray, t: np.ndarray, arm: int | None = None) -> TwinMap:
+    """Nearest opposite-arm sample for every row of `arm` (both arms when
+    None) under one embedding, plus vote counts."""
+    if arm not in (None, 0, 1):
+        raise ValueError(f"arm must be 0, 1 or None, got {arm!r}")
+    t = np.asarray(t, dtype=int)
+    latent = _prepare(latent, t)
+    return _search(t, [(latent, a) for a in ((0, 1) if arm is None else (arm,))])
+
+
 def _assert_conservation(tm: TwinMap, t: np.ndarray) -> None:
-    n = len(t)
-    n0 = int(np.sum(t == 0))
+    """Checks the searched rows (twin index >= 0): their votes total their
+    count, each arm holds the other's votes, and every twin is opposite-arm."""
+    searched = tm.twin_index >= 0
+    n = int(np.sum(searched))
+    n0 = int(np.sum(searched & (t == 0)))
     if tm.weight.sum() != n:
         raise RuntimeError("twin votes must total n")
     if tm.weight[t == 1].sum() != n0:
         raise RuntimeError("treated samples must hold all control votes")
     if tm.weight[t == 0].sum() != n - n0:
         raise RuntimeError("control samples must hold all treated votes")
-    if not np.all(t[tm.twin_index] == 1 - t):
+    if not np.all(t[tm.twin_index[searched]] == 1 - t[searched]):
         raise RuntimeError("twins must be opposite-arm")
 
 
-def cross_pipeline_weights(latent0: np.ndarray, latent1: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Votes where each sample searches its twin under the embedding of its
-    own arm: control samples vote under latent0 (electing treated samples),
-    treated samples vote under latent1 (electing control samples)."""
-    latent0 = np.atleast_2d(np.asarray(latent0, dtype=float).T).T
-    latent1 = np.atleast_2d(np.asarray(latent1, dtype=float).T).T
+def cross_pipeline_weights(latent0: np.ndarray, latent1: np.ndarray, t: np.ndarray) -> TwinMap:
+    """Twin map where each sample searches under the embedding of its own
+    arm: control samples under latent0 (electing treated samples), treated
+    samples under latent1 (electing control samples)."""
     t = np.asarray(t, dtype=int)
-    if len(latent0) != len(t) or len(latent1) != len(t):
-        raise ValueError("latent matrices must cover all samples")
-    _check_arms(t)
-    n = len(t)
-    idx0, _ = _nearest_opposite(latent0, t, t == 0)
-    idx1, _ = _nearest_opposite(latent1, t, t == 1)
-    votes = np.concatenate([idx0[t == 0], idx1[t == 1]])
-    weight = np.bincount(votes, minlength=n)
-    if weight.sum() != n:
-        raise RuntimeError("cross-pipeline votes must total n")
-    return weight
+    latent0, latent1 = _prepare(latent0, t), _prepare(latent1, t)
+    return _search(t, [(latent0, 0), (latent1, 1)])
 
 
 def counterfactualizability_summary(twinmap: TwinMap, t: np.ndarray) -> dict:
-    """Per-arm mean/median/max twin distance."""
+    """Per-arm mean/median/max twin distance of a map searched for both arms."""
     t = np.asarray(t, dtype=int)
     out = {}
     for arm, name in ((0, "control"), (1, "treated")):

@@ -107,7 +107,7 @@ def test_criterion_2_twin_oracle():
         ok &= np.allclose(tm.twin_distance, rdist)
         ok &= np.array_equal(tm.weight, rw)
         ok &= tm.weight.sum() == n
-        w = cross_pipeline_weights(z0, z1, t)
+        w = cross_pipeline_weights(z0, z1, t).weight
         idx0, _, _ = exhaustive_twins(z0, t)
         idx1, _, _ = exhaustive_twins(z1, t)
         # control votes are cast under the control embedding, treated under

@@ -170,6 +170,16 @@ def test_role_mirror_symmetry():
     assert np.isclose(total_a, total_b)
 
 
+def test_loss_refuses_a_map_searched_for_the_other_arm():
+    x, t, y, p, _, hp = tiny_instance(2)
+    z = forward(p.phi, x)
+    own = mirror_twins(z, t, arm=p.focus_arm)
+    assert compound_loss(p, x, t, y, own, hp) == compound_loss(p, x, t, y, mirror_twins(z, t), hp)
+    other = mirror_twins(z, t, arm=1 - p.focus_arm)
+    with pytest.raises(ValueError, match="focus arm"):
+        compound_loss(p, x, t, y, other, hp)
+
+
 def test_batch_losses_sum_to_full_loss():
     x, t, y, p, tm, hp = tiny_instance(3)
     full, terms = compound_loss(p, x, t, y, tm, hp)

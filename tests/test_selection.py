@@ -6,10 +6,11 @@ import pytest
 
 from alrite.data import Dataset, GroundTruth
 from alrite.propensity import PropensityModel, predict_eta
-from alrite.selection import (PROXY_KINDS, Auxiliaries, KernelRidge,
+from alrite.selection import (PROXY_KINDS, Auxiliaries,
                               fit_auxiliaries, fit_kernel_ridge_cv,
                               nn_imputed_outcome, proxy_score, proxy_terms,
-                              rank_agreement, score_candidate, _average_ranks)
+                              rank_agreement, score_candidate, _average_ranks,
+                              _inverse_propensity)
 
 
 class ConstPredictor:
@@ -144,7 +145,7 @@ def test_tau_naive_self_consistency():
 
 def test_rho_bounded_by_clip():
     ds, aux, _ = hand_table()
-    rho = aux.rho(ds.x, ds.t)
+    rho = _inverse_propensity(predict_eta(aux.eta_hat, ds.x, aux.clip), ds.t)
     assert np.all(rho <= 1.0 / aux.clip + 1e-9)
     assert np.all(rho >= 1.0)
 
@@ -189,13 +190,6 @@ def test_fit_auxiliaries_deterministic():
     b = fit_auxiliaries(ds, np.arange(ds.n), seed=7, eta_hat=half_eta(2))
     assert np.allclose(a.m_hat.predict(ds.x), b.m_hat.predict(ds.x))
     assert a.m_hat.bandwidth == b.m_hat.bandwidth
-
-
-def test_kernel_ridge_serialization():
-    ds, _ = linear_dataset(3)
-    model = fit_kernel_ridge_cv(ds.x, ds.y, seed=0)
-    clone = KernelRidge.from_dict(model.to_dict())
-    assert np.allclose(clone.predict(ds.x), model.predict(ds.x))
 
 
 def test_average_ranks_with_ties():

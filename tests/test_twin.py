@@ -13,8 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alrite
-from alrite.twin import (ArmError, counterfactualizability_summary,
-                         cross_pipeline_weights, mirror_twins, pairwise_sq_dists)
+import alrite.twin
+from alrite.data import generate_ihdp_like, split
+from alrite.metrics import bound_m1, bound_m2, bound_m3, make_linear_instance
+from alrite.pipeline import PipelineHyperparams, train_pipeline
+from alrite.twin import (ArmError, TwinMap, _assert_conservation,
+                         counterfactualizability_summary, cross_pipeline_weights,
+                         mirror_twins, pairwise_sq_dists)
 
 
 def oracle_twins(latent, t):
@@ -81,6 +86,18 @@ def test_single_arm_raises():
         mirror_twins(np.zeros((3, 1)), np.array([1, 1, 1]))
 
 
+def test_latents_must_be_finite_and_cover_all_samples():
+    t = np.array([0, 1, 1])
+    good, short, nan = np.zeros((3, 2)), np.zeros((2, 2)), np.array([[0.0], [np.nan], [1.0]])
+    for search in (lambda z: mirror_twins(z, t), lambda z: mirror_twins(z, t, arm=0),
+                   lambda z: cross_pipeline_weights(good, z, t),
+                   lambda z: cross_pipeline_weights(z, good, t)):
+        with pytest.raises(ValueError, match="cover all samples"):
+            search(short)
+        with pytest.raises(ValueError, match="non-finite"):
+            search(nan)
+
+
 def test_one_dim_latent_accepted():
     tm = mirror_twins(np.array([0.0, 1.0, 3.0]), np.array([0, 1, 0]))
     assert tm.twin_index[0] == 1
@@ -101,7 +118,7 @@ def test_cross_pipeline_weights_oracle():
     for _ in range(20):
         latent0, t = random_instance(rng)
         latent1 = rng.standard_normal(latent0.shape)
-        w = cross_pipeline_weights(latent0, latent1, t)
+        w = cross_pipeline_weights(latent0, latent1, t).weight
         idx0, _ = oracle_twins(latent0, t)
         idx1, _ = oracle_twins(latent1, t)
         expect = np.zeros(len(t), dtype=int)
@@ -113,9 +130,39 @@ def test_cross_pipeline_weights_oracle():
 
 def test_cross_weights_same_embedding_reduces_to_mirror():
     rng = np.random.default_rng(3)
-    latent, t = random_instance(rng)
-    tm = mirror_twins(latent, t)
-    assert np.array_equal(cross_pipeline_weights(latent, latent, t), tm.weight)
+    for _ in range(10):
+        latent, t = random_instance(rng)
+        tm = mirror_twins(latent, t)
+        cross = cross_pipeline_weights(latent, latent, t)
+        for field in ("twin_index", "twin_distance", "weight"):
+            assert getattr(cross, field).tobytes() == getattr(tm, field).tobytes()
+
+
+def test_one_arm_search_matches_two_arm_map_and_oracle():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        latent, t = random_instance(rng)
+        both = mirror_twins(latent, t)
+        idx, dist = oracle_twins(latent, t)
+        for arm in (0, 1):
+            tm = mirror_twins(latent, t, arm=arm)
+            rows, rest = t == arm, t != arm
+            assert np.array_equal(tm.twin_index[rows], both.twin_index[rows])
+            assert tm.twin_distance[rows].tobytes() == both.twin_distance[rows].tobytes()
+            assert np.array_equal(tm.twin_index[rows], idx[rows])
+            assert np.allclose(tm.twin_distance[rows], dist[rows])
+            # votes land on the other arm only, and are exactly the ones
+            # this arm cast in the two-arm map
+            assert np.array_equal(tm.weight, np.bincount(idx[rows], minlength=len(t)))
+            assert np.array_equal(tm.weight[rest], both.weight[rest])
+            assert np.all(tm.twin_index[rest] == -1)
+            assert np.all(np.isnan(tm.twin_distance[rest]))
+            assert np.all(tm.weight[rows] == 0)
+
+
+def test_arm_must_be_zero_one_or_none():
+    with pytest.raises(ValueError, match="arm"):
+        mirror_twins(np.zeros((3, 1)), np.array([0, 1, 1]), arm=2)
 
 
 def test_summary_statistics():
@@ -154,6 +201,54 @@ def test_conservation_check_survives_optimize_flag():
                           capture_output=True, text=True)
     assert proc.returncode != 0
     assert "twin votes must total n" in proc.stderr
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """(query rows, candidate rows) of every twin-search distance block."""
+    calls = []
+
+    def counting(a, b):
+        calls.append((len(a), len(b)))
+        return pairwise_sq_dists(a, b)
+
+    monkeypatch.setattr(alrite.twin, "pairwise_sq_dists", counting)
+    return calls
+
+
+def test_bounds_search_each_embedding_and_query_arm_once(search_calls):
+    # m1 searches both arms under one embedding; m2 and m3 each make one
+    # cross search, control rows under phi0 and treated rows under phi1
+    ds, truth, p0, p1, lip = make_linear_instance(0, n=40, d=2)
+    n1 = int(ds.t.sum())
+    for bound, pipelines in ((bound_m1, (p0,)), (bound_m2, (p0, p1)), (bound_m3, (p0, p1))):
+        search_calls.clear()
+        bound(*pipelines, ds, truth, lip)
+        assert sorted(search_calls) == sorted([(n1, ds.n - n1), (ds.n - n1, n1)]), \
+            bound.__name__
+
+
+def test_training_searches_the_focus_arm_once_per_epoch(search_calls):
+    ds, _ = generate_ihdp_like(0, n=80, d=3)
+    sp = split(ds, 0.2, 0.3, 0)
+    hp = PipelineHyperparams(embed_layers=1, head_layers=1, batch_size=40, epochs=3)
+    for role, focus in (("control_driven", 0), ("treatment_driven", 1)):
+        search_calls.clear()
+        train_pipeline(ds, sp, role, hp, seed=0)
+        n_focus = int(np.sum(ds.t[sp.train] == focus))
+        assert search_calls == [(n_focus, len(sp.train) - n_focus)] * hp.epochs
+
+
+def test_conservation_check_covers_one_arm_maps():
+    t = np.array([0, 1, 1])
+    _assert_conservation(TwinMap(np.array([1, -1, -1]), np.array([1.0, np.nan, np.nan]),
+                                 np.array([0, 1, 0])), t)
+    with pytest.raises(RuntimeError, match="treated samples must hold all control votes"):
+        _assert_conservation(TwinMap(np.array([1, -1, -1]), np.zeros(3),
+                                     np.array([1, 0, 0])), t)
+    with pytest.raises(RuntimeError, match="twins must be opposite-arm"):
+        _assert_conservation(TwinMap(np.array([-1, 2, -1]), np.zeros(3),
+                                     np.array([1, 0, 0])), t)
 
 
 def three_temporaries(a, b):
