@@ -4,7 +4,9 @@ emission.
 
 One JSON config per experiment. Subcommands write CSV/JSON artifacts into
 the output directory; identical config + seed reproduces byte-identical
-files. Exit codes: 0 success, 1 config error, 2 runtime failure.
+files. Every command runs its numeric work on one BLAS thread, so the bytes
+do not depend on the core count; `--workers` is the way to use more cores.
+Exit codes: 0 success, 1 config error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .data import (AcicProtocol, Dataset, GroundTruth, SplitIndices, generate_acic_like,
                    generate_ihdp_like, generate_two_cluster_toy, load_csv,
                    save_csv, split)
@@ -244,7 +247,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
              member_seed(cfg.seed, 1 + k)) for k, role in enumerate(roles)]
 
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the fork start method starts every worker up front
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_train_member, jobs))
     else:
         results = [_train_member(job) for job in jobs]
@@ -430,6 +434,9 @@ def cmd_ensemble(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     rows = [[row["candidate"], row["mu_risk"], p] for row, p in zip(table, test_pehe)]
     _write_csv(out / "ensemble_curve.csv", ["candidate", "val_mu_risk", "test_pehe"], rows)
 
+    if mode == "top_k":  # members after the K-th have weight 0
+        k = int(chosen)
+        members0, members1, risks0, risks1 = members0[:k], members1[:k], risks0[:k], risks1[:k]
     final = EnsembleModel(members0, members1, eta, mode, float(chosen), risks0, risks1)
     _write_json(out / "ensemble.json", final.to_dict())
     chosen_risk = table[candidates.index(chosen)]["mu_risk"]
@@ -595,7 +602,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        return COMMANDS[args.command](cfg, out, args.workers)
+        with one_blas_thread():
+            return COMMANDS[args.command](cfg, out, args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

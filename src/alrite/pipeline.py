@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .data import Dataset, Scaler, SplitIndices, identity_scaler, standardize
 from .nn import AdamState, Mlp, adam_step, backward, forward, forward_cached, mlp_init
 from .twin import ArmError, TwinMap, mirror_twins
@@ -303,12 +304,14 @@ def _val_factual_mse_std(p: Pipeline, x_std, t, y_std, idx) -> float:
     return float(np.mean((y_std[idx] - pred) ** 2))
 
 
+@one_blas_thread()
 def train_pipeline(dataset: Dataset, split_idx: SplitIndices, role: str,
                    hp: PipelineHyperparams, seed: int) -> tuple[Pipeline, TrainReport]:
     """Epoch loop: search the focus arm's twins (the only ones the loss
     reads) under the current embedding, sweep shuffled minibatches with Adam,
     then score validation factual MSE; the parameters of the best-scoring
-    epoch are retained."""
+    epoch are retained. Runs on one BLAS thread, so the result does not
+    depend on the core count."""
     train_idx = np.asarray(split_idx.train, dtype=int)
     val_idx = np.asarray(split_idx.validation, dtype=int)
     for part, name in ((train_idx, "train"), (val_idx, "validation")):

@@ -1,8 +1,12 @@
 """Command-line driver: config validation, artifact layout, seed
-determinism, crash isolation and exit codes."""
+determinism, bytes independent of workers and BLAS threads, crash isolation
+and exit codes."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +165,71 @@ def test_sweep_bytes_independent_of_workers(tmp_path):
         assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
 
 
+# width-100 two-layer members on 240 rows: large enough products that a
+# threaded OpenBLAS splits them, which changed members' last bits
+THREADS_CONFIG = {
+    "seed": 0,
+    "dataset": {"kind": "ihdp_like", "n": 240, "d": 25},
+    "search": {"l0": 2, "l1": 2, "epochs": 2, "width_grid": [100], "layer_grid": [2],
+               "batch_grid": [100]},
+    "ensemble": {"mode": "softmax", "candidates": [1.0, 100.0]},
+}
+RUN_COMMANDS = """
+import sys
+from alrite.cli import main
+config, out, workers = sys.argv[1:]
+for command in ("generate", "sweep", "select", "ensemble"):
+    args = [command, "--config", config, "--out", out]
+    if command == "sweep":
+        args += ["--workers", workers]
+    if main(args) != 0:
+        sys.exit(f"{command} failed")
+"""
+
+
+def test_artifact_bytes_independent_of_blas_threads_and_workers(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(THREADS_CONFIG))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        for workers in ("1", "2"):
+            out = tmp_path / f"threads{threads}-workers{workers}"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", RUN_COMMANDS, str(cfg), str(out),
+                                   workers], env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            runs[out.name] = {str(p.relative_to(out)): p.read_bytes()
+                              for p in sorted(out.rglob("*")) if p.is_file()}
+    first, *others = runs
+    assert len(runs[first]) == 13 and "ensemble.json" in runs[first]
+    for name in others:
+        assert runs[name].keys() == runs[first].keys(), name
+        for path, data in runs[first].items():
+            assert runs[name][path] == data, f"{path} differs between {first} and {name}"
+
+
+def test_sweep_pool_holds_at_most_one_worker_per_member(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    run_sweep(tmp_path, "run", ["--workers", "500"])
+    assert sizes == [4]
+
+
 def test_candidate_rows_rebuild_from_written_members(tmp_path):
     _, out = run_sweep(tmp_path, "run")
     dataset, truth = load_csv(out / "dataset.csv")
@@ -254,13 +323,17 @@ def test_ensemble_json_predicts_like_the_written_members(tmp_path):
     ranked0, ranked1, eta, split_idx = cli._load_sweep_members(out)
     members0, risks0 = rank_members(*ranked0)
     members1, risks1 = rank_members(*ranked1)
+    # a top-K ensemble stores the K best members per arm, the rest weigh 0
+    k = int(ens.param)
+    assert ens.mode == "top_k" and k < len(members0)
+    assert (ens.mu_risks0, ens.mu_risks1) == (risks0[:k], risks1[:k])
     for loaded, written in ((ens.members0, members0), (ens.members1, members1)):
-        assert [p.theta.tobytes() for p in loaded] == [p.theta.tobytes() for p in written]
+        assert [p.theta.tobytes() for p in loaded] == [p.theta.tobytes() for p in written[:k]]
     x = load_csv(out / "dataset.csv")[0].x[split_idx.test]
-    for p, q in zip(ens.members0 + ens.members1, members0 + members1):
+    for p, q in zip(ens.members0 + ens.members1, members0[:k] + members1[:k]):
         assert predict_tau(p, x).tobytes() == predict_tau(q, x).tobytes()
-    rebuilt = EnsembleModel(members0, members1, eta, ens.mode, ens.param, risks0, risks1)
-    assert ensemble_predict(ens, x).tobytes() == ensemble_predict(rebuilt, x).tobytes()
+    untrimmed = EnsembleModel(members0, members1, eta, ens.mode, ens.param, risks0, risks1)
+    assert ensemble_predict(ens, x).tobytes() == ensemble_predict(untrimmed, x).tobytes()
 
 
 def test_malformed_member_file_exits_2(tmp_path, capsys):

@@ -152,6 +152,19 @@ def test_topk_k3_hand_average():
     assert np.allclose(ensemble_predict(ens, ds.x), 0.7 * avg0 + 0.3 * avg1)
 
 
+def test_topk_trimmed_to_k_members_predicts_bit_equal():
+    ds, truth, members0, members1 = linear_members(4)
+    eta = constant_eta_model(0.3)
+    risks0, risks1 = [0.1, 0.2, 0.3, 0.4], [0.15, 0.25, 0.35, 0.45]
+    rng = np.random.default_rng(4)
+    x = np.vstack([ds.x, 1e3 * rng.standard_normal((20, 2)), np.zeros((1, 2))])
+    for k in range(1, 5):
+        full = build_topk_ensemble(members0, members1, eta, k, risks0, risks1)
+        trimmed = build_topk_ensemble(members0[:k], members1[:k], eta, k,
+                                      risks0[:k], risks1[:k])
+        assert ensemble_predict(trimmed, x).tobytes() == ensemble_predict(full, x).tobytes()
+
+
 def test_topk_k_out_of_range():
     ds, truth, members0, members1 = linear_members(3, count=2)
     eta = constant_eta_model(0.5)
