@@ -8,6 +8,7 @@ treatment flags are 0/1.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,13 +269,34 @@ def save_csv(path, dataset: Dataset, truth: GroundTruth | None = None) -> None:
             writer.writerow(row)
 
 
-def load_csv(path) -> tuple[Dataset, GroundTruth | None]:
+def _bad_line(path, width: int) -> str | None:
+    """Message naming the first data line (1-based) that has another field
+    count than the header or a non-numeric field; None if there is none."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("empty file") from None
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue  # the parser skips blank lines too
+            if len(row) != width:
+                return f"line {lineno}: expected {width} fields, got {len(row)}"
+            try:
+                for v in row:
+                    float(v)
+            except ValueError as exc:
+                return f"line {lineno}: {exc}"
+    return None
+
+
+def load_csv(path) -> tuple[Dataset, GroundTruth | None]:
+    """Reads a `save_csv` file: the header row through `csv`, the body in one
+    numpy parse. A malformed body is located by a line scan after the parse
+    fails, and the CsvFormatError names that line."""
+    with open(path) as fh:
+        first = fh.readline()
+        if not first:
+            raise CsvFormatError("empty file")
+        header = next(csv.reader([first]))
         if "t" not in header or "y" not in header:
             raise CsvFormatError("missing t/y column")
         d = header.index("t")
@@ -282,17 +304,17 @@ def load_csv(path) -> tuple[Dataset, GroundTruth | None]:
         has_truth = header[d + 2 :] == ["mu0", "mu1"]
         if header[: d + 2] != expected or not (has_truth or len(header) == d + 2):
             raise CsvFormatError(f"unexpected header {header}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvFormatError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body raises below
             try:
-                rows.append([float(v) for v in row])
+                arr = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
             except ValueError as exc:
-                raise CsvFormatError(f"line {lineno}: {exc}") from None
-    if not rows:
+                raise CsvFormatError(_bad_line(path, len(header)) or str(exc)) from None
+    if arr.size == 0:
         raise CsvFormatError("no data rows")
-    arr = np.asarray(rows)
+    if arr.shape[1] != len(header):
+        raise CsvFormatError(_bad_line(path, len(header))
+                             or f"expected {len(header)} fields, got {arr.shape[1]}")
     x = arr[:, :d]
     t = arr[:, d]
     if not np.all(np.isin(t, (0.0, 1.0))):

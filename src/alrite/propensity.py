@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import AdamState, adam_step
-from .twin import pairwise_sq_dists
+from .twin import pairwise_sq_dists, row_blocks
 
 DEFAULT_CLIP = 0.01
 
@@ -240,7 +240,10 @@ def predict_eta(model: PropensityModel, x: np.ndarray, clip: float = DEFAULT_CLI
         xs = (xb - p["x_mean"]) / p["x_scale"]
         eta = _sigmoid(xs @ p["weights"] + p["bias"])
     elif model.variant == "knn_classifier":
-        eta = p["ref_t"][_k_nearest(pairwise_sq_dists(xb, p["ref_x"]), p["k"])].mean(axis=1)
+        ref_x, ref_t = p["ref_x"], p["ref_t"]
+        eta = np.empty(len(xb))
+        for rows in row_blocks(len(xb), len(ref_x)):
+            eta[rows] = ref_t[_k_nearest(pairwise_sq_dists(xb[rows], ref_x), p["k"])].mean(axis=1)
     elif model.variant == "decision_tree":
         eta = _tree_predict(p["root"], xb)
     else:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .propensity import DEFAULT_CLIP, PropensityModel, predict_eta
-from .twin import pairwise_sq_dists
+from .twin import pairwise_sq_dists, row_blocks
 
 PROXY_KINDS = ("mu_risk", "mu_risk_iptw", "r_risk", "tau_naive",
                "tau_1nni", "tau_iptw", "tau_u", "tau_dr")
@@ -34,8 +34,11 @@ class KernelRidge:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        k = _rbf_kernel(x, self.x_train, self.bandwidth)
-        return self.y_mean + k @ self.alpha
+        out = np.empty(len(x))
+        for rows in row_blocks(len(x), len(self.x_train)):
+            out[rows] = self.y_mean + _rbf_kernel(x[rows], self.x_train,
+                                                  self.bandwidth) @ self.alpha
+        return out
 
 
 def _rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -141,8 +144,10 @@ def nn_imputed_outcome(aux: Auxiliaries, x: np.ndarray, t: np.ndarray) -> np.nda
         donors = np.flatnonzero(aux.donors_t == 1 - arm)
         if donors.size == 0:
             raise ValueError("no opposite-arm donors available")
-        sq = pairwise_sq_dists(x[mask], aux.donors_x[donors])
-        out[mask] = aux.donors_y[donors[np.argmin(sq, axis=1)]]
+        query, ref = np.flatnonzero(mask), aux.donors_x[donors]
+        for rows in row_blocks(len(query), len(ref)):
+            nearest = np.argmin(pairwise_sq_dists(x[query[rows]], ref), axis=1)
+            out[query[rows]] = aux.donors_y[donors[nearest]]
     return out
 
 

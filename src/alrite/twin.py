@@ -17,6 +17,31 @@ heuristic, and the nearest-neighbour imputation all call it. It computes
 afterwards) for a call with `b is a`: numpy hands a product of an array with
 its own transpose to the symmetric `syrk` BLAS kernel, whose summation order
 differs and changes the last bits.
+
+Every query-versus-reference search runs in row blocks from `row_blocks`, so
+its peak memory is one block of about `BLOCK_ENTRIES` float64 entries (8 MB)
+instead of n x m: `mirror_twins` and `cross_pipeline_weights` here, kNN
+`propensity.predict_eta`, `selection.KernelRidge.predict` and
+`selection.nn_imputed_outcome`. The square whole-matrix calls (the kernel
+ridge solve, the bandwidth heuristic on at most 500 rows) are not blocked.
+A search whose n x m fits the budget makes the single whole call.
+
+Blocks must not change bits. With one OpenBLAS thread (0.3.31, SkylakeX) a
+row block's product equals the same rows of the whole product only if the
+block is tiled like the whole:
+- Block boundaries are multiples of `ROW_ALIGN` = 48 rows. The GEMM kernel
+  works in tiles of 12 and 24 rows, and a boundary inside a tile turns the
+  rows before it into a narrower edge tile, summed in another order. Blocks
+  of 64, 256 and 1024 rows changed the last bits of up to 167, 39 and 16
+  rows (next to block ends) in 10 of 50 shapes each (d from 2 to 58, m from
+  700 to 20000), and block steps of 1472 or 1496 rows did so at m = 700;
+  this rule changed none in 100 shapes.
+- The rows left over are folded into the last block, so no block is shorter
+  than the step. A short tail takes other kernels: numpy hands a one-row
+  block to a matrix-vector product, and blocks of a few hundred entries at
+  d >= 50 went to another GEMM kernel. Unfolded tails of 1 to 3 rows
+  changed bits in 8 of 12 shapes (every one-row tail).
+Do not "simplify" the block to a round number of rows.
 """
 
 from __future__ import annotations
@@ -40,6 +65,21 @@ class ArmError(ValueError):
 def _check_arms(t: np.ndarray) -> None:
     if t.sum() == 0 or t.sum() == len(t):
         raise ArmError("both treatment arms must be non-empty")
+
+
+BLOCK_ENTRIES = 1 << 20  # float64 entries per distance block: 8 MB
+ROW_ALIGN = 48  # rows; block starts on a multiple of this (see the module docstring)
+
+
+def row_blocks(n: int, m: int) -> list[slice]:
+    """Row slices covering [0, n) once and in order for an n x m all-pairs
+    computation. Each holds the same multiple of ROW_ALIGN rows, the largest
+    within BLOCK_ENTRIES entries (at least ROW_ALIGN), except the last, which
+    also takes the remainder. One slice (possibly empty) when n x m fits."""
+    step = max(ROW_ALIGN, BLOCK_ENTRIES // max(m, 1) // ROW_ALIGN * ROW_ALIGN)
+    count = max(n // step, 1)
+    ends = [i * step for i in range(count)] + [n]
+    return [slice(ends[i], ends[i + 1]) for i in range(count)]
 
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -72,12 +112,14 @@ def _search(t: np.ndarray, searches) -> TwinMap:
     for latent, arm in searches:
         q = np.flatnonzero(t == arm)
         cand = np.flatnonzero(t != arm)
-        sq = pairwise_sq_dists(latent[q], latent[cand])
-        np.maximum(sq, 0.0, out=sq)
-        best = np.argmin(sq, axis=1)  # argmin returns the first (smallest-index) minimum
-        twin_index[q] = cand[best]
-        twin_distance[q] = np.sqrt(sq[np.arange(len(q)), best])
-        del sq  # freed before the next block is allocated
+        ref = latent[cand]
+        for rows in row_blocks(len(q), len(cand)):
+            sq = pairwise_sq_dists(latent[q[rows]], ref)
+            np.maximum(sq, 0.0, out=sq)
+            best = np.argmin(sq, axis=1)  # argmin returns the first (smallest-index) minimum
+            twin_index[q[rows]] = cand[best]
+            twin_distance[q[rows]] = np.sqrt(sq[np.arange(len(best)), best])
+            del sq  # freed before the next block is allocated
     weight = np.bincount(twin_index[twin_index >= 0], minlength=n)
     tm = TwinMap(twin_index, twin_distance, weight)
     _assert_conservation(tm, t)

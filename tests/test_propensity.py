@@ -1,6 +1,8 @@
 """Propensity models: logistic-regression gradient and convergence, kNN and
 tree oracles, clipping, cross-validated selection and calibration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from alrite.propensity import (DEFAULT_CLIP, DEFAULT_PROPENSITY_GRID,
                                calibration_table, fit_knn, fit_tree,
                                lr_loss_and_grad, predict_eta,
                                select_propensity, train_propensity_lr)
+from alrite.twin import BLOCK_ENTRIES
 
 
 def test_balanced_cross_entropy_hand_value():
@@ -293,3 +296,38 @@ def test_serialization_keeps_warning():
     clone = PropensityModel.from_dict(model.to_dict())
     assert clone.warning == model.warning
     assert PropensityModel.from_dict(fit_knn(x, t, 3).to_dict()).warning is None
+
+
+@pytest.mark.parametrize("ties", (False, True))
+@pytest.mark.parametrize("d", (3, 25, 58))
+def test_blocked_knn_predictions_keep_bytes(blocked, d, ties):
+    rng = np.random.default_rng(d)
+    x, q = 2.0 * rng.standard_normal((400, d)), 2.0 * rng.standard_normal((310, d))
+    if ties:
+        x, q = np.round(x), np.round(q)
+    t = rng.integers(0, 2, size=400)
+    for k in (1, 7, 30):
+        model = fit_knn(x, t, k)
+        whole, parts = blocked(lambda: predict_eta(model, q))
+        for got in parts:
+            assert got.tobytes() == whole.tobytes()
+
+
+def test_knn_predicts_zero_rows():
+    x = np.random.default_rng(0).standard_normal((20, 2))
+    eta = predict_eta(fit_knn(x, np.arange(20) % 2, 3), np.zeros((0, 2)))
+    assert eta.shape == (0,)
+
+
+def test_knn_peak_memory_is_bounded_by_the_block():
+    # unblocked: 72 MB of distances plus 72 MB of argpartition indices
+    rng = np.random.default_rng(5)
+    model = fit_knn(rng.standard_normal((6000, 10)), rng.integers(0, 2, size=6000), 30)
+    q = rng.standard_normal((1500, 10))
+    tracemalloc.start()
+    try:
+        predict_eta(model, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * BLOCK_ENTRIES * 8

@@ -271,3 +271,29 @@ def test_mu_risk_selection_tracks_pehe():
         if pehes[winner] <= np.quantile(pehes, 0.25):
             wins += 1
     assert wins >= 8
+
+
+@pytest.mark.parametrize("ties", (False, True))
+@pytest.mark.parametrize("d", (3, 25, 58))
+def test_blocked_kernel_ridge_and_imputation_keep_bytes(blocked, d, ties):
+    rng = np.random.default_rng(d)
+    x, q = rng.standard_normal((800, d)), rng.standard_normal((620, d))
+    if ties:
+        x, q = np.round(2.0 * x), np.round(2.0 * q)
+    y = rng.standard_normal(800)
+    model = fit_kernel_ridge_cv(x[:400], y[:400], seed=0)
+    whole, parts = blocked(lambda: model.predict(q[:310]))
+    for got in parts:
+        assert got.tobytes() == whole.tobytes()
+    aux = Auxiliaries(None, None, None, half_eta(d), x, np.arange(800) % 2, y)
+    t = rng.permutation(np.arange(620) % 2)
+    whole, parts = blocked(lambda: nn_imputed_outcome(aux, q, t))
+    for got in parts:
+        assert got.tobytes() == whole.tobytes()
+
+
+def test_kernel_ridge_and_imputation_take_zero_rows():
+    _, aux, _ = hand_table()
+    model = fit_kernel_ridge_cv(np.arange(6.0)[:, None], np.arange(6.0), seed=0)
+    assert model.predict(np.zeros((0, 1))).shape == (0,)
+    assert nn_imputed_outcome(aux, np.zeros((0, 1)), np.zeros(0, dtype=int)).shape == (0,)

@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 import alrite
 import alrite.twin
+from alrite.blas import one_blas_thread
 from alrite.data import generate_ihdp_like, split
 from alrite.metrics import bound_m1, bound_m2, bound_m3, make_linear_instance
 from alrite.pipeline import PipelineHyperparams, train_pipeline
-from alrite.twin import (ArmError, TwinMap, _assert_conservation,
-                         counterfactualizability_summary, cross_pipeline_weights,
-                         mirror_twins, pairwise_sq_dists)
+from alrite.twin import (BLOCK_ENTRIES, ROW_ALIGN, ArmError, TwinMap,
+                         _assert_conservation, counterfactualizability_summary,
+                         cross_pipeline_weights, mirror_twins, pairwise_sq_dists,
+                         row_blocks)
 
 
 def oracle_twins(latent, t):
@@ -280,3 +282,74 @@ def test_pairwise_kernel_allocates_one_block():
         tracemalloc.stop()
     assert sq.shape == (1500, 1200)
     assert peak < 1.2 * block
+
+
+@pytest.mark.parametrize("n, m", [(0, 10), (1, 1), (47, 5), (300, 250), (5000, 700),
+                                  (10_000, 3000), (20_001, 20_000), (100_000, 50_000),
+                                  (100, 0)])
+def test_row_blocks_cover_rows_once_in_order(n, m):
+    blocks = row_blocks(n, m)
+    assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+    sizes = [b.stop - b.start for b in blocks]
+    step = sizes[0]
+    assert all(size == step for size in sizes[:-1])
+    if len(blocks) > 1:
+        assert step % ROW_ALIGN == 0
+        assert step <= sizes[-1] < 2 * step  # the remainder is folded into the last block
+        # the largest aligned step within the budget, or the alignment itself
+        assert step * m <= BLOCK_ENTRIES or step == ROW_ALIGN
+        assert (step + ROW_ALIGN) * m > BLOCK_ENTRIES
+    if n * m <= BLOCK_ENTRIES:
+        assert len(blocks) == 1
+
+
+@pytest.mark.parametrize("d", (3, 25, 58))
+def test_row_blocks_reproduce_the_whole_product(d):
+    # default budget; each n leaves one row over a whole number of steps
+    rng = np.random.default_rng(d)
+    with one_blas_thread():
+        for m, steps in ((700, 2), (1000, 2), (3000, 3)):
+            n = steps * row_blocks(BLOCK_ENTRIES, m)[0].stop + 1
+            a, b = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+            blocks = row_blocks(n, m)
+            assert len(blocks) > 1
+            parts = np.concatenate([pairwise_sq_dists(a[rows], b) for rows in blocks])
+            assert parts.tobytes() == pairwise_sq_dists(a, b).tobytes()
+
+
+def twin_latents(d, ties, seed=0):
+    """620 rows and two latents; rounded ones tie often. The 289 treated rows
+    are one row more than a multiple of the alignment."""
+    rng = np.random.default_rng(seed)
+    t = rng.permutation((np.arange(620) < 289).astype(int))
+    latent0, latent1 = 2.0 * rng.standard_normal((2, 620, d))
+    if ties:
+        latent0, latent1 = np.round(latent0), np.round(latent1)
+    return latent0, latent1, t
+
+
+@pytest.mark.parametrize("ties", (False, True))
+@pytest.mark.parametrize("d", (3, 25, 58))
+def test_blocked_twin_search_keeps_bytes(blocked, d, ties):
+    latent0, latent1, t = twin_latents(d, ties)
+    for search in (lambda: mirror_twins(latent0, t), lambda: mirror_twins(latent1, t, arm=0),
+                   lambda: mirror_twins(latent1, t, arm=1),
+                   lambda: cross_pipeline_weights(latent0, latent1, t)):
+        whole, parts = blocked(search)
+        for got in parts:
+            for field in ("twin_index", "twin_distance", "weight"):
+                assert getattr(got, field).tobytes() == getattr(whole, field).tobytes()
+
+
+def test_twin_search_peak_memory_is_bounded_by_the_block():
+    # unblocked, each arm's 4000 x 4000 distance block alone takes 128 MB
+    rng = np.random.default_rng(4)
+    latent = rng.standard_normal((8000, 50))
+    t = rng.permutation(np.arange(8000) % 2)
+    tracemalloc.start()
+    try:
+        mirror_twins(latent, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * BLOCK_ENTRIES * 8
