@@ -12,7 +12,6 @@ from .data import (AcicProtocol, Dataset, GroundTruth, SplitIndices,
                    generate_two_cluster_toy, load_csv, save_csv, split,
                    standardize)
 from .learner import (AlriteModel, EnsembleModel, alrite_fit, alrite_predict,
-                      build_softmax_ensemble, build_topk_ensemble,
                       ensemble_predict, eta_sensitivity_check,
                       select_ensemble_hyperparam)
 from .metrics import (BoundReport, bound_m1, bound_m2, bound_m3, eps_ate,

@@ -25,13 +25,13 @@ from .blas import one_blas_thread
 from .data import (AcicProtocol, Dataset, GroundTruth, SplitIndices, generate_acic_like,
                    generate_ihdp_like, generate_two_cluster_toy, load_csv,
                    save_csv, split)
-from .learner import (AlriteModel, EnsembleModel, _blend, alrite_fit, alrite_predict,
-                      predict_ensemble_grid, rank_members, select_ensemble_hyperparam)
+from .learner import (AlriteModel, _blend, alrite_fit, alrite_predict, predict_ensemble_grid,
+                      rank_members, select_ensemble_hyperparam)
 from .metrics import (bound_m1, bound_m2, bound_m3, eps_ate,
                       make_linear_instance, pehe, policy_risks)
-from .pipeline import (Pipeline, PipelineHyperparams, factual_mse, predict_mu, predict_tau,
-                       train_pipeline)
-from .propensity import DEFAULT_PROPENSITY_GRID, PropensityModel, predict_eta, select_propensity
+from .pipeline import Pipeline, PipelineHyperparams, predict_mu, predict_tau, train_pipeline
+from .propensity import (DEFAULT_CLIP, DEFAULT_PROPENSITY_GRID, PropensityModel, predict_eta,
+                         select_propensity)
 from .selection import PROXY_KINDS, fit_auxiliaries, proxy_terms, rank_agreement, score_candidate
 
 # hyper-parameter search domains
@@ -227,14 +227,13 @@ def cmd_generate(cfg: ExperimentConfig, out: Path, workers: int) -> int:
 
 def _train_member(payload):
     """Sweep worker: returns (index, role, pipeline dict or None, error or
-    None, validation mu-risk or None). Never raises; failures are recorded."""
+    None). Never raises; failures are recorded."""
     index, role, dataset, split_idx, hp, seed = payload
     try:
         p, _ = train_pipeline(dataset, split_idx, role, hp, seed)
-        risk = factual_mse(p, dataset, split_idx.validation)
-        return index, role, p.to_dict(), None, risk
+        return index, role, p.to_dict(), None
     except Exception as exc:
-        return index, role, None, f"{type(exc).__name__}: {exc}", None
+        return index, role, None, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
@@ -255,9 +254,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
 
     members = []
     pipelines: dict[int, Pipeline] = {}
-    for (index, role, p_dict, error, risk), job in zip(results, jobs):
+    for (index, role, p_dict, error), job in zip(results, jobs):
         entry = {"index": index, "role": role, "status": "ok" if error is None else "failed",
-                 "error": error, "val_mu_risk": risk,
+                 "error": error, "val_mu_risk": None,
                  "hyperparams": {k: getattr(job[4], k) for k in vars(job[4])}}
         if p_dict is not None:
             path = out / "models" / f"member_{index:03d}.json"
@@ -279,11 +278,13 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     aux = fit_auxiliaries(dataset, train_idx, member_seed(cfg.seed, 10_001), eta)
 
     val = split_idx.validation
-    x_val, t_val = dataset.x[val], dataset.t[val]
+    x_val, t_val, y_val = dataset.x[val], dataset.t[val], dataset.y[val]
     eta_val = predict_eta(eta, x_val, aux.clip)
     terms = proxy_terms(dataset, val, aux, eta_val)
     tau = {k: predict_tau(pipelines[k], x_val) for k in ok0 + ok1}
     mu = {k: predict_mu(pipelines[k], x_val, t_val) for k in ok0 + ok1}
+    for k in ok0 + ok1:
+        members[k]["val_mu_risk"] = float(np.mean((y_val - mu[k]) ** 2))
     rows = []
     for i in ok0:
         for j in ok1:
@@ -388,17 +389,19 @@ def cmd_select(cfg: ExperimentConfig, out: Path, workers: int) -> int:
 
 
 def _load_sweep_members(out: Path):
-    """Per role, the sweep's usable members and their validation mu-risks as
-    `sweep` recorded them; then the propensity model and the split."""
+    """Per role, the sweep's usable members: their sweep indices, pipelines
+    and validation mu-risks as `sweep` recorded them; then the propensity
+    model and the split."""
     with open(out / "sweep.json") as fh:
         sweep = json.load(fh)
-    members = {"control_driven": ([], []), "treatment_driven": ([], [])}
+    members = {"control_driven": ([], [], []), "treatment_driven": ([], [], [])}
     for m in sweep["members"]:
         if m["status"] != "ok":
             continue
         with open(out / m["path"]) as fh:
             p = Pipeline.from_dict(json.load(fh))
-        pipelines, risks = members[m["role"]]
+        indices, pipelines, risks = members[m["role"]]
+        indices.append(m["index"])
         pipelines.append(p)
         risks.append(m["val_mu_risk"])
     with open(out / "eta.json") as fh:
@@ -415,8 +418,8 @@ def cmd_ensemble(cfg: ExperimentConfig, out: Path, workers: int) -> int:
         raise RuntimeError(f"no sweep results in {out}; run `sweep` first")
     ranked0, ranked1, eta, split_idx = _load_sweep_members(out)
     dataset, truth = _resolve_dataset(cfg, out)
-    members0, risks0 = rank_members(*ranked0)
-    members1, risks1 = rank_members(*ranked1)
+    indices0, members0, risks0 = rank_members(*ranked0)
+    indices1, members1, risks1 = rank_members(*ranked1)
     mode = cfg.ensemble["mode"]
     if mode == "top_k":
         candidates = list(range(1, min(len(members0), len(members1)) + 1))
@@ -436,9 +439,13 @@ def cmd_ensemble(cfg: ExperimentConfig, out: Path, workers: int) -> int:
 
     if mode == "top_k":  # members after the K-th have weight 0
         k = int(chosen)
-        members0, members1, risks0, risks1 = members0[:k], members1[:k], risks0[:k], risks1[:k]
-    final = EnsembleModel(members0, members1, eta, mode, float(chosen), risks0, risks1)
-    _write_json(out / "ensemble.json", final.to_dict())
+        indices0, indices1, risks0, risks1 = indices0[:k], indices1[:k], risks0[:k], risks1[:k]
+    # members by their sweep index (models/ as sweep.json lists them), eta_hat
+    # is the eta.json beside it
+    _write_json(out / "ensemble.json", {
+        "mode": mode, "param": float(chosen), "clip": DEFAULT_CLIP,
+        "members0": indices0, "members1": indices1,
+        "mu_risks0": risks0, "mu_risks1": risks1})
     chosen_risk = table[candidates.index(chosen)]["mu_risk"]
     print(f"selected {mode} ensemble with parameter {chosen} "
           f"(validation mu-risk {chosen_risk:.6g})")

@@ -133,32 +133,15 @@ class EnsembleModel:
         elif self.param <= 0:
             raise ValueError("lambda must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "members0": [p.to_dict() for p in self.members0],
-            "members1": [p.to_dict() for p in self.members1],
-            "eta": self.eta.to_dict(),
-            "mode": self.mode,
-            "param": self.param,
-            "mu_risks0": list(map(float, self.mu_risks0)),
-            "mu_risks1": list(map(float, self.mu_risks1)),
-            "clip": self.clip,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnsembleModel":
-        return cls([Pipeline.from_dict(m) for m in d["members0"]],
-                   [Pipeline.from_dict(m) for m in d["members1"]],
-                   PropensityModel.from_dict(d["eta"]), d["mode"], d["param"],
-                   d["mu_risks0"], d["mu_risks1"], d.get("clip", DEFAULT_CLIP))
-
-
-def rank_members(pipelines: list[Pipeline],
-                 risks) -> tuple[list[Pipeline], list[float]]:
+def rank_members(indices, pipelines: list[Pipeline],
+                 risks) -> tuple[list[int], list[Pipeline], list[float]]:
     """Sort sweep members by increasing validation factual MSE `risks`
-    (stable, so equal risks keep their submission order)."""
+    (stable, so equal risks keep their submission order); each member's
+    sweep index moves with its pipeline."""
     order = np.argsort(risks, kind="stable")
-    return [pipelines[i] for i in order], [risks[i] for i in order]
+    return ([indices[i] for i in order], [pipelines[i] for i in order],
+            [risks[i] for i in order])
 
 
 def softmax_weights(mu_risks, lam: float) -> np.ndarray:
@@ -167,18 +150,6 @@ def softmax_weights(mu_risks, lam: float) -> np.ndarray:
     u = u - u.max()
     w = np.exp(u)
     return w / w.sum()
-
-
-def build_topk_ensemble(members0, members1, eta, k: int,
-                        mu_risks0, mu_risks1, clip=DEFAULT_CLIP) -> EnsembleModel:
-    return EnsembleModel(list(members0), list(members1), eta, "top_k", float(k),
-                         list(mu_risks0), list(mu_risks1), clip)
-
-
-def build_softmax_ensemble(members0, members1, eta, lam: float,
-                           mu_risks0, mu_risks1, clip=DEFAULT_CLIP) -> EnsembleModel:
-    return EnsembleModel(list(members0), list(members1), eta, "softmax", float(lam),
-                         list(mu_risks0), list(mu_risks1), clip)
 
 
 def _arm_weights(model: EnsembleModel, risks, count) -> np.ndarray:
@@ -210,7 +181,6 @@ def predict_ensemble_grid(members0, members1, eta, mode: str, candidates,
     """Predictions at x of the ensemble built with each K or lambda in
     `candidates`: effects, or factual outcomes when `arm` is given. Each
     member and eta_hat are predicted once for the whole grid."""
-    build = build_topk_ensemble if mode == "top_k" else build_softmax_ensemble
 
     def predict(p):
         return predict_tau(p, x) if arm is None else predict_mu(p, x, arm)
@@ -218,8 +188,9 @@ def predict_ensemble_grid(members0, members1, eta, mode: str, candidates,
     per_member0 = [predict(p) for p in members0]
     per_member1 = [predict(p) for p in members1]
     eta_hat = predict_eta(eta, x, clip)
-    return [_combine(build(members0, members1, eta, c, mu_risks0, mu_risks1, clip),
-                     per_member0, per_member1, eta_hat) for c in candidates]
+    return [_combine(EnsembleModel(members0, members1, eta, mode, float(c), mu_risks0,
+                                   mu_risks1, clip), per_member0, per_member1, eta_hat)
+            for c in candidates]
 
 
 def select_ensemble_hyperparam(members0, members1, eta, mode: str, candidates,

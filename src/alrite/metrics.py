@@ -95,15 +95,15 @@ def bound_m1(p: Pipeline, dataset: Dataset, truth: GroundTruth | None,
     n = dataset.n
     z = forward(p.phi, x)
     tm = mirror_twins(z, t)
-    pred = np.where(t == 1, forward(p.h1, z)[:, 0], forward(p.h0, z)[:, 0])
+    mu0, mu1 = forward(p.h0, z)[:, 0], forward(p.h1, z)[:, 0]
+    pred = np.where(t == 1, mu1, mu0)
     factual = float(np.sum((1.0 + tm.weight) * (pred - y) ** 2))
     dist_sq = float(np.sum(tm.twin_distance**2))
     l_hat = _head_bound(p.h0, p.h1)
     certified = L is not None
     l_true = L if certified else 0.0
     bound = 4.0 / n * (factual + (l_true**2 + l_hat**2) * dist_sq)
-    tau_hat = forward(p.h1, z)[:, 0] - forward(p.h0, z)[:, 0]
-    pehe_val, _ = pehe(tau_hat, truth)
+    pehe_val, _ = pehe(mu1 - mu0, truth)
     return BoundReport(
         bound=bound,
         pehe=pehe_val,

@@ -228,8 +228,7 @@ def _batch_indices(indices, n):
 
 def compound_loss(p: Pipeline, x: np.ndarray, t: np.ndarray, y: np.ndarray,
                   twinmap: TwinMap, hp: PipelineHyperparams,
-                  batch: np.ndarray | None = None,
-                  n_focus: int | None = None, n_other: int | None = None):
+                  batch: np.ndarray | None = None):
     """Value and per-term breakdown of the compound loss over `batch`
     (defaults to all samples). Normalizers use full-set arm counts so
     batch losses sum to the full loss over an epoch (up to the shared
@@ -237,9 +236,8 @@ def compound_loss(p: Pipeline, x: np.ndarray, t: np.ndarray, y: np.ndarray,
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=int)
     y = np.asarray(y, dtype=float)
-    focus = p.focus_arm
-    nf = int(np.sum(t == focus)) if n_focus is None else n_focus
-    no = int(np.sum(t == 1 - focus)) if n_other is None else n_other
+    nf = int(np.sum(t == p.focus_arm))
+    no = len(t) - nf
     total, terms, _ = _loss_core(p, x, t, y, twinmap, hp, nf, no,
                                  _batch_indices(batch, len(t)), want_grads=False)
     return total, terms

@@ -12,8 +12,7 @@ import pytest
 from alrite.cli import main as cli_main
 from alrite.data import (Dataset, GroundTruth, generate_ihdp_like,
                          generate_two_cluster_toy, split)
-from alrite.learner import (AlriteModel, alrite_fit, build_topk_ensemble,
-                            build_softmax_ensemble, ensemble_predict,
+from alrite.learner import (AlriteModel, EnsembleModel, alrite_fit, ensemble_predict,
                             eta_sensitivity_check, rank_members,
                             select_ensemble_hyperparam, softmax_weights)
 from alrite.metrics import (Lemma4Case, bound_m1, bound_m2, bound_m3,
@@ -176,13 +175,15 @@ def test_criterion_5_ensemble_identities():
     ds, truth, members0, members1 = linear_fleet(2)
     val = np.arange(ds.n)
     eta = train_propensity_lr(ds.x, ds.t, 1.0)
-    members0, risks0 = rank_members(members0, [factual_mse(p, ds, val) for p in members0])
-    members1, risks1 = rank_members(members1, [factual_mse(p, ds, val) for p in members1])
-    top1 = build_topk_ensemble(members0, members1, eta, 1, risks0, risks1)
+    _, members0, risks0 = rank_members(range(4), members0,
+                                       [factual_mse(p, ds, val) for p in members0])
+    _, members1, risks1 = rank_members(range(4), members1,
+                                       [factual_mse(p, ds, val) for p in members1])
+    top1 = EnsembleModel(members0, members1, eta, "top_k", 1, risks0, risks1)
     single = AlriteModel(members0[0], members1[0], eta)
     from alrite.learner import alrite_predict
     exact = np.array_equal(ensemble_predict(top1, ds.x), alrite_predict(single, ds.x))
-    sharp = build_softmax_ensemble(members0, members1, eta, 1e6, risks0, risks1)
+    sharp = EnsembleModel(members0, members1, eta, "softmax", 1e6, risks0, risks1)
     near = np.max(np.abs(ensemble_predict(sharp, ds.x)
                          - alrite_predict(single, ds.x))) < 1e-6
     sums_ok = all(abs(softmax_weights(np.asarray(r), lam).sum() - 1.0) < 1e-12
@@ -228,18 +229,18 @@ def run_benchmark_instance(seed):
         members1.append(p)
     eta = select_propensity(ds.x[sp.train], ds.t[sp.train],
                             DEFAULT_PROPENSITY_GRID, folds=5, seed=seed)
-    members0, risks0 = rank_members(members0,
-                                    [factual_mse(p, ds, sp.validation) for p in members0])
-    members1, risks1 = rank_members(members1,
-                                    [factual_mse(p, ds, sp.validation) for p in members1])
+    _, members0, risks0 = rank_members(range(6), members0,
+                                       [factual_mse(p, ds, sp.validation) for p in members0])
+    _, members1, risks1 = rank_members(range(6), members1,
+                                       [factual_mse(p, ds, sp.validation) for p in members1])
 
-    single = build_topk_ensemble(members0, members1, eta, 1, risks0, risks1)
+    single = EnsembleModel(members0, members1, eta, "top_k", 1, risks0, risks1)
     single_rmse = pehe(ensemble_predict(single, ds.x[sp.test]), truth, sp.test)[1]
 
     chosen, _ = select_ensemble_hyperparam(members0, members1, eta, "top_k",
                                            list(range(1, 7)), ds, sp.validation,
                                            risks0, risks1)
-    ensemble = build_topk_ensemble(members0, members1, eta, chosen, risks0, risks1)
+    ensemble = EnsembleModel(members0, members1, eta, "top_k", chosen, risks0, risks1)
     ens_rmse = pehe(ensemble_predict(ensemble, ds.x[sp.test]), truth, sp.test)[1]
 
     fit_idx = np.concatenate([sp.train, sp.validation])

@@ -17,7 +17,7 @@ from alrite.data import load_csv
 from alrite.learner import (EnsembleModel, aggregate_mu, aggregate_tau, ensemble_predict,
                             rank_members)
 from alrite.metrics import pehe
-from alrite.pipeline import Pipeline, predict_tau
+from alrite.pipeline import Pipeline
 from alrite.propensity import PropensityModel
 from alrite.selection import PROXY_KINDS, fit_auxiliaries, proxy_score
 from alrite.cli import (ALPHA_GRID, BATCH_GRID, BETA_GRID, LAMBDA_GRID,
@@ -319,21 +319,38 @@ def test_select_and_ensemble_and_report(tmp_path):
 def test_ensemble_json_predicts_like_the_written_members(tmp_path):
     cfg, out = run_sweep(tmp_path, "run")
     assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
-    ens = EnsembleModel.from_dict(json.loads((out / "ensemble.json").read_text()))
-    ranked0, ranked1, eta, split_idx = cli._load_sweep_members(out)
-    members0, risks0 = rank_members(*ranked0)
-    members1, risks1 = rank_members(*ranked1)
-    # a top-K ensemble stores the K best members per arm, the rest weigh 0
-    k = int(ens.param)
-    assert ens.mode == "top_k" and k < len(members0)
-    assert (ens.mu_risks0, ens.mu_risks1) == (risks0[:k], risks1[:k])
-    for loaded, written in ((ens.members0, members0), (ens.members1, members1)):
-        assert [p.theta.tobytes() for p in loaded] == [p.theta.tobytes() for p in written[:k]]
+    ens = json.loads((out / "ensemble.json").read_text())
+    assert set(ens) == {"mode", "param", "clip", "members0", "members1",
+                        "mu_risks0", "mu_risks1"}
+    # rebuild from the members' sweep indices, their model files and eta.json
+    sweep = json.loads((out / "sweep.json").read_text())
+    paths = {m["index"]: m["path"] for m in sweep["members"]}
+    load = lambda i: Pipeline.from_dict(json.loads((out / paths[i]).read_text()))
+    eta = PropensityModel.from_dict(json.loads((out / "eta.json").read_text()))
+    rebuilt = EnsembleModel([load(i) for i in ens["members0"]], [load(i) for i in ens["members1"]],
+                            eta, ens["mode"], ens["param"], ens["mu_risks0"], ens["mu_risks1"],
+                            ens["clip"])
+
+    ranked0, ranked1, _, split_idx = cli._load_sweep_members(out)
+    indices0, members0, risks0 = rank_members(*ranked0)
+    indices1, members1, risks1 = rank_members(*ranked1)
+    # a top-K ensemble lists the K best members per arm, the rest weigh 0
+    k = int(ens["param"])
+    assert ens["mode"] == "top_k" and k < len(members0)
+    assert (ens["members0"], ens["members1"]) == (indices0[:k], indices1[:k])
+    assert (ens["mu_risks0"], ens["mu_risks1"]) == (risks0[:k], risks1[:k])
     x = load_csv(out / "dataset.csv")[0].x[split_idx.test]
-    for p, q in zip(ens.members0 + ens.members1, members0[:k] + members1[:k]):
-        assert predict_tau(p, x).tobytes() == predict_tau(q, x).tobytes()
-    untrimmed = EnsembleModel(members0, members1, eta, ens.mode, ens.param, risks0, risks1)
-    assert ensemble_predict(ens, x).tobytes() == ensemble_predict(untrimmed, x).tobytes()
+    untrimmed = EnsembleModel(members0, members1, eta, ens["mode"], ens["param"], risks0, risks1)
+    assert ensemble_predict(rebuilt, x).tobytes() == ensemble_predict(untrimmed, x).tobytes()
+
+
+def test_only_model_files_hold_parameters(tmp_path):
+    cfg, out = run_sweep(tmp_path, "run")
+    for command in ("ensemble", "fit"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    holders = {str(p.relative_to(out)) for p in out.rglob("*.json") if '"theta"' in p.read_text()}
+    assert holders == {"model.json"} | {f"models/member_{i:03d}.json" for i in range(4)}
+    assert os.path.getsize(out / "ensemble.json") < 10_000
 
 
 def test_malformed_member_file_exits_2(tmp_path, capsys):

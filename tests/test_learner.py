@@ -5,8 +5,7 @@ import pytest
 
 from alrite.data import generate_ihdp_like, split
 from alrite.learner import (AlriteModel, EnsembleModel, aggregate_tau,
-                            alrite_fit, alrite_predict, build_softmax_ensemble,
-                            build_topk_ensemble, ensemble_predict,
+                            alrite_fit, alrite_predict, ensemble_predict,
                             eta_sensitivity_check, predict_ensemble_grid,
                             rank_members, select_ensemble_hyperparam,
                             softmax_weights)
@@ -127,7 +126,7 @@ def test_topk_k1_equals_best_single_member():
     eta = constant_eta_model(0.4)
     risks0 = [0.1, 0.2, 0.3, 0.4]
     risks1 = [0.15, 0.25, 0.35, 0.45]
-    ens = build_topk_ensemble(members0, members1, eta, 1, risks0, risks1, clip=0.0)
+    ens = EnsembleModel(members0, members1, eta, "top_k", 1, risks0, risks1, clip=0.0)
     expect = aggregate_tau(members0[0], members1[0], eta, ds.x, clip=0.0)
     assert np.array_equal(ensemble_predict(ens, ds.x), expect)
 
@@ -137,7 +136,7 @@ def test_topk_identical_members_collapse():
     eta = constant_eta_model(0.5)
     m0 = [members0[0]] * 3
     m1 = [members1[0]] * 3
-    ens = build_topk_ensemble(m0, m1, eta, 3, [0.1] * 3, [0.1] * 3, clip=0.0)
+    ens = EnsembleModel(m0, m1, eta, "top_k", 3, [0.1] * 3, [0.1] * 3, clip=0.0)
     single = aggregate_tau(members0[0], members1[0], eta, ds.x, clip=0.0)
     assert np.allclose(ensemble_predict(ens, ds.x), single)
 
@@ -145,8 +144,8 @@ def test_topk_identical_members_collapse():
 def test_topk_k3_hand_average():
     ds, truth, members0, members1 = linear_members(2)
     eta = constant_eta_model(0.3)
-    ens = build_topk_ensemble(members0, members1, eta, 3,
-                              [0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4], clip=0.0)
+    ens = EnsembleModel(members0, members1, eta, "top_k", 3,
+                        [0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4], clip=0.0)
     avg0 = np.mean([predict_tau(p, ds.x) for p in members0[:3]], axis=0)
     avg1 = np.mean([predict_tau(p, ds.x) for p in members1[:3]], axis=0)
     assert np.allclose(ensemble_predict(ens, ds.x), 0.7 * avg0 + 0.3 * avg1)
@@ -159,9 +158,9 @@ def test_topk_trimmed_to_k_members_predicts_bit_equal():
     rng = np.random.default_rng(4)
     x = np.vstack([ds.x, 1e3 * rng.standard_normal((20, 2)), np.zeros((1, 2))])
     for k in range(1, 5):
-        full = build_topk_ensemble(members0, members1, eta, k, risks0, risks1)
-        trimmed = build_topk_ensemble(members0[:k], members1[:k], eta, k,
-                                      risks0[:k], risks1[:k])
+        full = EnsembleModel(members0, members1, eta, "top_k", k, risks0, risks1)
+        trimmed = EnsembleModel(members0[:k], members1[:k], eta, "top_k", k,
+                                risks0[:k], risks1[:k])
         assert ensemble_predict(trimmed, x).tobytes() == ensemble_predict(full, x).tobytes()
 
 
@@ -169,9 +168,9 @@ def test_topk_k_out_of_range():
     ds, truth, members0, members1 = linear_members(3, count=2)
     eta = constant_eta_model(0.5)
     with pytest.raises(ValueError):
-        build_topk_ensemble(members0, members1, eta, 3, [0.1, 0.2], [0.1, 0.2])
+        EnsembleModel(members0, members1, eta, "top_k", 3, [0.1, 0.2], [0.1, 0.2])
     with pytest.raises(ValueError):
-        build_topk_ensemble(members0, members1, eta, 0, [0.1, 0.2], [0.1, 0.2])
+        EnsembleModel(members0, members1, eta, "top_k", 0, [0.1, 0.2], [0.1, 0.2])
 
 
 def test_softmax_weights_probability_vector_and_hand_value():
@@ -190,13 +189,13 @@ def test_softmax_limits():
     risks0 = [0.1, 0.2, 0.3, 0.4]
     risks1 = [0.12, 0.22, 0.32, 0.42]
     # lambda -> 0: plain average
-    tiny = build_softmax_ensemble(members0, members1, eta, 1e-12, risks0, risks1, clip=0.0)
-    full = build_topk_ensemble(members0, members1, eta, 4, risks0, risks1, clip=0.0)
+    tiny = EnsembleModel(members0, members1, eta, "softmax", 1e-12, risks0, risks1, clip=0.0)
+    full = EnsembleModel(members0, members1, eta, "top_k", 4, risks0, risks1, clip=0.0)
     assert np.allclose(ensemble_predict(tiny, ds.x), ensemble_predict(full, ds.x),
                        atol=1e-9)
     # huge lambda: the single lowest-risk member
-    sharp = build_softmax_ensemble(members0, members1, eta, 1e6, risks0, risks1, clip=0.0)
-    best = build_topk_ensemble(members0, members1, eta, 1, risks0, risks1, clip=0.0)
+    sharp = EnsembleModel(members0, members1, eta, "softmax", 1e6, risks0, risks1, clip=0.0)
+    best = EnsembleModel(members0, members1, eta, "top_k", 1, risks0, risks1, clip=0.0)
     assert np.allclose(ensemble_predict(sharp, ds.x), ensemble_predict(best, ds.x),
                        atol=1e-6)
 
@@ -210,21 +209,24 @@ def test_ensemble_validation():
     ds, truth, members0, members1 = linear_members(6, count=2)
     eta = constant_eta_model(0.5)
     with pytest.raises(ValueError, match="sorted"):
-        build_topk_ensemble(members0, members1, eta, 1, [0.3, 0.1], [0.1, 0.2])
+        EnsembleModel(members0, members1, eta, "top_k", 1, [0.3, 0.1], [0.1, 0.2])
     with pytest.raises(ValueError, match="lambda"):
-        build_softmax_ensemble(members0, members1, eta, 0.0, [0.1, 0.2], [0.1, 0.2])
+        EnsembleModel(members0, members1, eta, "softmax", 0.0, [0.1, 0.2], [0.1, 0.2])
 
 
 def test_rank_members_sorted_by_validation_risk():
     ds, truth, members0, _ = linear_members(7)
     idx = np.arange(ds.n)
     mse = [factual_mse(p, ds, idx) for p in members0]
-    ranked, risks = rank_members(members0, mse)
+    indices = [10 + k for k in range(len(members0))]
+    ranked_indices, ranked, risks = rank_members(indices, members0, mse)
     assert risks == sorted(mse)
     assert [id(p) for p in ranked] == [id(members0[i]) for i in np.argsort(mse)]
+    assert ranked_indices == [indices[i] for i in np.argsort(mse)]
     # stable: equal risks keep their submission order
-    ranked, risks = rank_members(members0, [0.5] * len(members0))
+    ranked_indices, ranked, risks = rank_members(indices, members0, [0.5] * len(members0))
     assert [id(p) for p in ranked] == [id(p) for p in members0]
+    assert ranked_indices == indices
     assert risks == [0.5] * len(members0)
 
 
@@ -232,8 +234,10 @@ def test_select_ensemble_hyperparam_dominance_and_tie():
     ds, truth, members0, members1 = linear_members(8)
     eta = constant_eta_model(0.5)
     idx = np.arange(ds.n)
-    ranked0, risks0 = rank_members(members0, [factual_mse(p, ds, idx) for p in members0])
-    ranked1, risks1 = rank_members(members1, [factual_mse(p, ds, idx) for p in members1])
+    _, ranked0, risks0 = rank_members(range(4), members0,
+                                      [factual_mse(p, ds, idx) for p in members0])
+    _, ranked1, risks1 = rank_members(range(4), members1,
+                                      [factual_mse(p, ds, idx) for p in members1])
     chosen, table = select_ensemble_hyperparam(ranked0, ranked1, eta, "top_k",
                                                [1, 2, 3, 4], ds, idx, risks0, risks1)
     assert chosen in (1, 2, 3, 4)
@@ -256,7 +260,7 @@ def test_ensemble_grid_matches_each_ensemble():
     mus = predict_ensemble_grid(members0, members1, eta, "softmax", lams,
                                 risks, risks, ds.x, ds.t)
     for lam, tau, mu in zip(lams, taus, mus):
-        ens = build_softmax_ensemble(members0, members1, eta, lam, risks, risks)
+        ens = EnsembleModel(members0, members1, eta, "softmax", lam, risks, risks)
         assert np.array_equal(tau, ensemble_predict(ens, ds.x))
         per0 = [predict_mu(p, ds.x, ds.t) for p in members0]
         per1 = [predict_mu(p, ds.x, ds.t) for p in members1]
@@ -273,9 +277,6 @@ def test_serialization_round_trips():
     model = AlriteModel(members0[0], members1[0], eta)
     clone = AlriteModel.from_dict(model.to_dict())
     assert np.allclose(alrite_predict(clone, ds.x), alrite_predict(model, ds.x))
-    ens = build_softmax_ensemble(members0, members1, eta, 2.0, [0.1, 0.2], [0.1, 0.2])
-    ens2 = EnsembleModel.from_dict(ens.to_dict())
-    assert np.allclose(ensemble_predict(ens2, ds.x), ensemble_predict(ens, ds.x))
 
 
 def test_role_invariant_enforced():

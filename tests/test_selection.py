@@ -1,13 +1,15 @@
 """Auxiliary regressors, the eight proxy risks against a hand-evaluated
 table, rank statistics against enumeration oracles, and candidate choice."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from alrite.data import Dataset, GroundTruth
 from alrite.propensity import PropensityModel, predict_eta
-from alrite.selection import (PROXY_KINDS, Auxiliaries,
-                              fit_auxiliaries, fit_kernel_ridge_cv,
+from alrite.selection import (PROXY_KINDS, Auxiliaries, _fit_kernel_ridge,
+                              _rbf_kernel, fit_auxiliaries, fit_kernel_ridge_cv,
                               nn_imputed_outcome, proxy_score, proxy_terms,
                               rank_agreement, score_candidate, _average_ranks,
                               _inverse_propensity)
@@ -182,6 +184,31 @@ def test_kernel_ridge_constant_target():
     model = fit_kernel_ridge_cv(x, np.full(30, 2.5), seed=0)
     assert np.allclose(model.predict(x), 2.5, atol=1e-9)
     assert np.allclose(model.predict(np.zeros((3, 2))), 2.5, atol=1e-6)
+
+
+@pytest.mark.parametrize("n, d, bandwidth, ridge",
+                         [(1, 1, 1.0, 1e-6), (7, 2, 0.5, 1e-3), (120, 5, 2.0, 1e-1),
+                          (333, 25, 3.0, 1e-6)])
+def test_kernel_ridge_in_place_ridge_keeps_bytes(n, d, bandwidth, ridge):
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal((n, d)), rng.standard_normal(n)
+    k = _rbf_kernel(x, x, bandwidth)
+    expect = np.linalg.solve(k + ridge * np.eye(n), y - float(np.mean(y)))
+    assert _fit_kernel_ridge(x, y, bandwidth, ridge).alpha.tobytes() == expect.tobytes()
+
+
+def test_kernel_ridge_fit_holds_one_kernel_matrix():
+    # building k + ridge * I next to the kernel k would hold a second n x n array
+    n = 1500
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal((n, 10)), rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        _fit_kernel_ridge(x, y, 1.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
 
 
 def test_fit_auxiliaries_deterministic():
