@@ -30,8 +30,7 @@ from .learner import (AlriteModel, _blend, alrite_fit, alrite_predict, predict_e
 from .metrics import (bound_m1, bound_m2, bound_m3, eps_ate,
                       make_linear_instance, pehe, policy_risks)
 from .pipeline import Pipeline, PipelineHyperparams, predict_mu, predict_tau, train_pipeline
-from .propensity import (DEFAULT_CLIP, DEFAULT_PROPENSITY_GRID, PropensityModel, predict_eta,
-                         select_propensity)
+from .propensity import DEFAULT_PROPENSITY_GRID, PropensityModel, predict_eta, select_propensity
 from .selection import PROXY_KINDS, fit_auxiliaries, proxy_terms, rank_agreement, score_candidate
 
 # hyper-parameter search domains
@@ -43,6 +42,9 @@ BATCH_GRID = (50, 100, 200, 500)
 LAMBDA_GRID = tuple(10.0 ** (k / 2) for k in range(-4, 9))
 
 DATASET_KINDS = ("ihdp_like", "acic_like", "toy", "csv")
+# search keys shared by every sweep member, with their types; unset, they
+# take PipelineHyperparams' defaults
+TRAINING_KEYS = {"epochs": int, "base_lr": float, "gamma": float}
 
 
 class ConfigError(ValueError):
@@ -55,11 +57,11 @@ class ExperimentConfig:
     dataset: dict = field(default_factory=lambda: {"kind": "ihdp_like"})
     split: dict = field(default_factory=lambda: {"test_fraction": 0.1, "val_fraction": 0.3})
     search: dict = field(default_factory=lambda: {"l0": 2, "l1": 2})
-    propensity_grid: list | None = None
+    propensity_grid: list | None = None  # None: DEFAULT_PROPENSITY_GRID
     selection: dict = field(default_factory=lambda: {"proxy": "mu_risk"})
     ensemble: dict = field(default_factory=lambda: {"mode": "top_k"})
     bounds: dict = field(default_factory=dict)
-    fit: dict = field(default_factory=dict)
+    fit: dict = field(default_factory=dict)  # "hp0", "hp1": PipelineHyperparams once validated
     output_dir: str | None = None
 
 
@@ -74,7 +76,17 @@ def _check_subgrid(name: str, values, domain) -> tuple:
     return tuple(out)
 
 
+def _hyperparams(name: str, values: dict) -> PipelineHyperparams:
+    try:
+        return PipelineHyperparams(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
+    """The checked config: each section's defaults (the field factories of
+    `ExperimentConfig`) filled in, and `fit` turned into the "hp0" and "hp1"
+    PipelineHyperparams."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     known = {"seed", "dataset", "split", "search", "propensity_grid",
@@ -82,7 +94,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    cfg = ExperimentConfig(**{k: raw[k] for k in raw})
+    cfg = ExperimentConfig(**raw)
+    for name in ("dataset", "split", "search", "selection", "ensemble", "bounds", "fit"):
+        if not isinstance(getattr(cfg, name), dict):
+            raise ConfigError(f"{name}: must be a JSON object")
+    defaults = ExperimentConfig()
+    for name in ("split", "search", "selection", "ensemble"):
+        setattr(cfg, name, {**getattr(defaults, name), **getattr(cfg, name)})
     if not isinstance(cfg.seed, int) or cfg.seed < 0:
         raise ConfigError("seed: must be a non-negative integer")
     kind = cfg.dataset.get("kind")
@@ -91,28 +109,37 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if kind == "csv" and "path" not in cfg.dataset:
         raise ConfigError("dataset.path: required for kind 'csv'")
     for key in ("test_fraction", "val_fraction"):
-        frac = cfg.split.get(key, 0.1 if key == "test_fraction" else 0.3)
+        frac = cfg.split[key]
         if not (isinstance(frac, (int, float)) and 0 < frac < 1):
             raise ConfigError(f"split.{key}: must lie strictly in (0, 1)")
         cfg.split[key] = float(frac)
     for key in ("l0", "l1"):
-        val = cfg.search.get(key, 2)
+        val = cfg.search[key]
         if not (isinstance(val, int) and val >= 1):
             raise ConfigError(f"search.{key}: must be an integer >= 1")
-        cfg.search[key] = val
     for key, domain in (("alpha_grid", ALPHA_GRID), ("beta_grid", BETA_GRID),
                         ("layer_grid", LAYER_GRID), ("width_grid", WIDTH_GRID),
                         ("batch_grid", BATCH_GRID)):
         if key in cfg.search:
             cfg.search[key] = _check_subgrid(f"search.{key}", cfg.search[key], domain)
-    proxy = cfg.selection.get("proxy", "mu_risk")
+    for key, cast in TRAINING_KEYS.items():
+        if key in cfg.search:
+            _hyperparams(f"search.{key}", {key: cfg.search[key]})
+            cfg.search[key] = cast(cfg.search[key])
+    proxy = cfg.selection["proxy"]
     if proxy not in PROXY_KINDS:
         raise ConfigError(f"selection.proxy: expected one of {PROXY_KINDS}, got {proxy!r}")
-    cfg.selection["proxy"] = proxy
-    mode = cfg.ensemble.get("mode", "top_k")
+    mode = cfg.ensemble["mode"]
     if mode not in ("top_k", "softmax"):
         raise ConfigError(f"ensemble.mode: expected top_k or softmax, got {mode!r}")
-    cfg.ensemble["mode"] = mode
+    cfg.propensity_grid = list(cfg.propensity_grid or DEFAULT_PROPENSITY_GRID)
+    unknown = set(cfg.fit) - {"hp0", "hp1"}
+    if unknown:
+        raise ConfigError(f"fit: unknown fields {sorted(unknown)}")
+    # fit takes the search's epochs and base_lr unless hp0/hp1 set them
+    shared = {k: cfg.search[k] for k in ("epochs", "base_lr") if k in cfg.search}
+    cfg.fit = {hp: _hyperparams(f"fit.{hp}", {**shared, **cfg.fit.get(hp, {})})
+               for hp in ("hp0", "hp1")}
     return cfg
 
 
@@ -141,14 +168,12 @@ def sample_hyperparams(rng: np.random.Generator, search: dict) -> PipelineHyperp
     return PipelineHyperparams(
         alpha=float(pick("alpha_grid", ALPHA_GRID)),
         beta=float(pick("beta_grid", BETA_GRID)),
-        gamma=float(search.get("gamma", 1e-4)),
         embed_layers=int(pick("layer_grid", LAYER_GRID)),
         head_layers=int(pick("layer_grid", LAYER_GRID)),
         embed_width=int(pick("width_grid", WIDTH_GRID)),
         head_width=int(pick("width_grid", WIDTH_GRID)),
         batch_size=int(pick("batch_grid", BATCH_GRID)),
-        epochs=int(search.get("epochs", 100)),
-        base_lr=float(search.get("base_lr", 1e-2)),
+        **{k: cast(search[k]) for k, cast in TRAINING_KEYS.items() if k in search},
     )
 
 
@@ -270,16 +295,15 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     if not ok0 or not ok1:
         raise RuntimeError("sweep produced no usable member for at least one role")
 
-    grid = cfg.propensity_grid or list(DEFAULT_PROPENSITY_GRID)
     train_idx = split_idx.train
-    eta = select_propensity(dataset.x[train_idx], dataset.t[train_idx], grid,
+    eta = select_propensity(dataset.x[train_idx], dataset.t[train_idx], cfg.propensity_grid,
                             folds=5, seed=member_seed(cfg.seed, 10_000))
     _write_json(out / "eta.json", eta.to_dict())
     aux = fit_auxiliaries(dataset, train_idx, member_seed(cfg.seed, 10_001), eta)
 
     val = split_idx.validation
     x_val, t_val, y_val = dataset.x[val], dataset.t[val], dataset.y[val]
-    eta_val = predict_eta(eta, x_val, aux.clip)
+    eta_val = predict_eta(eta, x_val)
     terms = proxy_terms(dataset, val, aux, eta_val)
     tau = {k: predict_tau(pipelines[k], x_val) for k in ok0 + ok1}
     mu = {k: predict_mu(pipelines[k], x_val, t_val) for k in ok0 + ok1}
@@ -307,19 +331,11 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     return 0
 
 
-def _default_hp(cfg: ExperimentConfig, section: str) -> PipelineHyperparams:
-    base = {"epochs": cfg.search.get("epochs", 100),
-            "base_lr": cfg.search.get("base_lr", 1e-2)}
-    base.update(cfg.fit.get(section, {}))
-    return PipelineHyperparams(**base)
-
-
 def cmd_fit(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     dataset, _ = _resolve_dataset(cfg, out)
     split_idx = _split_for(cfg, dataset)
-    grid = cfg.propensity_grid or list(DEFAULT_PROPENSITY_GRID)
-    model, reports = alrite_fit(dataset, split_idx, _default_hp(cfg, "hp0"),
-                                _default_hp(cfg, "hp1"), grid, cfg.seed)
+    model, reports = alrite_fit(dataset, split_idx, cfg.fit["hp0"], cfg.fit["hp1"],
+                                cfg.propensity_grid, cfg.seed)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "model.json", model.to_dict())
     _write_json(out / "fit_report.json", {
@@ -443,7 +459,7 @@ def cmd_ensemble(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     # members by their sweep index (models/ as sweep.json lists them), eta_hat
     # is the eta.json beside it
     _write_json(out / "ensemble.json", {
-        "mode": mode, "param": float(chosen), "clip": DEFAULT_CLIP,
+        "mode": mode, "param": float(chosen),
         "members0": indices0, "members1": indices1,
         "mu_risks0": risks0, "mu_risks1": risks1})
     chosen_risk = table[candidates.index(chosen)]["mu_risk"]
@@ -594,10 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            cfg = load_config(args.config)
-        else:
-            cfg = ExperimentConfig()
+        cfg = load_config(args.config) if args.config is not None else validate_config({})
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("seed: must be non-negative")

@@ -14,8 +14,7 @@ import numpy as np
 from .data import Dataset, SplitIndices
 from .pipeline import (Pipeline, PipelineHyperparams, TrainReport, predict_mu,
                        predict_tau, train_pipeline)
-from .propensity import (DEFAULT_CLIP, DEFAULT_PROPENSITY_GRID, PropensityModel,
-                         predict_eta, select_propensity)
+from .propensity import DEFAULT_PROPENSITY_GRID, PropensityModel, predict_eta, select_propensity
 
 
 @dataclass
@@ -23,20 +22,19 @@ class AlriteModel:
     p0: Pipeline  # control-driven
     p1: Pipeline  # treatment-driven
     eta: PropensityModel
-    clip: float = DEFAULT_CLIP
 
     def __post_init__(self):
         if self.p0.role != "control_driven" or self.p1.role != "treatment_driven":
             raise ValueError("p0 must be control-driven and p1 treatment-driven")
 
     def to_dict(self) -> dict:
-        return {"p0": self.p0.to_dict(), "p1": self.p1.to_dict(),
-                "eta": self.eta.to_dict(), "clip": self.clip}
+        return {"p0": self.p0.to_dict(), "p1": self.p1.to_dict(), "eta": self.eta.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "AlriteModel":
+        """Inverse of `to_dict`; the "clip" key of older files is ignored."""
         return cls(Pipeline.from_dict(d["p0"]), Pipeline.from_dict(d["p1"]),
-                   PropensityModel.from_dict(d["eta"]), d.get("clip", DEFAULT_CLIP))
+                   PropensityModel.from_dict(d["eta"]))
 
 
 def _blend(eta_hat, v0, v1):
@@ -45,23 +43,20 @@ def _blend(eta_hat, v0, v1):
     return (1.0 - eta_hat) * v0 + eta_hat * v1
 
 
-def aggregate_tau(p0: Pipeline, p1: Pipeline, eta: PropensityModel,
-                  x: np.ndarray, clip: float = DEFAULT_CLIP):
+def aggregate_tau(p0: Pipeline, p1: Pipeline, eta: PropensityModel, x: np.ndarray):
     """tau_hat(x) = (1 - eta_hat(x)) tau0(x) + eta_hat(x) tau1(x)."""
-    return _blend(predict_eta(eta, x, clip), predict_tau(p0, x), predict_tau(p1, x))
+    return _blend(predict_eta(eta, x), predict_tau(p0, x), predict_tau(p1, x))
 
 
-def aggregate_mu(p0: Pipeline, p1: Pipeline, eta: PropensityModel,
-                 x: np.ndarray, arm, clip: float = DEFAULT_CLIP):
+def aggregate_mu(p0: Pipeline, p1: Pipeline, eta: PropensityModel, x: np.ndarray, arm):
     """Factual prediction of the aggregated candidate: the two pipelines'
     arm predictions combined with the same propensity weights as tau_hat."""
-    return _blend(predict_eta(eta, x, clip), predict_mu(p0, x, arm), predict_mu(p1, x, arm))
+    return _blend(predict_eta(eta, x), predict_mu(p0, x, arm), predict_mu(p1, x, arm))
 
 
 def alrite_fit(dataset: Dataset, split: SplitIndices,
                hp0: PipelineHyperparams, hp1: PipelineHyperparams,
                propensity_grid=DEFAULT_PROPENSITY_GRID, seed: int = 0,
-               clip: float = DEFAULT_CLIP,
                ) -> tuple[AlriteModel, dict[str, TrainReport]]:
     """Three independent trainings from per-trainer seed streams derived
     from the master seed."""
@@ -70,12 +65,12 @@ def alrite_fit(dataset: Dataset, split: SplitIndices,
     p1, rep1 = train_pipeline(dataset, split, "treatment_driven", hp1, int(s1))
     train_idx = np.asarray(split.train, dtype=int)
     eta = select_propensity(dataset.x[train_idx], dataset.t[train_idx],
-                            propensity_grid, folds=5, seed=int(s_eta), clip=clip)
-    return AlriteModel(p0, p1, eta, clip), {"p0": rep0, "p1": rep1}
+                            propensity_grid, folds=5, seed=int(s_eta))
+    return AlriteModel(p0, p1, eta), {"p0": rep0, "p1": rep1}
 
 
 def alrite_predict(model: AlriteModel, x: np.ndarray):
-    return aggregate_tau(model.p0, model.p1, model.eta, x, model.clip)
+    return aggregate_tau(model.p0, model.p1, model.eta, x)
 
 
 def eta_sensitivity_check(model: AlriteModel, eta_true: np.ndarray,
@@ -88,9 +83,9 @@ def eta_sensitivity_check(model: AlriteModel, eta_true: np.ndarray,
     eta_true = np.asarray(eta_true, dtype=float)
     tau_true = np.asarray(tau_true, dtype=float)
     x = dataset.x
-    tau0 = np.atleast_1d(predict_tau(model.p0, x))
-    tau1 = np.atleast_1d(predict_tau(model.p1, x))
-    eta_hat = np.atleast_1d(predict_eta(model.eta, x, model.clip))
+    tau0 = predict_tau(model.p0, x)
+    tau1 = predict_tau(model.p1, x)
+    eta_hat = predict_eta(model.eta, x)
     tau_hat = _blend(eta_hat, tau0, tau1)
     tau_oracle_eta = _blend(eta_true, tau0, tau1)
 
@@ -114,7 +109,6 @@ class EnsembleModel:
     param: float  # K for top_k, lambda for softmax
     mu_risks0: list[float]
     mu_risks1: list[float]
-    clip: float = DEFAULT_CLIP
 
     def __post_init__(self):
         if self.mode not in ("top_k", "softmax"):
@@ -171,13 +165,11 @@ def _combine(model: EnsembleModel, per_member0, per_member1, eta_hat):
 
 def ensemble_predict(model: EnsembleModel, x: np.ndarray):
     return predict_ensemble_grid(model.members0, model.members1, model.eta, model.mode,
-                                 [model.param], model.mu_risks0, model.mu_risks1, x,
-                                 clip=model.clip)[0]
+                                 [model.param], model.mu_risks0, model.mu_risks1, x)[0]
 
 
 def predict_ensemble_grid(members0, members1, eta, mode: str, candidates,
-                          mu_risks0, mu_risks1, x: np.ndarray, arm=None,
-                          clip=DEFAULT_CLIP) -> list[np.ndarray]:
+                          mu_risks0, mu_risks1, x: np.ndarray, arm=None) -> list[np.ndarray]:
     """Predictions at x of the ensemble built with each K or lambda in
     `candidates`: effects, or factual outcomes when `arm` is given. Each
     member and eta_hat are predicted once for the whole grid."""
@@ -187,15 +179,15 @@ def predict_ensemble_grid(members0, members1, eta, mode: str, candidates,
 
     per_member0 = [predict(p) for p in members0]
     per_member1 = [predict(p) for p in members1]
-    eta_hat = predict_eta(eta, x, clip)
+    eta_hat = predict_eta(eta, x)
     return [_combine(EnsembleModel(members0, members1, eta, mode, float(c), mu_risks0,
-                                   mu_risks1, clip), per_member0, per_member1, eta_hat)
+                                   mu_risks1), per_member0, per_member1, eta_hat)
             for c in candidates]
 
 
 def select_ensemble_hyperparam(members0, members1, eta, mode: str, candidates,
                                dataset: Dataset, val_indices,
-                               mu_risks0, mu_risks1, clip=DEFAULT_CLIP):
+                               mu_risks0, mu_risks1):
     """Pick the K or lambda whose ensemble minimizes validation factual
     mu-risk; ties keep the earliest (smallest) candidate. Returns the chosen
     value and the per-candidate risk table."""
@@ -206,7 +198,7 @@ def select_ensemble_hyperparam(members0, members1, eta, mode: str, candidates,
     if idx.size == 0:
         raise ValueError("empty index set")
     preds = predict_ensemble_grid(members0, members1, eta, mode, candidates, mu_risks0,
-                                  mu_risks1, dataset.x[idx], dataset.t[idx], clip)
+                                  mu_risks1, dataset.x[idx], dataset.t[idx])
     table = [{"candidate": c, "mu_risk": float(np.mean((dataset.y[idx] - pred) ** 2))}
              for c, pred in zip(candidates, preds)]
     winner = int(np.argmin([row["mu_risk"] for row in table]))

@@ -77,14 +77,11 @@ def elu_grad(u: np.ndarray) -> np.ndarray:
     return np.where(u >= 0, 1.0, np.exp(u))
 
 
-def _as_batch(x: np.ndarray, in_dim: int) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, in_dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != in_dim:
-        raise ValueError(f"input shape {x.shape} incompatible with input dim {in_dim}")
-    return x, single
+        raise ValueError(f"input shape {x.shape} is not an (n, {in_dim}) batch")
+    return x
 
 
 def forward_cached(mlp: Mlp, x: np.ndarray):
@@ -93,7 +90,7 @@ def forward_cached(mlp: Mlp, x: np.ndarray):
     Returns (output, cache). cache holds the input of each affine layer and
     the pre-activations of hidden layers, plus normalization state.
     """
-    x, _ = _as_batch(x, mlp.in_dim)
+    x = _as_batch(x, mlp.in_dim)
     inputs = [x]
     pre_acts = []
     a = x
@@ -118,16 +115,16 @@ def forward_cached(mlp: Mlp, x: np.ndarray):
 
 
 def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network; accepts a single vector or an (n, d) batch."""
-    xb, single = _as_batch(x, mlp.in_dim)
-    out, _ = forward_cached(mlp, xb)
+    """Evaluate the network on an (n, d) batch."""
+    out, _ = forward_cached(mlp, x)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite network output")
-    return out[0] if single else out
+    return out
 
 
 def backward(mlp: Mlp, cache, upstream: np.ndarray):
-    """Exact reverse-mode gradients given upstream = dL/d(output).
+    """Exact reverse-mode gradients given upstream = dL/d(output), one row
+    per row of the cached batch.
 
     Returns (grad_weights, grad_biases, grad_input); all sums over the batch.
     """
@@ -135,8 +132,6 @@ def backward(mlp: Mlp, cache, upstream: np.ndarray):
     if not np.all(np.isfinite(upstream)):
         raise FloatingPointError("non-finite upstream gradient")
     inputs, pre_acts, raw_out, norms = cache
-    if upstream.ndim == 1:
-        upstream = upstream[None, :]
     g = upstream
     if mlp.output_normalization:
         safe = np.where(norms > 0, norms, 1.0)

@@ -133,6 +133,10 @@ class PipelineHyperparams:
     decay_period: int = 100
 
     def __post_init__(self):
+        counts = (self.embed_layers, self.head_layers, self.embed_width, self.head_width,
+                  self.batch_size, self.epochs, self.decay_period)
+        if not all(isinstance(v, (int, np.integer)) for v in counts):
+            raise ValueError("layers, widths, batch size, epochs and decay period must be integers")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ValueError("alpha, beta, gamma must be >= 0")
         if min(self.embed_layers, self.head_layers) < 1:
@@ -164,10 +168,16 @@ def build_pipeline(d: int, role: str, hp: PipelineHyperparams,
 
 
 def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap, hp: PipelineHyperparams,
-               n_focus: int, n_other: int, batch: np.ndarray, want_grads: bool):
+               batch, want_grads: bool):
     # heads[focus], the own head, fits the focus arm's outcome; heads[1 - focus],
     # the cross head, fits the opposite arm with twin-vote weights.
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=int)
+    y = np.asarray(y, dtype=float)
     focus = p.focus_arm
+    n_focus = int(np.sum(t == focus))
+    n_other = len(t) - n_focus
+    batch = np.arange(len(t)) if batch is None else np.asarray(batch, dtype=int)
     heads = (p.h0, p.h1)
     bf = batch[t[batch] == focus]
     bo = batch[t[batch] == 1 - focus]
@@ -220,12 +230,6 @@ def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap, hp: PipelineHyperparams,
     return total, terms, grad
 
 
-def _batch_indices(indices, n):
-    if indices is None:
-        return np.arange(n)
-    return np.asarray(indices, dtype=int)
-
-
 def compound_loss(p: Pipeline, x: np.ndarray, t: np.ndarray, y: np.ndarray,
                   twinmap: TwinMap, hp: PipelineHyperparams,
                   batch: np.ndarray | None = None):
@@ -233,42 +237,25 @@ def compound_loss(p: Pipeline, x: np.ndarray, t: np.ndarray, y: np.ndarray,
     (defaults to all samples). Normalizers use full-set arm counts so
     batch losses sum to the full loss over an epoch (up to the shared
     regularizer)."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=int)
-    y = np.asarray(y, dtype=float)
-    nf = int(np.sum(t == p.focus_arm))
-    no = len(t) - nf
-    total, terms, _ = _loss_core(p, x, t, y, twinmap, hp, nf, no,
-                                 _batch_indices(batch, len(t)), want_grads=False)
+    total, terms, _ = _loss_core(p, x, t, y, twinmap, hp, batch, want_grads=False)
     return total, terms
 
 
 def compound_loss_grads(p: Pipeline, x, t, y, twinmap: TwinMap,
                         hp: PipelineHyperparams, batch=None):
     """Loss, breakdown and the gradient as one vector laid out like `p.theta`."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=int)
-    y = np.asarray(y, dtype=float)
-    focus = p.focus_arm
-    nf = int(np.sum(t == focus))
-    no = len(t) - nf
-    total, terms, grad = _loss_core(p, x, t, y, twinmap, hp, nf, no,
-                                    _batch_indices(batch, len(t)), want_grads=True)
+    total, terms, grad = _loss_core(p, x, t, y, twinmap, hp, batch, want_grads=True)
     grad += 2.0 * hp.gamma * p.theta
     return total, terms, grad
 
 
-def _latent(p: Pipeline, x_std: np.ndarray) -> np.ndarray:
-    return forward(p.phi, np.atleast_2d(x_std))
-
-
 def predict_mu(p: Pipeline, x: np.ndarray, arm) -> np.ndarray:
-    """Factual prediction for the given arm(s), in original outcome units."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    scaler = p.scaler or identity_scaler(x.shape[1])
-    z = _latent(p, scaler.transform_x(x))
-    arm = np.broadcast_to(np.asarray(arm, dtype=int), (x.shape[0],))
-    out = np.empty(x.shape[0])
+    """Factual prediction for the given arm(s) at each row of the (n, d)
+    batch x, in original outcome units."""
+    scaler = p.scaler or identity_scaler(np.shape(x)[-1])
+    z = forward(p.phi, scaler.transform_x(x))
+    arm = np.broadcast_to(np.asarray(arm, dtype=int), (len(z),))
+    out = np.empty(len(z))
     for a, head in ((0, p.h0), (1, p.h1)):
         mask = arm == a
         if mask.any():
@@ -276,28 +263,16 @@ def predict_mu(p: Pipeline, x: np.ndarray, arm) -> np.ndarray:
     return scaler.inverse_y(out)
 
 
-def predict_tau(p: Pipeline, x: np.ndarray):
-    """h1(phi(x)) - h0(phi(x)), de-standardized to outcome units."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    scaler = p.scaler or identity_scaler(xb.shape[1])
-    z = _latent(p, scaler.transform_x(xb))
-    tau = (forward(p.h1, z)[:, 0] - forward(p.h0, z)[:, 0]) * scaler.y_scale
-    return float(tau[0]) if single else tau
-
-
-def factual_mse(p: Pipeline, dataset: Dataset, indices) -> float:
-    """Mean squared factual error over the given indices, original units."""
-    idx = np.asarray(indices, dtype=int)
-    if idx.size == 0:
-        raise ValueError("empty index set")
-    pred = predict_mu(p, dataset.x[idx], dataset.t[idx])
-    return float(np.mean((dataset.y[idx] - pred) ** 2))
+def predict_tau(p: Pipeline, x: np.ndarray) -> np.ndarray:
+    """h1(phi(x)) - h0(phi(x)) at each row of the (n, d) batch x,
+    de-standardized to outcome units."""
+    scaler = p.scaler or identity_scaler(np.shape(x)[-1])
+    z = forward(p.phi, scaler.transform_x(x))
+    return (forward(p.h1, z)[:, 0] - forward(p.h0, z)[:, 0]) * scaler.y_scale
 
 
 def _val_factual_mse_std(p: Pipeline, x_std, t, y_std, idx) -> float:
-    z = _latent(p, x_std[idx])
+    z = forward(p.phi, x_std[idx])
     pred = np.where(t[idx] == 1, forward(p.h1, z)[:, 0], forward(p.h0, z)[:, 0])
     return float(np.mean((y_std[idx] - pred) ** 2))
 

@@ -2,8 +2,8 @@
 cross-entropy, a k-nearest-neighbor classifier and a CART-style decision
 tree, plus grid-search cross-validation and calibration diagnostics.
 
-Predictions are always clipped into [clip, 1 - clip]; default clip 0.01,
-bounding inverse-propensity weights by 100.
+Predictions are always clipped into [DEFAULT_CLIP, 1 - DEFAULT_CLIP] =
+[0.01, 0.99], bounding inverse-propensity weights by 100.
 
 Tie rules, both exact:
 - kNN: the k nearest references are picked by partition; a row whose k-th
@@ -47,7 +47,6 @@ def balanced_cross_entropy(eta: np.ndarray, t: np.ndarray, floor: float = 1e-12)
 class PropensityModel:
     variant: str  # logistic_regression | knn_classifier | decision_tree
     params: dict
-    fitted: bool = False
     warning: str | None = None
 
     def to_dict(self) -> dict:
@@ -55,16 +54,16 @@ class PropensityModel:
         for k, v in params.items():
             if isinstance(v, np.ndarray):
                 params[k] = v.tolist()
-        return {"variant": self.variant, "params": params, "fitted": self.fitted,
-                "warning": self.warning}
+        return {"variant": self.variant, "params": params, "warning": self.warning}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PropensityModel":
+        """Inverse of `to_dict`; the "fitted" key of older files is ignored."""
         params = dict(d["params"])
         for k in ("weights", "x_mean", "x_scale", "ref_x", "ref_t"):
             if k in params and isinstance(params[k], list):
                 params[k] = np.asarray(params[k], dtype=float)
-        return cls(d["variant"], params, d["fitted"], d.get("warning"))
+        return cls(d["variant"], params, d.get("warning"))
 
 
 def train_propensity_lr(dataset_x: np.ndarray, t: np.ndarray, l2_strength: float,
@@ -99,7 +98,6 @@ def train_propensity_lr(dataset_x: np.ndarray, t: np.ndarray, l2_strength: float
         "logistic_regression",
         {"weights": w, "bias": float(b[0]), "l2_strength": l2_strength,
          "x_mean": mean, "x_scale": sd},
-        fitted=True,
     )
     if not converged:
         model.warning = "gradient tolerance not reached (possible separation)"
@@ -128,7 +126,6 @@ def fit_knn(x: np.ndarray, t: np.ndarray, k: int) -> PropensityModel:
     return PropensityModel(
         "knn_classifier",
         {"k": int(k), "ref_x": np.asarray(x, dtype=float), "ref_t": np.asarray(t, dtype=float)},
-        fitted=True,
     )
 
 
@@ -203,8 +200,7 @@ def fit_tree(x: np.ndarray, t: np.ndarray, max_depth: int, min_leaf: int = 10) -
     t = np.asarray(t, dtype=int)
     root = _build_tree(x, t, 0, max_depth, min_leaf)
     return PropensityModel("decision_tree", {"max_depth": int(max_depth),
-                                             "min_leaf": int(min_leaf), "root": root},
-                           fitted=True)
+                                             "min_leaf": int(min_leaf), "root": root})
 
 
 def _tree_predict(root, x: np.ndarray) -> np.ndarray:
@@ -228,28 +224,26 @@ def _k_nearest(sq: np.ndarray, k: int) -> np.ndarray:
     return nearest
 
 
-def predict_eta(model: PropensityModel, x: np.ndarray, clip: float = DEFAULT_CLIP):
-    """Clipped treatment probability; accepts a vector or an (n, d) batch."""
-    if not model.fitted:
-        raise ValueError("model is not fitted")
+def predict_eta(model: PropensityModel, x: np.ndarray) -> np.ndarray:
+    """Treatment probability at each row of the (n, d) batch x, clipped into
+    [DEFAULT_CLIP, 1 - DEFAULT_CLIP]."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
+    if x.ndim != 2:
+        raise ValueError(f"input shape {x.shape} is not an (n, d) batch")
     p = model.params
     if model.variant == "logistic_regression":
-        xs = (xb - p["x_mean"]) / p["x_scale"]
+        xs = (x - p["x_mean"]) / p["x_scale"]
         eta = _sigmoid(xs @ p["weights"] + p["bias"])
     elif model.variant == "knn_classifier":
         ref_x, ref_t = p["ref_x"], p["ref_t"]
-        eta = np.empty(len(xb))
-        for rows in row_blocks(len(xb), len(ref_x)):
-            eta[rows] = ref_t[_k_nearest(pairwise_sq_dists(xb[rows], ref_x), p["k"])].mean(axis=1)
+        eta = np.empty(len(x))
+        for rows in row_blocks(len(x), len(ref_x)):
+            eta[rows] = ref_t[_k_nearest(pairwise_sq_dists(x[rows], ref_x), p["k"])].mean(axis=1)
     elif model.variant == "decision_tree":
-        eta = _tree_predict(p["root"], xb)
+        eta = _tree_predict(p["root"], x)
     else:
         raise ValueError(f"unknown variant {model.variant!r}")
-    eta = np.clip(eta, clip, 1 - clip)
-    return float(eta[0]) if single else eta
+    return np.clip(eta, DEFAULT_CLIP, 1 - DEFAULT_CLIP)
 
 
 def _fit_grid_member(spec: dict, x: np.ndarray, t: np.ndarray) -> PropensityModel:
@@ -282,8 +276,8 @@ DEFAULT_PROPENSITY_GRID = (
 )
 
 
-def select_propensity(x: np.ndarray, t: np.ndarray, grid, folds: int, seed: int,
-                      clip: float = DEFAULT_CLIP) -> PropensityModel:
+def select_propensity(x: np.ndarray, t: np.ndarray, grid, folds: int,
+                      seed: int) -> PropensityModel:
     """Grid search by mean cross-validated balanced cross-entropy; the winner
     is refit on all given samples. Ties keep the first grid member."""
     grid = list(grid)
@@ -304,20 +298,19 @@ def select_propensity(x: np.ndarray, t: np.ndarray, grid, folds: int, seed: int,
             if len(val) == 0 or t[trn].sum() in (0, len(trn)):
                 continue
             model = _fit_grid_member(spec, x[trn], t[trn])
-            eta = predict_eta(model, x[val], clip)
-            losses.append(balanced_cross_entropy(np.atleast_1d(eta), t[val]))
+            losses.append(balanced_cross_entropy(predict_eta(model, x[val]), t[val]))
         scores.append(np.mean(losses) if losses else np.inf)
     winner = int(np.argmin(scores))  # argmin keeps the first of tied members
     return _fit_grid_member(grid[winner], x, t)
 
 
 def calibration_table(model: PropensityModel, x: np.ndarray, t: np.ndarray,
-                      bins: int, clip: float = DEFAULT_CLIP) -> list[dict]:
+                      bins: int) -> list[dict]:
     """Equal-width bins over [0, 1]: mean predicted score vs empirical
     treated rate. Empty bins carry count 0 and None statistics."""
     if bins < 2:
         raise ValueError("need bins >= 2")
-    eta = np.atleast_1d(predict_eta(model, x, clip))
+    eta = predict_eta(model, x)
     t = np.asarray(t, dtype=int)
     edges = np.linspace(0, 1, bins + 1)
     which = np.clip(np.digitize(eta, edges[1:-1]), 0, bins - 1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .propensity import DEFAULT_CLIP, PropensityModel, predict_eta
+from .propensity import PropensityModel, predict_eta
 from .twin import pairwise_sq_dists, row_blocks
 
 PROXY_KINDS = ("mu_risk", "mu_risk_iptw", "r_risk", "tau_naive",
@@ -33,7 +33,7 @@ class KernelRidge:
     y_mean: float
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        """Predictions at each row of the (n, d) batch x."""
         out = np.empty(len(x))
         for rows in row_blocks(len(x), len(self.x_train)):
             out[rows] = self.y_mean + _rbf_kernel(x[rows], self.x_train,
@@ -74,7 +74,7 @@ def fit_kernel_ridge_cv(x: np.ndarray, y: np.ndarray, seed: int, folds: int = 5,
                         ridges=(1e-6, 1e-3, 1e-1)) -> KernelRidge:
     """5-fold CV over bandwidth (median-distance multiples) and ridge
     strength; ties keep the first grid point; the winner refits on all data."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < 2:
         raise ValueError("need at least two samples")
@@ -110,15 +110,14 @@ class Auxiliaries:
     donors_x: np.ndarray
     donors_t: np.ndarray
     donors_y: np.ndarray
-    clip: float = DEFAULT_CLIP
 
 
 def _inverse_propensity(eta: np.ndarray, t) -> np.ndarray:
     return np.where(np.asarray(t, dtype=int) == 1, 1.0 / eta, 1.0 / (1.0 - eta))
 
 
-def fit_auxiliaries(dataset: Dataset, train_indices, seed: int, eta_hat: PropensityModel,
-                    clip: float = DEFAULT_CLIP) -> Auxiliaries:
+def fit_auxiliaries(dataset: Dataset, train_indices, seed: int,
+                    eta_hat: PropensityModel) -> Auxiliaries:
     """Kernel ridge nuisances fitted on the training indices; `eta_hat` is the
     propensity model already selected on the same rows."""
     idx = np.asarray(train_indices, dtype=int)
@@ -129,13 +128,13 @@ def fit_auxiliaries(dataset: Dataset, train_indices, seed: int, eta_hat: Propens
     mu0 = fit_kernel_ridge_cv(x[t == 0], y[t == 0], int(s0))
     mu1 = fit_kernel_ridge_cv(x[t == 1], y[t == 1], int(s1))
     m = fit_kernel_ridge_cv(x, y, int(sm))
-    return Auxiliaries(mu0, mu1, m, eta_hat, x.copy(), t.copy(), y.copy(), clip)
+    return Auxiliaries(mu0, mu1, m, eta_hat, x.copy(), t.copy(), y.copy())
 
 
 def nn_imputed_outcome(aux: Auxiliaries, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Outcome of the nearest opposite-arm donor in instance space (ties
     break on the smallest donor index)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=int)
     out = np.empty(len(x))
     for arm in (0, 1):
@@ -166,7 +165,7 @@ def proxy_terms(dataset: Dataset, val_indices, aux: Auxiliaries | None,
     if aux is None:
         return terms
     if eta is None:
-        eta = np.atleast_1d(predict_eta(aux.eta_hat, x, aux.clip))
+        eta = predict_eta(aux.eta_hat, x)
     rho, rho_opposite = _inverse_propensity(eta, t), _inverse_propensity(eta, 1 - t)
     mu0, mu1, m = aux.mu0_hat.predict(x), aux.mu1_hat.predict(x), aux.m_hat.predict(x)
     sign = 2.0 * t - 1.0

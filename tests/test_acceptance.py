@@ -19,7 +19,7 @@ from alrite.metrics import (Lemma4Case, bound_m1, bound_m2, bound_m3,
                             lemma4_sanity, make_linear_instance, pehe)
 from alrite.nn import forward
 from alrite.pipeline import (PipelineHyperparams, compound_loss,
-                             compound_loss_grads, factual_mse, predict_tau,
+                             compound_loss_grads, predict_mu, predict_tau,
                              train_pipeline)
 from alrite.propensity import (DEFAULT_PROPENSITY_GRID, select_propensity)
 from alrite.selection import (_average_ranks, proxy_score, rank_agreement)
@@ -170,15 +170,20 @@ def linear_fleet(seed, count=4):
     return ds, truth, members0, members1
 
 
+def val_mu_risk(p, ds, idx):
+    """Factual MSE of one member over the indices, as `alrite sweep` records it."""
+    return float(np.mean((ds.y[idx] - predict_mu(p, ds.x[idx], ds.t[idx])) ** 2))
+
+
 def test_criterion_5_ensemble_identities():
     from alrite.propensity import train_propensity_lr
     ds, truth, members0, members1 = linear_fleet(2)
     val = np.arange(ds.n)
     eta = train_propensity_lr(ds.x, ds.t, 1.0)
     _, members0, risks0 = rank_members(range(4), members0,
-                                       [factual_mse(p, ds, val) for p in members0])
+                                       [val_mu_risk(p, ds, val) for p in members0])
     _, members1, risks1 = rank_members(range(4), members1,
-                                       [factual_mse(p, ds, val) for p in members1])
+                                       [val_mu_risk(p, ds, val) for p in members1])
     top1 = EnsembleModel(members0, members1, eta, "top_k", 1, risks0, risks1)
     single = AlriteModel(members0[0], members1[0], eta)
     from alrite.learner import alrite_predict
@@ -230,9 +235,9 @@ def run_benchmark_instance(seed):
     eta = select_propensity(ds.x[sp.train], ds.t[sp.train],
                             DEFAULT_PROPENSITY_GRID, folds=5, seed=seed)
     _, members0, risks0 = rank_members(range(6), members0,
-                                       [factual_mse(p, ds, sp.validation) for p in members0])
+                                       [val_mu_risk(p, ds, sp.validation) for p in members0])
     _, members1, risks1 = rank_members(range(6), members1,
-                                       [factual_mse(p, ds, sp.validation) for p in members1])
+                                       [val_mu_risk(p, ds, sp.validation) for p in members1])
 
     single = EnsembleModel(members0, members1, eta, "top_k", 1, risks0, risks1)
     single_rmse = pehe(ensemble_predict(single, ds.x[sp.test]), truth, sp.test)[1]

@@ -18,7 +18,7 @@ from alrite.learner import (EnsembleModel, aggregate_mu, aggregate_tau, ensemble
                             rank_members)
 from alrite.metrics import pehe
 from alrite.pipeline import Pipeline
-from alrite.propensity import PropensityModel
+from alrite.propensity import DEFAULT_PROPENSITY_GRID, PropensityModel
 from alrite.selection import PROXY_KINDS, fit_auxiliaries, proxy_score
 from alrite.cli import (ALPHA_GRID, BATCH_GRID, BETA_GRID, LAMBDA_GRID,
                         LAYER_GRID, WIDTH_GRID, ConfigError, main,
@@ -70,6 +70,15 @@ def test_grid_constants_match_documented_domains():
     ({"selection": {"proxy": "magic"}}, "selection.proxy"),
     ({"ensemble": {"mode": "vote"}}, "ensemble.mode"),
     ({"surprise": 1}, "surprise"),
+    ({"search": {"epochs": -1}}, "search.epochs"),
+    ({"search": {"epochs": 2.5}}, "search.epochs"),
+    ({"search": {"base_lr": 0.0}}, "search.base_lr"),
+    ({"search": {"gamma": -1.0}}, "search.gamma"),
+    ({"fit": {"hp0": {"widht": 5}}}, "fit.hp0"),
+    ({"fit": {"hp1": {"epochs": -1}}}, "fit.hp1"),
+    ({"fit": {"hp2": {}}}, "fit"),
+    ({"dataset": "ihdp_like"}, "dataset"),
+    ({"fit": ["hp0"]}, "fit"),
 ])
 def test_validate_config_names_offending_field(raw, fragment):
     base = {"seed": 0, "dataset": {"kind": "ihdp_like"}}
@@ -83,6 +92,33 @@ def test_validate_config_defaults():
     assert cfg.seed == 0
     assert cfg.selection["proxy"] == "mu_risk"
     assert cfg.ensemble["mode"] == "top_k"
+
+
+def test_validate_config_builds_fit_hyperparams():
+    cfg = validate_config({"search": {"epochs": 7, "base_lr": 0.05, "gamma": 0.5},
+                           "fit": {"hp1": {"epochs": 3, "embed_width": 50}}})
+    hp0, hp1 = cfg.fit["hp0"], cfg.fit["hp1"]
+    # fit takes epochs and base_lr from search (not gamma); hp0/hp1 override them
+    assert (hp0.epochs, hp0.base_lr, hp0.gamma, hp0.embed_width) == (7, 0.05, 1e-4, 20)
+    assert (hp1.epochs, hp1.base_lr, hp1.embed_width) == (3, 0.05, 50)
+    assert cfg.split == {"test_fraction": 0.1, "val_fraction": 0.3}
+    assert cfg.search["l0"] == cfg.search["l1"] == 2
+    assert cfg.propensity_grid == list(DEFAULT_PROPENSITY_GRID)
+
+
+@pytest.mark.parametrize("command,section,value", [
+    ("fit", "fit", {"hp0": {"widht": 5}}),
+    ("fit", "fit", {"hp0": {"epochs": -1}}),
+    ("fit", "fit", {"hp1": {"epochs": 2.5}}),
+    ("sweep", "search", {"l0": 1, "l1": 1, "epochs": -1}),
+    ("sweep", "search", {"l0": 1, "l1": 1, "base_lr": 0.0}),
+    ("sweep", "search", {"l0": 1, "l1": 1, "gamma": "big"}),
+])
+def test_hyperparameter_mistakes_exit_1(tmp_path, capsys, command, section, value):
+    cfg = write_config(tmp_path, {section: value})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_member_seed_counter_based():
@@ -320,16 +356,14 @@ def test_ensemble_json_predicts_like_the_written_members(tmp_path):
     cfg, out = run_sweep(tmp_path, "run")
     assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
     ens = json.loads((out / "ensemble.json").read_text())
-    assert set(ens) == {"mode", "param", "clip", "members0", "members1",
-                        "mu_risks0", "mu_risks1"}
+    assert set(ens) == {"mode", "param", "members0", "members1", "mu_risks0", "mu_risks1"}
     # rebuild from the members' sweep indices, their model files and eta.json
     sweep = json.loads((out / "sweep.json").read_text())
     paths = {m["index"]: m["path"] for m in sweep["members"]}
     load = lambda i: Pipeline.from_dict(json.loads((out / paths[i]).read_text()))
     eta = PropensityModel.from_dict(json.loads((out / "eta.json").read_text()))
     rebuilt = EnsembleModel([load(i) for i in ens["members0"]], [load(i) for i in ens["members1"]],
-                            eta, ens["mode"], ens["param"], ens["mu_risks0"], ens["mu_risks1"],
-                            ens["clip"])
+                            eta, ens["mode"], ens["param"], ens["mu_risks0"], ens["mu_risks1"])
 
     ranked0, ranked1, _, split_idx = cli._load_sweep_members(out)
     indices0, members0, risks0 = rank_members(*ranked0)
@@ -351,6 +385,14 @@ def test_only_model_files_hold_parameters(tmp_path):
     holders = {str(p.relative_to(out)) for p in out.rglob("*.json") if '"theta"' in p.read_text()}
     assert holders == {"model.json"} | {f"models/member_{i:03d}.json" for i in range(4)}
     assert os.path.getsize(out / "ensemble.json") < 10_000
+
+    # nor does any JSON repeat the propensity clip or a "fitted" flag
+    def keys(value):
+        if isinstance(value, dict):
+            return set(value).union(*map(keys, value.values()))
+        return set().union(*map(keys, value)) if isinstance(value, list) else set()
+    for path in out.rglob("*.json"):
+        assert not keys(json.loads(path.read_text())) & {"clip", "fitted"}, path
 
 
 def test_malformed_member_file_exits_2(tmp_path, capsys):

@@ -10,7 +10,7 @@ from alrite.learner import (AlriteModel, EnsembleModel, aggregate_tau,
                             rank_members, select_ensemble_hyperparam,
                             softmax_weights)
 from alrite.metrics import make_linear_instance, pehe
-from alrite.pipeline import PipelineHyperparams, factual_mse, predict_mu, predict_tau
+from alrite.pipeline import PipelineHyperparams, predict_mu, predict_tau
 from alrite.propensity import PropensityModel, predict_eta
 
 
@@ -20,7 +20,12 @@ def constant_eta_model(value: float, d: int = 2) -> PropensityModel:
     return PropensityModel("logistic_regression",
                            {"weights": np.zeros(d), "bias": float(logit),
                             "l2_strength": 0.0, "x_mean": np.zeros(d),
-                            "x_scale": np.ones(d)}, fitted=True)
+                            "x_scale": np.ones(d)})
+
+
+def val_mu_risk(p, ds, idx):
+    """Factual MSE of one member over the indices, as `alrite sweep` records it."""
+    return float(np.mean((ds.y[idx] - predict_mu(p, ds.x[idx], ds.t[idx])) ** 2))
 
 
 def linear_members(seed, count=4, n=60, d=2):
@@ -58,7 +63,7 @@ def test_predict_is_propensity_convex_combination():
     x = ds.x[:20]
     tau0 = predict_tau(model.p0, x)
     tau1 = predict_tau(model.p1, x)
-    eta = predict_eta(model.eta, x, model.clip)
+    eta = predict_eta(model.eta, x)
     assert np.allclose(alrite_predict(model, x), (1 - eta) * tau0 + eta * tau1)
     # convexity: the aggregate lies between the two arm estimates
     lo = np.minimum(tau0, tau1)
@@ -70,20 +75,21 @@ def test_predict_is_propensity_convex_combination():
 def test_predict_degenerate_eta():
     ds, truth, p0, p1, _ = make_linear_instance(0, n=40, d=2, noise=0.1)
     # eta forced to 0.5: the aggregate is the plain average
-    model = AlriteModel(p0, p1, constant_eta_model(0.5), clip=0.0)
+    model = AlriteModel(p0, p1, constant_eta_model(0.5))
     tau0 = predict_tau(p0, ds.x)
     tau1 = predict_tau(p1, ds.x)
     assert np.allclose(alrite_predict(model, ds.x), 0.5 * (tau0 + tau1))
-    # near-zero eta: the control-driven estimate dominates
-    model_lo = AlriteModel(p0, p1, constant_eta_model(1e-9), clip=0.0)
-    assert np.allclose(alrite_predict(model_lo, ds.x), tau0, atol=1e-6)
+    # near-zero eta sits at the clip floor: the control-driven estimate
+    # weighs 0.99, the treatment-driven one 0.01
+    model_lo = AlriteModel(p0, p1, constant_eta_model(1e-9))
+    assert np.allclose(alrite_predict(model_lo, ds.x), 0.99 * tau0 + 0.01 * tau1)
 
 
 def test_predict_hand_values():
     # eta = 0.5, tau0 = 1, tau1 = 3 -> 2 (scalar recomposition)
     assert 0.5 * 1.0 + 0.5 * 3.0 == 2.0  # the formula itself
     ds, _, p0, p1, _ = make_linear_instance(1, n=30, d=2, noise=0.1)
-    model = AlriteModel(p0, p1, constant_eta_model(0.3), clip=0.0)
+    model = AlriteModel(p0, p1, constant_eta_model(0.3))
     x = ds.x[:5]
     expect = 0.7 * predict_tau(p0, x) + 0.3 * predict_tau(p1, x)
     assert np.allclose(alrite_predict(model, x), expect)
@@ -91,8 +97,8 @@ def test_predict_hand_values():
 
 def test_eta_sensitivity_trivial_zeros():
     ds, truth, p0, p1, _ = make_linear_instance(2, n=50, d=2, noise=0.1)
-    model = AlriteModel(p0, p1, constant_eta_model(0.4), clip=0.0)
-    eta_hat = np.full(ds.n, predict_eta(model.eta, ds.x[0], 0.0))
+    model = AlriteModel(p0, p1, constant_eta_model(0.4))
+    eta_hat = np.full(ds.n, predict_eta(model.eta, ds.x[:1])[0])
     # true eta equals the estimate -> lhs = 0
     lhs, rhs = eta_sensitivity_check(model, eta_hat, ds, truth.tau)
     assert lhs == pytest.approx(0.0, abs=1e-12)
@@ -126,8 +132,8 @@ def test_topk_k1_equals_best_single_member():
     eta = constant_eta_model(0.4)
     risks0 = [0.1, 0.2, 0.3, 0.4]
     risks1 = [0.15, 0.25, 0.35, 0.45]
-    ens = EnsembleModel(members0, members1, eta, "top_k", 1, risks0, risks1, clip=0.0)
-    expect = aggregate_tau(members0[0], members1[0], eta, ds.x, clip=0.0)
+    ens = EnsembleModel(members0, members1, eta, "top_k", 1, risks0, risks1)
+    expect = aggregate_tau(members0[0], members1[0], eta, ds.x)
     assert np.array_equal(ensemble_predict(ens, ds.x), expect)
 
 
@@ -136,8 +142,8 @@ def test_topk_identical_members_collapse():
     eta = constant_eta_model(0.5)
     m0 = [members0[0]] * 3
     m1 = [members1[0]] * 3
-    ens = EnsembleModel(m0, m1, eta, "top_k", 3, [0.1] * 3, [0.1] * 3, clip=0.0)
-    single = aggregate_tau(members0[0], members1[0], eta, ds.x, clip=0.0)
+    ens = EnsembleModel(m0, m1, eta, "top_k", 3, [0.1] * 3, [0.1] * 3)
+    single = aggregate_tau(members0[0], members1[0], eta, ds.x)
     assert np.allclose(ensemble_predict(ens, ds.x), single)
 
 
@@ -145,7 +151,7 @@ def test_topk_k3_hand_average():
     ds, truth, members0, members1 = linear_members(2)
     eta = constant_eta_model(0.3)
     ens = EnsembleModel(members0, members1, eta, "top_k", 3,
-                        [0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4], clip=0.0)
+                        [0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4])
     avg0 = np.mean([predict_tau(p, ds.x) for p in members0[:3]], axis=0)
     avg1 = np.mean([predict_tau(p, ds.x) for p in members1[:3]], axis=0)
     assert np.allclose(ensemble_predict(ens, ds.x), 0.7 * avg0 + 0.3 * avg1)
@@ -189,13 +195,13 @@ def test_softmax_limits():
     risks0 = [0.1, 0.2, 0.3, 0.4]
     risks1 = [0.12, 0.22, 0.32, 0.42]
     # lambda -> 0: plain average
-    tiny = EnsembleModel(members0, members1, eta, "softmax", 1e-12, risks0, risks1, clip=0.0)
-    full = EnsembleModel(members0, members1, eta, "top_k", 4, risks0, risks1, clip=0.0)
+    tiny = EnsembleModel(members0, members1, eta, "softmax", 1e-12, risks0, risks1)
+    full = EnsembleModel(members0, members1, eta, "top_k", 4, risks0, risks1)
     assert np.allclose(ensemble_predict(tiny, ds.x), ensemble_predict(full, ds.x),
                        atol=1e-9)
     # huge lambda: the single lowest-risk member
-    sharp = EnsembleModel(members0, members1, eta, "softmax", 1e6, risks0, risks1, clip=0.0)
-    best = EnsembleModel(members0, members1, eta, "top_k", 1, risks0, risks1, clip=0.0)
+    sharp = EnsembleModel(members0, members1, eta, "softmax", 1e6, risks0, risks1)
+    best = EnsembleModel(members0, members1, eta, "top_k", 1, risks0, risks1)
     assert np.allclose(ensemble_predict(sharp, ds.x), ensemble_predict(best, ds.x),
                        atol=1e-6)
 
@@ -217,7 +223,7 @@ def test_ensemble_validation():
 def test_rank_members_sorted_by_validation_risk():
     ds, truth, members0, _ = linear_members(7)
     idx = np.arange(ds.n)
-    mse = [factual_mse(p, ds, idx) for p in members0]
+    mse = [val_mu_risk(p, ds, idx) for p in members0]
     indices = [10 + k for k in range(len(members0))]
     ranked_indices, ranked, risks = rank_members(indices, members0, mse)
     assert risks == sorted(mse)
@@ -235,9 +241,9 @@ def test_select_ensemble_hyperparam_dominance_and_tie():
     eta = constant_eta_model(0.5)
     idx = np.arange(ds.n)
     _, ranked0, risks0 = rank_members(range(4), members0,
-                                      [factual_mse(p, ds, idx) for p in members0])
+                                      [val_mu_risk(p, ds, idx) for p in members0])
     _, ranked1, risks1 = rank_members(range(4), members1,
-                                      [factual_mse(p, ds, idx) for p in members1])
+                                      [val_mu_risk(p, ds, idx) for p in members1])
     chosen, table = select_ensemble_hyperparam(ranked0, ranked1, eta, "top_k",
                                                [1, 2, 3, 4], ds, idx, risks0, risks1)
     assert chosen in (1, 2, 3, 4)
@@ -264,7 +270,7 @@ def test_ensemble_grid_matches_each_ensemble():
         assert np.array_equal(tau, ensemble_predict(ens, ds.x))
         per0 = [predict_mu(p, ds.x, ds.t) for p in members0]
         per1 = [predict_mu(p, ds.x, ds.t) for p in members1]
-        e = predict_eta(eta, ds.x, ens.clip)
+        e = predict_eta(eta, ds.x)
         w = softmax_weights(risks, lam)
         expect = (1 - e) * sum(wi * v for wi, v in zip(w, per0)) \
             + e * sum(wi * v for wi, v in zip(w, per1))
@@ -275,8 +281,13 @@ def test_serialization_round_trips():
     ds, truth, members0, members1 = linear_members(9, count=2)
     eta = constant_eta_model(0.4)
     model = AlriteModel(members0[0], members1[0], eta)
-    clone = AlriteModel.from_dict(model.to_dict())
+    d = model.to_dict()
+    assert "clip" not in d and "fitted" not in d["eta"]
+    clone = AlriteModel.from_dict(d)
     assert np.allclose(alrite_predict(clone, ds.x), alrite_predict(model, ds.x))
+    # older files carry "clip" and "fitted"; both are ignored
+    old = AlriteModel.from_dict({**d, "clip": 0.2, "eta": {**d["eta"], "fitted": True}})
+    assert alrite_predict(old, ds.x).tobytes() == alrite_predict(model, ds.x).tobytes()
 
 
 def test_role_invariant_enforced():

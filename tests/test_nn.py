@@ -70,13 +70,15 @@ def test_elu_values():
     assert np.isclose(elu(np.array([-1.0]))[0], np.expm1(-1.0))
 
 
-def test_forward_single_vector_and_batch_agree():
+def test_forward_one_row_batches_and_batch_agree():
     rng = np.random.default_rng(0)
     mlp = mlp_init([3, 4, 2], rng)
     x = rng.standard_normal((5, 3))
     batch = forward(mlp, x)
     for i in range(5):
-        assert np.allclose(forward(mlp, x[i]), batch[i])
+        row = forward(mlp, x[i : i + 1])
+        assert row.shape == (1, 2)
+        assert np.allclose(row[0], batch[i])
 
 
 def test_forward_rejects_bad_shapes_and_nonfinite():
@@ -86,7 +88,7 @@ def test_forward_rejects_bad_shapes_and_nonfinite():
         forward(mlp, np.zeros(4))
     mlp.weights[0][0, 0] = np.inf
     with pytest.raises(FloatingPointError):
-        forward(mlp, np.ones(3))
+        forward(mlp, np.ones((1, 3)))
 
 
 def test_output_normalization_unit_norm():

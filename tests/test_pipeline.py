@@ -8,11 +8,12 @@ import json
 import numpy as np
 import pytest
 
-from alrite.data import SplitIndices, generate_ihdp_like, split
+from alrite.data import SplitIndices, generate_ihdp_like, identity_scaler, split
 from alrite.nn import forward
 from alrite.pipeline import (Pipeline, PipelineHyperparams, build_pipeline,
-                             compound_loss, compound_loss_grads, factual_mse,
-                             predict_mu, predict_tau, train_pipeline)
+                             compound_loss, compound_loss_grads, predict_mu,
+                             predict_tau, train_pipeline)
+from alrite.propensity import fit_knn, predict_eta, train_propensity_lr
 from alrite.twin import mirror_twins
 
 
@@ -40,8 +41,10 @@ def test_loss_terms_scalar_oracle():
     z = forward(p.phi, x)
     n0 = int(np.sum(t == 0))
     n1 = len(t) - n0
-    own = sum((float(forward(p.h0, z[i])[0]) - y[i]) ** 2 for i in range(len(t)) if t[i] == 0) / n0
-    cross = sum((1 + hp.beta * tm.weight[i]) * (float(forward(p.h1, z[i])[0]) - y[i]) ** 2
+    # one-row batches: each sample's head output on its own
+    own = sum((float(forward(p.h0, z[i : i + 1])[0, 0]) - y[i]) ** 2
+              for i in range(len(t)) if t[i] == 0) / n0
+    cross = sum((1 + hp.beta * tm.weight[i]) * (float(forward(p.h1, z[i : i + 1])[0, 0]) - y[i]) ** 2
                 for i in range(len(t)) if t[i] == 1) / (n1 + hp.beta * n0)
     cf = hp.alpha / n0 * sum(np.sum((z[i] - z[tm.twin_index[i]]) ** 2)
                              for i in range(len(t)) if t[i] == 0)
@@ -208,7 +211,23 @@ def test_predict_tau_is_head_difference():
     z = forward(p.phi, x)
     expect = forward(p.h1, z)[:, 0] - forward(p.h0, z)[:, 0]
     assert np.allclose(predict_tau(p, x), expect)
-    assert np.isclose(predict_tau(p, x[0]), expect[0])
+    assert predict_tau(p, x[:1]).shape == (1,)
+    assert np.isclose(predict_tau(p, x[:1])[0], expect[0])
+
+
+def test_one_dimensional_input_raises():
+    # a single sample is a one-row batch; a vector is refused, not promoted
+    x, t, y, p, tm, hp = tiny_instance(7)
+    for scaler in (None, identity_scaler(x.shape[1])):
+        p.scaler = scaler
+        for fn in (lambda v: forward(p.phi, v), lambda v: predict_tau(p, v),
+                   lambda v: predict_mu(p, v, 0)):
+            with pytest.raises(ValueError):
+                fn(x[0])
+    for eta in (fit_knn(x, t, k=3), train_propensity_lr(x, t, 0.1)):
+        assert predict_eta(eta, x[:1]).shape == (1,)
+        with pytest.raises(ValueError):
+            predict_eta(eta, x[0])
 
 
 def test_predict_mu_per_arm():
@@ -226,6 +245,8 @@ def test_hyperparams_validation():
         PipelineHyperparams(embed_layers=0)
     with pytest.raises(ValueError):
         PipelineHyperparams(base_lr=0)
+    with pytest.raises(ValueError, match="integers"):
+        PipelineHyperparams(epochs=2.5)
 
 
 def test_train_pipeline_smoke_and_retention():
@@ -238,8 +259,9 @@ def test_train_pipeline_smoke_and_retention():
     assert report.retained_epoch == int(np.argmin(report.val_mse))
     # retained parameters must reproduce the best validation score
     best = min(report.val_mse)
-    mse = factual_mse(p, ds, sp.validation)
-    # factual_mse is in original units, val_mse in standardized units
+    val = sp.validation
+    mse = np.mean((ds.y[val] - predict_mu(p, ds.x[val], ds.t[val])) ** 2)
+    # mse is in original units, val_mse in standardized units
     assert np.isclose(mse / p.scaler.y_scale**2, best, rtol=1e-9)
     assert np.all(np.isfinite(predict_tau(p, ds.x[sp.test])))
 

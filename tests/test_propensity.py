@@ -76,11 +76,11 @@ def test_knn_oracle():
     t = np.array([0, 1, 1, 0])
     model = fit_knn(x, t, k=2)
     # query 0.9: neighbors 1.0 (t=1) and 0.0 (t=0) -> 0.5
-    assert np.isclose(predict_eta(model, np.array([0.9])), 0.5)
+    assert np.isclose(predict_eta(model, np.array([[0.9]]))[0], 0.5)
     # query 2.9: neighbors 3.0 (t=0) and 2.0 (t=1) -> 0.5
     model3 = fit_knn(x, t, k=3)
     # query 1.1: neighbors 1.0, 2.0 (t=1), 0.0 (t=0) -> 2/3
-    assert np.isclose(predict_eta(model3, np.array([1.1])), 2 / 3)
+    assert np.isclose(predict_eta(model3, np.array([[1.1]]))[0], 2 / 3)
 
 
 def stable_sort_knn(x, ref_x, ref_t, k):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from alrite.data import Dataset, GroundTruth
-from alrite.propensity import PropensityModel, predict_eta
+from alrite.propensity import DEFAULT_CLIP, PropensityModel, predict_eta
 from alrite.selection import (PROXY_KINDS, Auxiliaries, _fit_kernel_ridge,
                               _rbf_kernel, fit_auxiliaries, fit_kernel_ridge_cv,
                               nn_imputed_outcome, proxy_score, proxy_terms,
@@ -22,14 +22,13 @@ class ConstPredictor:
         self.value = float(value)
 
     def predict(self, x):
-        return np.full(len(np.atleast_2d(x)), self.value)
+        return np.full(len(x), self.value)
 
 
 def half_eta(d=1) -> PropensityModel:
     return PropensityModel("logistic_regression",
                            {"weights": np.zeros(d), "bias": 0.0, "l2_strength": 0.0,
-                            "x_mean": np.zeros(d), "x_scale": np.ones(d)},
-                           fitted=True)
+                            "x_mean": np.zeros(d), "x_scale": np.ones(d)})
 
 
 def hand_table():
@@ -39,7 +38,7 @@ def hand_table():
         mu0_hat=ConstPredictor(0.5), mu1_hat=ConstPredictor(1.5),
         m_hat=ConstPredictor(1.0), eta_hat=half_eta(),
         donors_x=np.array([[10.0], [20.0]]), donors_t=np.array([0, 1]),
-        donors_y=np.array([5.0, 7.0]), clip=0.01)
+        donors_y=np.array([5.0, 7.0]))
     candidate = {"tau": np.array([1.0, 2.0, 0.0, -1.0, 1.0]),
                  "mu": np.array([1.8, 0.9, 0.2, -0.8, 2.5])}
     return ds, aux, candidate
@@ -120,7 +119,7 @@ def test_terms_built_once_score_like_proxy_score():
 
 def test_terms_take_given_eta_instead_of_predicting():
     ds, aux, candidate = hand_table()
-    eta = predict_eta(aux.eta_hat, ds.x, aux.clip)
+    eta = predict_eta(aux.eta_hat, ds.x)
     given, computed = proxy_terms(ds, np.arange(5), aux, eta), proxy_terms(ds, np.arange(5), aux)
     for kind in PROXY_KINDS:
         assert score_candidate(kind, given, candidate) == score_candidate(kind, computed, candidate)
@@ -147,8 +146,8 @@ def test_tau_naive_self_consistency():
 
 def test_rho_bounded_by_clip():
     ds, aux, _ = hand_table()
-    rho = _inverse_propensity(predict_eta(aux.eta_hat, ds.x, aux.clip), ds.t)
-    assert np.all(rho <= 1.0 / aux.clip + 1e-9)
+    rho = _inverse_propensity(predict_eta(aux.eta_hat, ds.x), ds.t)
+    assert np.all(rho <= 1.0 / DEFAULT_CLIP + 1e-9)
     assert np.all(rho >= 1.0)
 
 
