@@ -83,6 +83,37 @@ def _hyperparams(name: str, values: dict) -> PipelineHyperparams:
         raise ConfigError(f"{name}: {exc}") from None
 
 
+# each propensity grid kind's keys with their smallest values; only the L2
+# penalty (a float) need not be an integer
+GRID_MEMBER_KEYS = {"lr": {"l2": 0.0}, "knn": {"k": 1}, "tree": {"max_depth": 0, "min_leaf": 1}}
+
+
+def _check_propensity_grid(grid) -> list:
+    if grid is None:
+        return list(DEFAULT_PROPENSITY_GRID)
+    if not isinstance(grid, list) or not grid:
+        raise ConfigError("propensity_grid: must be a non-empty list")
+    for i, spec in enumerate(grid):
+        name = f"propensity_grid[{i}]"
+        if not (isinstance(spec, dict) and spec.get("kind") in tuple(GRID_MEMBER_KEYS)):
+            raise ConfigError(f"{name}: kind must be one of {sorted(GRID_MEMBER_KEYS)}")
+        keys = GRID_MEMBER_KEYS[spec["kind"]]
+        unknown = set(spec) - {"kind", *keys}
+        if unknown:
+            raise ConfigError(f"{name}: unknown fields {sorted(unknown)}")
+        if spec["kind"] == "knn" and "k" not in spec:
+            raise ConfigError(f"{name}.k: required for kind 'knn'")
+        for key, low in keys.items():
+            if key not in spec:
+                continue
+            val = spec[key]
+            number = (int, float) if isinstance(low, float) else int
+            if isinstance(val, bool) or not isinstance(val, number) or not low <= val < np.inf:
+                what = "a finite number" if number is not int else "an integer"
+                raise ConfigError(f"{name}.{key}: must be {what} >= {low:g}")
+    return grid
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
     """The checked config: each section's defaults (the field factories of
     `ExperimentConfig`) filled in, and `fit` turned into the "hp0" and "hp1"
@@ -132,7 +163,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     mode = cfg.ensemble["mode"]
     if mode not in ("top_k", "softmax"):
         raise ConfigError(f"ensemble.mode: expected top_k or softmax, got {mode!r}")
-    cfg.propensity_grid = list(cfg.propensity_grid or DEFAULT_PROPENSITY_GRID)
+    cfg.propensity_grid = _check_propensity_grid(cfg.propensity_grid)
     unknown = set(cfg.fit) - {"hp0", "hp1"}
     if unknown:
         raise ConfigError(f"fit: unknown fields {sorted(unknown)}")

@@ -12,6 +12,15 @@ Tie rules, both exact:
 - Tree: splits are scanned feature by feature, left to right, and a split
   replaces the best so far only if its Gini gain is larger by more than
   1e-15, so the first of near-equal splits wins.
+
+Shared work, done once, with the same bits as doing it per member:
+- The grid search runs fold by fold. All kNN members of a fold share one
+  distance block per row block: the largest k's neighbours are picked from
+  the whole row, each smaller k's from those (they hold the row's k smallest
+  distances), and the tie check still counts over the whole row. The mean
+  of 0/1 labels is exact in any order. Each block is freed before the next.
+- A tree sorts every feature once per fit. A child's order is its parent's,
+  filtered to the child's rows, which is the child's own stable argsort.
 """
 
 from __future__ import annotations
@@ -27,20 +36,19 @@ DEFAULT_CLIP = 0.01
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u, dtype=float)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # e = exp(-|u|): 1/(1+e) for u >= 0, e/(1+e) below. np.minimum returns its
+    # first argument when both are NaN, so a NaN keeps its sign bit
+    e = np.exp(np.minimum(u, -u))
+    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def balanced_cross_entropy(eta: np.ndarray, t: np.ndarray, floor: float = 1e-12) -> float:
     """Arm-averaged negative log-likelihood (each arm weighted equally)."""
     eta = np.clip(eta, floor, 1 - floor)
-    n1 = max(int(np.sum(t == 1)), 1)
-    n0 = max(int(np.sum(t == 0)), 1)
-    return float(-np.sum(np.log(eta[t == 1])) / n1 - np.sum(np.log(1 - eta[t == 0])) / n0)
+    treated, control = t == 1, t == 0
+    n1 = max(np.count_nonzero(treated), 1)
+    n0 = max(np.count_nonzero(control), 1)
+    return float(-np.sum(np.log(eta[treated])) / n1 - np.sum(np.log(1 - eta[control])) / n0)
 
 
 @dataclass
@@ -109,12 +117,13 @@ def lr_loss_and_grad(x: np.ndarray, t: np.ndarray, w: np.ndarray, b: float,
     """Balanced cross-entropy objective and its exact gradient in the weights
     and the bias (the L2 penalty excludes the bias)."""
     t = np.asarray(t, dtype=int)
-    n1 = int(t.sum())
+    treated = t == 1
+    n1 = np.count_nonzero(treated)
     n0 = len(t) - n1
     eta = _sigmoid(x @ w + b)
     loss = balanced_cross_entropy(eta, t) + l2_strength * float(w @ w)
     # d/du of the balanced CE: arm-normalized residual
-    r = np.where(t == 1, -(1 - eta) / n1, eta / n0)
+    r = np.where(treated, -(1 - eta) / n1, eta / n0)
     gw = x.T @ r + 2.0 * l2_strength * w
     gb = float(r.sum())
     return loss, gw, gb
@@ -152,7 +161,8 @@ def _scan_first_best(gain: np.ndarray, best):
         pos, best = q, gain[q]
 
 
-def _build_tree(x, t, depth, max_depth, min_leaf):
+def _build_tree(x, t, order, depth, max_depth, min_leaf):
+    """`order` is x's stable argsort along axis 0: every feature sorted."""
     n = len(t)
     rate = float(np.mean(t))
     node = {"leaf": True, "value": rate, "n": n}
@@ -160,9 +170,8 @@ def _build_tree(x, t, depth, max_depth, min_leaf):
         return node
     n1 = t.sum()
     parent_impurity = _gini(n1, n)
-    # every feature sorted at once; a split after the first `size` sorted
-    # samples leaves at least min_leaf on each side
-    order = np.argsort(x, axis=0, kind="stable")
+    # a split after the first `size` sorted samples leaves at least min_leaf
+    # on each side
     xv = np.take_along_axis(x, order, axis=0)
     size = np.arange(min_leaf, n - min_leaf + 1)
     left1 = np.cumsum(t[order], axis=0)[size - 1]
@@ -183,13 +192,18 @@ def _build_tree(x, t, depth, max_depth, min_leaf):
         return node
     _, j, thr = best
     mask = x[:, j] <= thr
-    return {
-        "leaf": False,
-        "feature": j,
-        "threshold": float(thr),
-        "left": _build_tree(x[mask], t[mask], depth + 1, max_depth, min_leaf),
-        "right": _build_tree(x[~mask], t[~mask], depth + 1, max_depth, min_leaf),
-    }
+    left, right = (_build_tree(x[keep], t[keep], _child_order(order, keep), depth + 1,
+                               max_depth, min_leaf) for keep in (mask, ~mask))
+    return {"leaf": False, "feature": j, "threshold": float(thr), "left": left, "right": right}
+
+
+def _child_order(order: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The stable argsort of x[keep] along axis 0, given x's: each column of
+    `order` with the dropped rows filtered out (which keeps the relative
+    order, ties included) and the kept rows renumbered."""
+    renumber = np.cumsum(keep) - 1
+    kept = keep[order.T]  # per feature, row by row: (d, n)
+    return renumber[order.T[kept]].reshape(len(kept), -1).T
 
 
 def fit_tree(x: np.ndarray, t: np.ndarray, max_depth: int, min_leaf: int = 10) -> PropensityModel:
@@ -198,7 +212,7 @@ def fit_tree(x: np.ndarray, t: np.ndarray, max_depth: int, min_leaf: int = 10) -
         raise ValueError("min_leaf must be at least 1")
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=int)
-    root = _build_tree(x, t, 0, max_depth, min_leaf)
+    root = _build_tree(x, t, np.argsort(x, axis=0, kind="stable"), 0, max_depth, min_leaf)
     return PropensityModel("decision_tree", {"max_depth": int(max_depth),
                                              "min_leaf": int(min_leaf), "root": root})
 
@@ -213,15 +227,37 @@ def _tree_predict(root, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _k_nearest(sq: np.ndarray, k: int) -> np.ndarray:
+def _k_nearest(sq: np.ndarray, k: int, pool: np.ndarray | None = None) -> np.ndarray:
     """Per row, the columns of its k smallest entries, ties at the k-th value
-    taken in column order (as a stable argsort would), in no fixed order."""
-    nearest = np.argpartition(sq, k - 1, axis=1)[:, :k].copy()  # frees the full index block
+    taken in column order (as a stable argsort would), in no fixed order.
+
+    `pool`, a wider `_k_nearest` result of the same `sq`, holds each row's k
+    smallest values, so the k-th is found by partitioning the pool alone."""
+    if pool is None:
+        nearest = np.argpartition(sq, k - 1, axis=1)[:, :k].copy()  # frees the full index block
+    else:
+        within = np.argpartition(np.take_along_axis(sq, pool, axis=1), k - 1, axis=1)[:, :k]
+        nearest = np.take_along_axis(pool, within, axis=1)
     kth = sq[np.arange(len(sq)), nearest[:, k - 1]]
     tied = np.count_nonzero(sq <= kth[:, None], axis=1) != k
     if tied.any():
         nearest[tied] = np.argsort(sq[tied], axis=1, kind="stable")[:, :k]
     return nearest
+
+
+def _knn_etas(x: np.ndarray, ref_x: np.ndarray, ref_t: np.ndarray, ks) -> list[np.ndarray]:
+    """Unclipped kNN treated rate at each row of x for every k in `ks`: one
+    distance block per row block serves all k, the smaller ones picked from
+    the largest k's neighbours."""
+    widest = max(ks)
+    etas = [np.empty(len(x)) for _ in ks]
+    for rows in row_blocks(len(x), len(ref_x)):
+        sq = pairwise_sq_dists(x[rows], ref_x)
+        pool = _k_nearest(sq, widest)
+        for eta, k in zip(etas, ks):
+            eta[rows] = ref_t[pool if k == widest else _k_nearest(sq, k, pool)].mean(axis=1)
+        del sq  # freed before the next block is allocated
+    return etas
 
 
 def predict_eta(model: PropensityModel, x: np.ndarray) -> np.ndarray:
@@ -235,10 +271,7 @@ def predict_eta(model: PropensityModel, x: np.ndarray) -> np.ndarray:
         xs = (x - p["x_mean"]) / p["x_scale"]
         eta = _sigmoid(xs @ p["weights"] + p["bias"])
     elif model.variant == "knn_classifier":
-        ref_x, ref_t = p["ref_x"], p["ref_t"]
-        eta = np.empty(len(x))
-        for rows in row_blocks(len(x), len(ref_x)):
-            eta[rows] = ref_t[_k_nearest(pairwise_sq_dists(x[rows], ref_x), p["k"])].mean(axis=1)
+        eta = _knn_etas(x, p["ref_x"], p["ref_t"], [p["k"]])[0]
     elif model.variant == "decision_tree":
         eta = _tree_predict(p["root"], x)
     else:
@@ -289,17 +322,24 @@ def select_propensity(x: np.ndarray, t: np.ndarray, grid, folds: int,
     t = np.asarray(t, dtype=int)
     rng = np.random.default_rng(seed)
     fold_idx = _stratified_folds(t, folds, rng)
-    scores = []
-    for spec in grid:
-        losses = []
-        for f in range(folds):
-            val = fold_idx[f]
-            trn = np.concatenate([fold_idx[g] for g in range(folds) if g != f])
-            if len(val) == 0 or t[trn].sum() in (0, len(trn)):
-                continue
-            model = _fit_grid_member(spec, x[trn], t[trn])
-            losses.append(balanced_cross_entropy(predict_eta(model, x[val]), t[val]))
-        scores.append(np.mean(losses) if losses else np.inf)
+    losses = [[] for _ in grid]  # per member, in fold order
+    for f in range(folds):
+        val = fold_idx[f]
+        trn = np.concatenate([fold_idx[g] for g in range(folds) if g != f])
+        if len(val) == 0 or t[trn].sum() in (0, len(trn)):
+            continue
+        x_trn, t_trn, x_val, t_val = x[trn], t[trn], x[val], t[val]
+        models = [_fit_grid_member(spec, x_trn, t_trn) for spec in grid]
+        knn = [i for i, m in enumerate(models) if m.variant == "knn_classifier"]
+        etas = [None if i in knn else predict_eta(m, x_val) for i, m in enumerate(models)]
+        if knn:  # the kNN members share their references: one search serves every k
+            ref = models[knn[0]].params
+            ks = [models[i].params["k"] for i in knn]
+            for i, eta in zip(knn, _knn_etas(x_val, ref["ref_x"], ref["ref_t"], ks)):
+                etas[i] = np.clip(eta, DEFAULT_CLIP, 1 - DEFAULT_CLIP)
+        for member, eta in zip(losses, etas):
+            member.append(balanced_cross_entropy(eta, t_val))
+    scores = [np.mean(member) if member else np.inf for member in losses]
     winner = int(np.argmin(scores))  # argmin keeps the first of tied members
     return _fit_grid_member(grid[winner], x, t)
 

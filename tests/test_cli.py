@@ -5,6 +5,7 @@ and exit codes."""
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,11 +80,24 @@ def test_grid_constants_match_documented_domains():
     ({"fit": {"hp2": {}}}, "fit"),
     ({"dataset": "ihdp_like"}, "dataset"),
     ({"fit": ["hp0"]}, "fit"),
+    ({"propensity_grid": []}, "propensity_grid"),
+    ({"propensity_grid": {"kind": "lr"}}, "propensity_grid"),
+    ({"propensity_grid": [{"kind": "svm"}]}, "propensity_grid[0]"),
+    ({"propensity_grid": ["lr"]}, "propensity_grid[0]"),
+    ({"propensity_grid": [{"kind": ["lr"]}]}, "propensity_grid[0]"),
+    ({"propensity_grid": [{"kind": "lr", "k": 3}]}, "propensity_grid[0]"),
+    ({"propensity_grid": [{"kind": "lr", "l2": -1}]}, "propensity_grid[0].l2"),
+    ({"propensity_grid": [{"kind": "lr", "l2": float("inf")}]}, "propensity_grid[0].l2"),
+    ({"propensity_grid": [{"kind": "lr"}, {"kind": "knn"}]}, "propensity_grid[1].k"),
+    ({"propensity_grid": [{"kind": "knn", "k": 0}]}, "propensity_grid[0].k"),
+    ({"propensity_grid": [{"kind": "knn", "k": 2.5}]}, "propensity_grid[0].k"),
+    ({"propensity_grid": [{"kind": "tree", "max_depth": -1}]}, "propensity_grid[0].max_depth"),
+    ({"propensity_grid": [{"kind": "tree", "min_leaf": 0}]}, "propensity_grid[0].min_leaf"),
 ])
 def test_validate_config_names_offending_field(raw, fragment):
     base = {"seed": 0, "dataset": {"kind": "ihdp_like"}}
     base.update(raw)
-    with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
         validate_config(base)
 
 
@@ -113,6 +127,13 @@ def test_validate_config_builds_fit_hyperparams():
     ("sweep", "search", {"l0": 1, "l1": 1, "epochs": -1}),
     ("sweep", "search", {"l0": 1, "l1": 1, "base_lr": 0.0}),
     ("sweep", "search", {"l0": 1, "l1": 1, "gamma": "big"}),
+    ("fit", "propensity_grid", [{"kind": "svm"}]),
+    ("fit", "propensity_grid", [{"kind": "knn", "k": 0}]),
+    ("fit", "propensity_grid", [{"kind": "knn"}]),
+    ("fit", "propensity_grid", [{"kind": "tree", "min_leaf": 0}]),
+    ("fit", "propensity_grid", []),
+    ("fit", "propensity_grid", [{"kind": "lr", "l2": -1}]),
+    ("sweep", "propensity_grid", [{"kind": "svm"}]),
 ])
 def test_hyperparameter_mistakes_exit_1(tmp_path, capsys, command, section, value):
     cfg = write_config(tmp_path, {section: value})

@@ -6,13 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import alrite.propensity as propensity
 from alrite.propensity import (DEFAULT_CLIP, DEFAULT_PROPENSITY_GRID,
-                               PropensityModel, _scan_first_best,
-                               balanced_cross_entropy,
+                               PropensityModel, _fit_grid_member, _k_nearest,
+                               _knn_etas, _scan_first_best, _sigmoid,
+                               _stratified_folds, balanced_cross_entropy,
                                calibration_table, fit_knn, fit_tree,
                                lr_loss_and_grad, predict_eta,
                                select_propensity, train_propensity_lr)
-from alrite.twin import BLOCK_ENTRIES
+from alrite.twin import BLOCK_ENTRIES, pairwise_sq_dists
 
 
 def test_balanced_cross_entropy_hand_value():
@@ -27,6 +29,27 @@ def test_balanced_cross_entropy_weights_arms_equally():
     eta = np.array([0.5, 0.5, 0.5, 0.5])
     t = np.array([0, 0, 0, 1])
     assert np.isclose(balanced_cross_entropy(eta, t), -2 * np.log(0.5))
+
+
+def masked_sigmoid(u):
+    """The logistic function as each sign's branch on a masked copy."""
+    out = np.empty_like(u, dtype=float)
+    pos = u >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+    e = np.exp(u[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_keeps_the_masked_formulas_bits():
+    rng = np.random.default_rng(0)
+    edge = np.array([0.0, -0.0, 800.0, -800.0, 745.2, -745.2, 36.7, -36.7, 1e-320,
+                     -1e-320, 5e-324, np.inf, -np.inf, np.nan, -np.nan])
+    inputs = [edge] + [rng.standard_normal(500) * 10.0 ** rng.uniform(-300, 300)
+                       for _ in range(50)]
+    with np.errstate(over="ignore"):
+        for u in inputs:
+            assert _sigmoid(u).tobytes() == masked_sigmoid(u).tobytes()
 
 
 def test_lr_gradient_finite_differences():
@@ -112,6 +135,24 @@ def test_knn_partition_matches_stable_sort_on_continuous_data():
     for k in (1, 10, 150, 300):
         got = predict_eta(fit_knn(x, t, k), q)
         assert got.tobytes() == stable_sort_knn(q, x, t.astype(float), k).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_knn_smaller_k_from_the_widest_set_keeps_bytes(seed):
+    # a 3-value grid ties many references at the k-th distance: within the
+    # widest set for some rows, reaching beyond it for others
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 3, size=(200, 3)).astype(float)
+    t = rng.integers(0, 2, size=200).astype(float)
+    q = np.vstack([rng.integers(0, 3, size=(60, 3)), rng.standard_normal((60, 3))])
+    ks = [1, 4, 9, 25, 40]
+    sq = pairwise_sq_dists(q, x)
+    kth = np.sort(sq, axis=1)[:, [k - 1 for k in ks]]
+    tied = np.stack([np.count_nonzero(sq <= kth[:, [j]], axis=1) for j in range(len(ks))], 1)
+    assert np.any((tied[:, :-1] > ks[:-1]) & (tied[:, :-1] <= ks[-1]))
+    assert np.any(tied[:, :-1] > ks[-1])
+    for k, eta in zip(ks, _knn_etas(q, x, t, ks)):
+        assert eta.tobytes() == t[_k_nearest(sq, k)].mean(axis=1).tobytes()
 
 
 def test_knn_k_validation():
@@ -257,6 +298,72 @@ def test_select_propensity_deterministic():
     a = select_propensity(x, t, DEFAULT_PROPENSITY_GRID, folds=4, seed=9)
     b = select_propensity(x, t, DEFAULT_PROPENSITY_GRID, folds=4, seed=9)
     assert a.to_dict() == b.to_dict()
+
+
+def spec_major_select(x, t, grid, folds, seed):
+    """Reference: each grid member cross-validated in turn through
+    `predict_eta`. Returns the refit winner and every (member, fold) loss."""
+    fold_idx = _stratified_folds(t, folds, np.random.default_rng(seed))
+    losses = []
+    for spec in grid:
+        losses.append([])
+        for f in range(folds):
+            val = fold_idx[f]
+            trn = np.concatenate([fold_idx[g] for g in range(folds) if g != f])
+            if len(val) == 0 or t[trn].sum() in (0, len(trn)):
+                continue
+            model = _fit_grid_member(spec, x[trn], t[trn])
+            losses[-1].append(balanced_cross_entropy(predict_eta(model, x[val]), t[val]))
+    winner = int(np.argmin([np.mean(m) if m else np.inf for m in losses]))
+    return _fit_grid_member(grid[winner], x, t), losses
+
+
+@pytest.mark.parametrize("case", ["continuous", "ties", "one_arm_fold"])
+def test_select_propensity_matches_a_spec_major_loop(case, monkeypatch):
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((150, 3))
+    t = (rng.random(150) < 1 / (1 + np.exp(-x[:, 0]))).astype(int)
+    if case == "ties":
+        x = np.round(x)
+    if case == "one_arm_fold":  # the lone treated row's fold trains on one arm
+        t[:] = 0
+        t[7] = 1
+    # k = 500 exceeds every training fold; k = 10 appears twice
+    grid = [{"kind": "knn", "k": 10}, {"kind": "lr", "l2": 1e-2}, {"kind": "knn", "k": 3},
+            {"kind": "tree", "max_depth": 2, "min_leaf": 5}, {"kind": "knn", "k": 500},
+            {"kind": "knn", "k": 10}]
+    model, expect = spec_major_select(x, t, grid, 5, seed=4)
+    seen = []
+
+    def recording(eta, t_rows):
+        loss = balanced_cross_entropy(eta, t_rows)
+        if len(t_rows) < len(t) // 2:  # a validation fold, not a logistic fit's rows
+            seen.append(loss)
+        return loss
+
+    monkeypatch.setattr(propensity, "balanced_cross_entropy", recording)
+    got = select_propensity(x, t, grid, folds=5, seed=4)
+    assert got.to_dict() == model.to_dict()
+    # fold-major: every fold kept scores each member once, in grid order
+    assert len(expect[0]) == (4 if case == "one_arm_fold" else 5)
+    by_member = np.array(seen).reshape(len(expect[0]), len(grid)).T
+    assert by_member.tobytes() == np.array(expect).tobytes()
+
+
+def test_select_propensity_knn_peak_memory_is_one_block_search():
+    # 6000 references per fold: the largest row block's distances and its
+    # partition index block make about 2.5 blocks of BLOCK_ENTRIES; a search
+    # that still holds the previous row block's distances peaks at about 3.3
+    rng = np.random.default_rng(5)
+    x, t = rng.standard_normal((7500, 10)), rng.integers(0, 2, size=7500)
+    grid = [{"kind": "knn", "k": 10}, {"kind": "knn", "k": 30}]
+    tracemalloc.start()
+    try:
+        select_propensity(x, t, grid, folds=5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.8 * BLOCK_ENTRIES * 8
 
 
 def test_calibration_table_counts_and_rates():
