@@ -6,6 +6,11 @@ One JSON config per experiment. Subcommands write CSV/JSON artifacts into
 the output directory; identical config + seed reproduces byte-identical
 files. Every command runs its numeric work on one BLAS thread, so the bytes
 do not depend on the core count; `--workers` is the way to use more cores.
+`sweep`, `fit` and `bounds` hand every independent fit to `_run_jobs`: at
+`--workers 1` it runs the job list here, in order, and otherwise over one
+process pool. `sweep`'s jobs are its propensity CV, its three kernel-ridge
+nuisances and its members; `fit`'s are its two pipelines and its propensity
+CV; `bounds`' are its instances.
 Exit codes: 0 success, 1 config error, 2 runtime failure.
 """
 
@@ -25,13 +30,15 @@ from .blas import one_blas_thread
 from .data import (AcicProtocol, Dataset, GroundTruth, SplitIndices, generate_acic_like,
                    generate_ihdp_like, generate_two_cluster_toy, load_csv,
                    save_csv, split)
-from .learner import (AlriteModel, _blend, alrite_fit, alrite_predict, predict_ensemble_grid,
-                      rank_members, select_ensemble_hyperparam)
+from .learner import (AlriteModel, _blend, alrite_fit_jobs, alrite_predict,
+                      predict_ensemble_grid, rank_members, select_ensemble_hyperparam,
+                      select_eta)
 from .metrics import (bound_m1, bound_m2, bound_m3, eps_ate,
                       make_linear_instance, pehe, policy_risks)
 from .pipeline import Pipeline, PipelineHyperparams, predict_mu, predict_tau, train_pipeline
-from .propensity import DEFAULT_PROPENSITY_GRID, PropensityModel, predict_eta, select_propensity
-from .selection import PROXY_KINDS, fit_auxiliaries, proxy_terms, rank_agreement, score_candidate
+from .propensity import DEFAULT_PROPENSITY_GRID, PropensityModel, predict_eta
+from .selection import (PROXY_KINDS, assemble_auxiliaries, auxiliary_jobs, fit_kernel_ridge_cv,
+                        proxy_terms, rank_agreement, score_candidate)
 
 # hyper-parameter search domains
 ALPHA_GRID = (0.0,) + tuple(10.0 ** (k / 2) for k in range(-4, 5))
@@ -281,15 +288,49 @@ def cmd_generate(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     return 0
 
 
-def _train_member(payload):
-    """Sweep worker: returns (index, role, pipeline dict or None, error or
-    None). Never raises; failures are recorded."""
-    index, role, dataset, split_idx, hp, seed = payload
+_jobs: list = []  # a pool worker's job list, set by its initializer
+
+
+def _take_jobs(jobs: list) -> None:
+    global _jobs
+    _jobs = jobs
+
+
+def _run_job(i: int):
+    fn, args = _jobs[i]
+    return fn(*args)
+
+
+def _run_jobs(jobs: list, workers: int) -> list:
+    """Each (function, args) job's result, in job order. With one worker, or
+    one job, the jobs run here in order. Otherwise one pool of min(workers,
+    jobs) processes runs them, taken in order: each worker gets the job list
+    once, through the pool's initializer (inherited, not pickled, under the
+    fork start method), and is sent only job indices. The first job in order
+    that raises raises here; jobs not yet started are then dropped."""
+    size = min(workers, len(jobs))
+    if size <= 1:
+        return [fn(*args) for fn, args in jobs]
+    # the fork start method starts every worker up front
+    with ProcessPoolExecutor(max_workers=size, initializer=_take_jobs,
+                             initargs=(jobs,)) as pool:
+        return list(pool.map(_run_job, range(len(jobs))))
+
+
+def _train_member(index, role, dataset, split_idx, hp, seed, out, x_val, t_val):
+    """Sweep member job: trains one pipeline, predicts its effects and its
+    factual outcomes on the validation rows `x_val`, `t_val`, and writes it
+    to models/member_XXX.json under `out` last. Returns (index, role, the
+    file's path relative to `out`, tau, mu, None), or (index, role, None,
+    None, None, error) on a failure. Never raises; failures are recorded."""
     try:
         p, _ = train_pipeline(dataset, split_idx, role, hp, seed)
-        return index, role, p.to_dict(), None
+        tau, mu = predict_tau(p, x_val), predict_mu(p, x_val, t_val)
+        path = Path("models") / f"member_{index:03d}.json"
+        _write_json(out / path, p.to_dict())
+        return index, role, str(path), tau, mu, None
     except Exception as exc:
-        return index, role, None, f"{type(exc).__name__}: {exc}"
+        return index, role, None, None, None, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
@@ -298,48 +339,41 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     l0, l1 = cfg.search["l0"], cfg.search["l1"]
     hp_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     roles = ["control_driven"] * l0 + ["treatment_driven"] * l1
-    jobs = [(k, role, dataset, split_idx, sample_hyperparams(hp_rng, cfg.search),
-             member_seed(cfg.seed, 1 + k)) for k, role in enumerate(roles)]
-
-    if workers > 1:
-        # the fork start method starts every worker up front
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = list(pool.map(_train_member, jobs))
-    else:
-        results = [_train_member(job) for job in jobs]
+    hps = [sample_hyperparams(hp_rng, cfg.search) for _ in roles]
+    train, val = split_idx.train, split_idx.validation
+    x_val, t_val, y_val = dataset.x[val], dataset.t[val], dataset.y[val]
+    # the nuisances first, the longest first, then the members
+    jobs = [(select_eta, (dataset, split_idx, cfg.propensity_grid, member_seed(cfg.seed, 10_000)))]
+    jobs += [(fit_kernel_ridge_cv, xys)
+             for xys in auxiliary_jobs(dataset, train, member_seed(cfg.seed, 10_001))]
+    nuisances = len(jobs)
+    jobs += [(_train_member, (k, role, dataset, split_idx, hp, member_seed(cfg.seed, 1 + k),
+                              out, x_val, t_val))
+             for k, (role, hp) in enumerate(zip(roles, hps))]
+    results = _run_jobs(jobs, workers)
+    (eta, *fits), results = results[:nuisances], results[nuisances:]
 
     members = []
-    pipelines: dict[int, Pipeline] = {}
-    for (index, role, p_dict, error), job in zip(results, jobs):
+    tau, mu = {}, {}
+    for (index, role, path, tau_k, mu_k, error), hp in zip(results, hps):
         entry = {"index": index, "role": role, "status": "ok" if error is None else "failed",
                  "error": error, "val_mu_risk": None,
-                 "hyperparams": {k: getattr(job[4], k) for k in vars(job[4])}}
-        if p_dict is not None:
-            path = out / "models" / f"member_{index:03d}.json"
-            _write_json(path, p_dict)
-            entry["path"] = str(path.relative_to(out))
-            pipelines[index] = Pipeline.from_dict(p_dict)
+                 "hyperparams": {k: getattr(hp, k) for k in vars(hp)}}
+        if error is None:
+            entry["path"] = path
+            entry["val_mu_risk"] = float(np.mean((y_val - mu_k) ** 2))
+            tau[index], mu[index] = tau_k, mu_k
         members.append(entry)
 
-    ok0 = [i for i in range(l0) if i in pipelines]
-    ok1 = [l0 + j for j in range(l1) if l0 + j in pipelines]
+    ok0 = [i for i in range(l0) if i in tau]
+    ok1 = [l0 + j for j in range(l1) if l0 + j in tau]
     if not ok0 or not ok1:
         raise RuntimeError("sweep produced no usable member for at least one role")
 
-    train_idx = split_idx.train
-    eta = select_propensity(dataset.x[train_idx], dataset.t[train_idx], cfg.propensity_grid,
-                            folds=5, seed=member_seed(cfg.seed, 10_000))
     _write_json(out / "eta.json", eta.to_dict())
-    aux = fit_auxiliaries(dataset, train_idx, member_seed(cfg.seed, 10_001), eta)
-
-    val = split_idx.validation
-    x_val, t_val, y_val = dataset.x[val], dataset.t[val], dataset.y[val]
+    aux = assemble_auxiliaries(dataset, train, eta, fits)
     eta_val = predict_eta(eta, x_val)
     terms = proxy_terms(dataset, val, aux, eta_val)
-    tau = {k: predict_tau(pipelines[k], x_val) for k in ok0 + ok1}
-    mu = {k: predict_mu(pipelines[k], x_val, t_val) for k in ok0 + ok1}
-    for k in ok0 + ok1:
-        members[k]["val_mu_risk"] = float(np.mean((y_val - mu[k]) ** 2))
     rows = []
     for i in ok0:
         for j in ok1:
@@ -365,13 +399,14 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
 def cmd_fit(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     dataset, _ = _resolve_dataset(cfg, out)
     split_idx = _split_for(cfg, dataset)
-    model, reports = alrite_fit(dataset, split_idx, cfg.fit["hp0"], cfg.fit["hp1"],
-                                cfg.propensity_grid, cfg.seed)
+    jobs = alrite_fit_jobs(dataset, split_idx, cfg.fit["hp0"], cfg.fit["hp1"],
+                           cfg.propensity_grid, cfg.seed)
+    (p0, rep0), (p1, rep1), eta = _run_jobs(jobs, workers)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "model.json", model.to_dict())
+    _write_json(out / "model.json", AlriteModel(p0, p1, eta).to_dict())
     _write_json(out / "fit_report.json", {
         role: {"val_mse": rep.val_mse, "retained_epoch": rep.retained_epoch}
-        for role, rep in reports.items()})
+        for role, rep in (("p0", rep0), ("p1", rep1))})
     print(f"wrote {out / 'model.json'}")
     return 0
 
@@ -499,27 +534,28 @@ def cmd_ensemble(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     return 0
 
 
+def _bound_instance(instance: int, seed: int, n: int, d: int, noise: float) -> list[list]:
+    """Bounds job: the bounds.csv rows of one constructed instance, m1, m2
+    and m3."""
+    # the single-embedding bound is a sure statement only for noiseless
+    # factual outcomes; the two-pipeline bounds absorb noise in kappa_Y
+    ds0, truth0, q0, _, l0 = make_linear_instance(seed, n, d, noise=0.0)
+    ds1, truth1, p0, p1, l1 = make_linear_instance(seed, n, d, noise=noise)
+    reports = [("m1", bound_m1(q0, ds0, truth0, l0)),
+               ("m2", bound_m2(p0, p1, ds1, truth1, l1)),
+               ("m3", bound_m3(p0, p1, ds1, truth1, l1))]
+    return [[instance, kind, rep.bound, rep.pehe, rep.slack, int(rep.certified),
+             "ok" if rep.slack >= -1e-9 else "violated"] for kind, rep in reports]
+
+
 def cmd_bounds(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     b = cfg.bounds
-    instances = b.get("instances", 20)
     n, d = b.get("n", 100), b.get("d", 2)
     noise = b.get("noise", 0.1)
-    rows = []
-    violations = 0
-    for i in range(instances):
-        seed = member_seed(cfg.seed, 20_000 + i)
-        # the single-embedding bound is a sure statement only for noiseless
-        # factual outcomes; the two-pipeline bounds absorb noise in kappa_Y
-        ds0, truth0, q0, _, l0 = make_linear_instance(seed, n, d, noise=0.0)
-        ds1, truth1, p0, p1, l1 = make_linear_instance(seed, n, d, noise=noise)
-        reports = [("m1", bound_m1(q0, ds0, truth0, l0)),
-                   ("m2", bound_m2(p0, p1, ds1, truth1, l1)),
-                   ("m3", bound_m3(p0, p1, ds1, truth1, l1))]
-        for kind, rep in reports:
-            ok = rep.slack >= -1e-9
-            violations += not ok
-            rows.append([i, kind, rep.bound, rep.pehe, rep.slack,
-                         int(rep.certified), "ok" if ok else "violated"])
+    jobs = [(_bound_instance, (i, member_seed(cfg.seed, 20_000 + i), n, d, noise))
+            for i in range(b.get("instances", 20))]
+    rows = [row for instance in _run_jobs(jobs, workers) for row in instance]
+    violations = sum(row[-1] == "violated" for row in rows)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "bounds.csv",
                ["instance", "kind", "bound", "pehe", "slack", "certified", "status"], rows)
@@ -634,7 +670,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to the experiment JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
+        p.add_argument("--workers", type=int, default=1,
+                       help="processes for the independent fits of sweep, fit and bounds "
+                            "(1: all in this process, in order)")
     return parser
 
 

@@ -54,18 +54,35 @@ def aggregate_mu(p0: Pipeline, p1: Pipeline, eta: PropensityModel, x: np.ndarray
     return _blend(predict_eta(eta, x), predict_mu(p0, x, arm), predict_mu(p1, x, arm))
 
 
+def select_eta(dataset: Dataset, split: SplitIndices, propensity_grid,
+               seed: int) -> PropensityModel:
+    """eta_hat selected by 5-fold CV on the split's training rows, which are
+    copied out only once this runs."""
+    train_idx = np.asarray(split.train, dtype=int)
+    return select_propensity(dataset.x[train_idx], dataset.t[train_idx], propensity_grid,
+                             folds=5, seed=seed)
+
+
+def alrite_fit_jobs(dataset: Dataset, split: SplitIndices,
+                    hp0: PipelineHyperparams, hp1: PipelineHyperparams,
+                    propensity_grid=DEFAULT_PROPENSITY_GRID, seed: int = 0) -> list[tuple]:
+    """`alrite_fit`'s three independent trainings as (function, args) jobs:
+    p0, p1, then eta_hat, each with its own seed stream derived from the
+    master seed."""
+    s0, s1, s_eta = np.random.SeedSequence(seed).generate_state(3)
+    return [(train_pipeline, (dataset, split, "control_driven", hp0, int(s0))),
+            (train_pipeline, (dataset, split, "treatment_driven", hp1, int(s1))),
+            (select_eta, (dataset, split, propensity_grid, int(s_eta)))]
+
+
 def alrite_fit(dataset: Dataset, split: SplitIndices,
                hp0: PipelineHyperparams, hp1: PipelineHyperparams,
                propensity_grid=DEFAULT_PROPENSITY_GRID, seed: int = 0,
                ) -> tuple[AlriteModel, dict[str, TrainReport]]:
-    """Three independent trainings from per-trainer seed streams derived
-    from the master seed."""
-    s0, s1, s_eta = np.random.SeedSequence(seed).generate_state(3)
-    p0, rep0 = train_pipeline(dataset, split, "control_driven", hp0, int(s0))
-    p1, rep1 = train_pipeline(dataset, split, "treatment_driven", hp1, int(s1))
-    train_idx = np.asarray(split.train, dtype=int)
-    eta = select_propensity(dataset.x[train_idx], dataset.t[train_idx],
-                            propensity_grid, folds=5, seed=int(s_eta))
+    """The model of `alrite_fit_jobs`' results, run in order, with the
+    pipelines' training reports."""
+    jobs = alrite_fit_jobs(dataset, split, hp0, hp1, propensity_grid, seed)
+    (p0, rep0), (p1, rep1), eta = [fn(*args) for fn, args in jobs]
     return AlriteModel(p0, p1, eta), {"p0": rep0, "p1": rep1}
 
 

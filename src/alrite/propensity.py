@@ -20,12 +20,14 @@ Shared work, done once, with the same bits as doing it per member:
   distances), and the tie check still counts over the whole row. The mean
   of 0/1 labels is exact in any order. Each block is freed before the next.
 - A tree sorts every feature once per fit. A child's order is its parent's,
-  filtered to the child's rows, which is the child's own stable argsort.
+  filtered to the child's rows, which is the child's own stable argsort; it
+  is computed only for a node that may split, never for a leaf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -161,13 +163,15 @@ def _scan_first_best(gain: np.ndarray, best):
         pos, best = q, gain[q]
 
 
-def _build_tree(x, t, order, depth, max_depth, min_leaf):
-    """`order` is x's stable argsort along axis 0: every feature sorted."""
+def _build_tree(x, t, sort, depth, max_depth, min_leaf):
+    """`sort()` gives x's stable argsort along axis 0, every feature sorted;
+    only a node that may split calls it."""
     n = len(t)
     rate = float(np.mean(t))
     node = {"leaf": True, "value": rate, "n": n}
     if depth >= max_depth or n < 2 * min_leaf or rate in (0.0, 1.0):
         return node
+    order = sort()
     n1 = t.sum()
     parent_impurity = _gini(n1, n)
     # a split after the first `size` sorted samples leaves at least min_leaf
@@ -192,7 +196,7 @@ def _build_tree(x, t, order, depth, max_depth, min_leaf):
         return node
     _, j, thr = best
     mask = x[:, j] <= thr
-    left, right = (_build_tree(x[keep], t[keep], _child_order(order, keep), depth + 1,
+    left, right = (_build_tree(x[keep], t[keep], partial(_child_order, order, keep), depth + 1,
                                max_depth, min_leaf) for keep in (mask, ~mask))
     return {"leaf": False, "feature": j, "threshold": float(thr), "left": left, "right": right}
 
@@ -212,7 +216,8 @@ def fit_tree(x: np.ndarray, t: np.ndarray, max_depth: int, min_leaf: int = 10) -
         raise ValueError("min_leaf must be at least 1")
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=int)
-    root = _build_tree(x, t, np.argsort(x, axis=0, kind="stable"), 0, max_depth, min_leaf)
+    root = _build_tree(x, t, partial(np.argsort, x, axis=0, kind="stable"), 0, max_depth,
+                       min_leaf)
     return PropensityModel("decision_tree", {"max_depth": int(max_depth),
                                              "min_leaf": int(min_leaf), "root": root})
 

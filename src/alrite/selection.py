@@ -116,19 +116,33 @@ def _inverse_propensity(eta: np.ndarray, t) -> np.ndarray:
     return np.where(np.asarray(t, dtype=int) == 1, 1.0 / eta, 1.0 / (1.0 - eta))
 
 
-def fit_auxiliaries(dataset: Dataset, train_indices, seed: int,
-                    eta_hat: PropensityModel) -> Auxiliaries:
-    """Kernel ridge nuisances fitted on the training indices; `eta_hat` is the
-    propensity model already selected on the same rows."""
+def auxiliary_jobs(dataset: Dataset, train_indices, seed: int) -> list[tuple]:
+    """The (x, y, seed) that `fit_kernel_ridge_cv` takes for each kernel
+    ridge nuisance, largest first: m_hat on every training row, then mu0_hat
+    and mu1_hat on each arm's rows."""
     idx = np.asarray(train_indices, dtype=int)
     x, t, y = dataset.x[idx], dataset.t[idx], dataset.y[idx]
     if t.sum() in (0, len(t)):
         raise ValueError("both arms required on the training indices")
     s0, s1, sm = np.random.SeedSequence(seed).generate_state(3)
-    mu0 = fit_kernel_ridge_cv(x[t == 0], y[t == 0], int(s0))
-    mu1 = fit_kernel_ridge_cv(x[t == 1], y[t == 1], int(s1))
-    m = fit_kernel_ridge_cv(x, y, int(sm))
-    return Auxiliaries(mu0, mu1, m, eta_hat, x.copy(), t.copy(), y.copy())
+    return [(x, y, int(sm)), (x[t == 0], y[t == 0], int(s0)), (x[t == 1], y[t == 1], int(s1))]
+
+
+def assemble_auxiliaries(dataset: Dataset, train_indices, eta_hat: PropensityModel,
+                         fits) -> Auxiliaries:
+    """Auxiliaries from `fits`, the `fit_kernel_ridge_cv` results of
+    `auxiliary_jobs` in its order; the donors are the training rows."""
+    m, mu0, mu1 = fits
+    idx = np.asarray(train_indices, dtype=int)
+    return Auxiliaries(mu0, mu1, m, eta_hat, dataset.x[idx], dataset.t[idx], dataset.y[idx])
+
+
+def fit_auxiliaries(dataset: Dataset, train_indices, seed: int,
+                    eta_hat: PropensityModel) -> Auxiliaries:
+    """Kernel ridge nuisances fitted on the training indices; `eta_hat` is the
+    propensity model already selected on the same rows."""
+    fits = [fit_kernel_ridge_cv(*job) for job in auxiliary_jobs(dataset, train_indices, seed)]
+    return assemble_auxiliaries(dataset, train_indices, eta_hat, fits)
 
 
 def nn_imputed_outcome(aux: Auxiliaries, x: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 import alrite.cli as cli
+import alrite.learner as learner
+import alrite.selection as selection
 from alrite.data import load_csv
 from alrite.learner import (EnsembleModel, aggregate_mu, aggregate_tau, ensemble_predict,
                             rank_members)
@@ -266,12 +268,13 @@ def test_artifact_bytes_independent_of_blas_threads_and_workers(tmp_path):
             assert runs[name][path] == data, f"{path} differs between {first} and {name}"
 
 
-def test_sweep_pool_holds_at_most_one_worker_per_member(tmp_path, monkeypatch):
-    sizes = []
+def test_sweep_pool_runs_every_job_nuisances_first(tmp_path, monkeypatch):
+    sizes, submitted = [], []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)  # the job list, as each worker takes it
 
         def __enter__(self):
             return self
@@ -279,12 +282,75 @@ def test_sweep_pool_holds_at_most_one_worker_per_member(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, indices):
+            indices = list(indices)
+            submitted.extend(cli._jobs[i][0] for i in indices)
+            return map(fn, indices)
 
+    monkeypatch.setattr(cli, "_jobs", [])
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     run_sweep(tmp_path, "run", ["--workers", "500"])
-    assert sizes == [4]
+    # eta_hat's CV, then m_hat, mu0_hat and mu1_hat, then the 2 + 2 members
+    assert submitted == ([cli.select_eta] + [cli.fit_kernel_ridge_cv] * 3
+                         + [cli._train_member] * 4)
+    assert sizes == [min(500, len(submitted))]
+
+
+NUISANCE_AND_MEMBER_FITS = ("select_propensity", "fit_kernel_ridge_cv", "train_pipeline",
+                            "predict_tau")
+
+
+def test_sweep_fits_nothing_in_the_parent_at_two_workers(tmp_path, monkeypatch):
+    log = tmp_path / "calls.log"
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, learner, selection):
+        for name in NUISANCE_AND_MEMBER_FITS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    run_sweep(tmp_path, "run", ["--workers", "2"])
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert {name for name, _ in calls} == set(NUISANCE_AND_MEMBER_FITS)
+    assert str(os.getpid()) not in {pid for _, pid in calls}
+
+
+def _fit_and_bounds(tmp_path, name, workers):
+    cfg = write_config(tmp_path)
+    out = tmp_path / name
+    codes = [main([command, "--config", cfg, "--out", str(out), "--workers", workers])
+             for command in ("fit", "bounds")]
+    return out, codes
+
+
+def test_fit_and_bounds_bytes_independent_of_workers(tmp_path):
+    serial, codes = _fit_and_bounds(tmp_path, "serial", "1")
+    assert codes == [0, 0]
+    pooled, codes = _fit_and_bounds(tmp_path, "pooled", "2")
+    assert codes == [0, 0]
+    for name in ("model.json", "fit_report.json", "bounds.csv"):
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+    assert len((serial / "bounds.csv").read_text().splitlines()) == 1 + 3 * 3
+
+
+def test_fit_failing_in_the_pool_exits_2_with_the_same_message(tmp_path, capsys):
+    # a learning rate this large overflows p0 after its first Adam step, so
+    # its training job raises
+    fit = json.loads(json.dumps(SMALL_CONFIG["fit"]))
+    fit["hp0"]["base_lr"] = 1e300
+    errors = []
+    for workers in ("1", "2"):
+        cfg = write_config(tmp_path, {"fit": fit})
+        out = tmp_path / f"workers{workers}"
+        assert main(["fit", "--config", cfg, "--out", str(out), "--workers", workers]) == 2
+        errors.append(capsys.readouterr().err)
+        assert not (out / "model.json").exists()
+    assert errors == ["error: FloatingPointError: non-finite upstream gradient\n"] * 2
 
 
 def test_candidate_rows_rebuild_from_written_members(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import alrite.propensity as propensity
+from alrite.data import AcicProtocol, generate_acic_like, generate_ihdp_like
 from alrite.propensity import (DEFAULT_CLIP, DEFAULT_PROPENSITY_GRID,
                                PropensityModel, _fit_grid_member, _k_nearest,
                                _knn_etas, _scan_first_best, _sigmoid,
@@ -235,6 +236,37 @@ def test_tree_matches_scalar_split_scan(ties, min_leaf):
         for max_depth in (1, 2, 3, 4):
             root = fit_tree(x, t, max_depth, min_leaf).params["root"]
             assert root == reference_tree(x, t, 0, max_depth, min_leaf)
+
+
+@pytest.mark.parametrize("kind", ["acic_like", "ihdp_like"])
+def test_tree_orders_only_the_nodes_that_may_split(kind, monkeypatch):
+    if kind == "acic_like":
+        ds, _ = generate_acic_like(1, 600, AcicProtocol())
+    else:
+        ds, _ = generate_ihdp_like(1, n=747)
+    x, t = ds.x, ds.t.astype(int)
+    calls, child_order = [], propensity._child_order
+    monkeypatch.setattr(propensity, "_child_order",
+                        lambda *args: calls.append(1) or child_order(*args))
+
+    def may_split(node, depth, max_depth, min_leaf):  # passed the leaf checks
+        return not node["leaf"] or (depth < max_depth and node["n"] >= 2 * min_leaf
+                                    and node["value"] not in (0.0, 1.0))
+
+    def children_that_may_split(node, depth, max_depth, min_leaf):
+        if node["leaf"]:
+            return 0
+        return sum(may_split(child, depth + 1, max_depth, min_leaf)
+                   + children_that_may_split(child, depth + 1, max_depth, min_leaf)
+                   for child in (node["left"], node["right"]))
+
+    for max_depth, min_leaf in ((3, 10), (5, 1), (2, 50)):
+        calls.clear()
+        model = fit_tree(x, t, max_depth, min_leaf)
+        root = model.to_dict()["params"]["root"]
+        assert root == reference_tree(x, t, 0, max_depth, min_leaf)
+        assert not root["leaf"]
+        assert len(calls) == children_that_may_split(root, 0, max_depth, min_leaf)
 
 
 def test_split_scan_keeps_first_of_near_ties():
