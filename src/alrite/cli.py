@@ -10,7 +10,9 @@ do not depend on the core count; `--workers` is the way to use more cores.
 `--workers 1` it runs the job list here, in order, and otherwise over one
 process pool. `sweep`'s jobs are its propensity CV, its three kernel-ridge
 nuisances and its members; `fit`'s are its two pipelines and its propensity
-CV; `bounds`' are its instances.
+CV; `bounds`' are its instances. A sweep member's job also predicts the
+validation and test rows; `sweep` keeps those predictions in
+`member_predictions.json`, so `ensemble` decodes no model file.
 Exit codes: 0 success, 1 config error, 2 runtime failure.
 """
 
@@ -31,11 +33,11 @@ from .data import (AcicProtocol, Dataset, GroundTruth, SplitIndices, generate_ac
                    generate_ihdp_like, generate_two_cluster_toy, load_csv,
                    save_csv, split)
 from .learner import (AlriteModel, _blend, alrite_fit_jobs, alrite_predict,
-                      predict_ensemble_grid, rank_members, select_ensemble_hyperparam,
+                      combine_ensemble_grid, rank_members, select_ensemble_hyperparam,
                       select_eta)
 from .metrics import (bound_m1, bound_m2, bound_m3, eps_ate,
                       make_linear_instance, pehe, policy_risks)
-from .pipeline import Pipeline, PipelineHyperparams, predict_mu, predict_tau, train_pipeline
+from .pipeline import PipelineHyperparams, predict_mu, predict_tau, train_pipeline
 from .propensity import DEFAULT_PROPENSITY_GRID, PropensityModel, predict_eta
 from .selection import (PROXY_KINDS, assemble_auxiliaries, auxiliary_jobs, fit_kernel_ridge_cv,
                         proxy_terms, rank_agreement, score_candidate)
@@ -90,6 +92,10 @@ def _hyperparams(name: str, values: dict) -> PipelineHyperparams:
         raise ConfigError(f"{name}: {exc}") from None
 
 
+def _is_number(val, kind=(int, float)) -> bool:
+    return not isinstance(val, bool) and isinstance(val, kind)
+
+
 # each propensity grid kind's keys with their smallest values; only the L2
 # penalty (a float) need not be an integer
 GRID_MEMBER_KEYS = {"lr": {"l2": 0.0}, "knn": {"k": 1}, "tree": {"max_depth": 0, "min_leaf": 1}}
@@ -115,10 +121,15 @@ def _check_propensity_grid(grid) -> list:
                 continue
             val = spec[key]
             number = (int, float) if isinstance(low, float) else int
-            if isinstance(val, bool) or not isinstance(val, number) or not low <= val < np.inf:
+            if not (_is_number(val, number) and low <= val < np.inf):
                 what = "a finite number" if number is not int else "an integer"
                 raise ConfigError(f"{name}.{key}: must be {what} >= {low:g}")
     return grid
+
+
+# the keys each of these sections reads
+SECTION_KEYS = {"split": ("test_fraction", "val_fraction"), "selection": ("proxy",),
+                "ensemble": ("mode", "candidates"), "bounds": ("n", "d", "instances", "noise")}
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -139,6 +150,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
     defaults = ExperimentConfig()
     for name in ("split", "search", "selection", "ensemble"):
         setattr(cfg, name, {**getattr(defaults, name), **getattr(cfg, name)})
+    for name, keys in SECTION_KEYS.items():
+        unknown = set(getattr(cfg, name)) - set(keys)
+        if unknown:
+            raise ConfigError(f"{name}: unknown fields {sorted(unknown)}")
     if not isinstance(cfg.seed, int) or cfg.seed < 0:
         raise ConfigError("seed: must be a non-negative integer")
     kind = cfg.dataset.get("kind")
@@ -170,6 +185,21 @@ def validate_config(raw: dict) -> ExperimentConfig:
     mode = cfg.ensemble["mode"]
     if mode not in ("top_k", "softmax"):
         raise ConfigError(f"ensemble.mode: expected top_k or softmax, got {mode!r}")
+    if "candidates" in cfg.ensemble:
+        lams = cfg.ensemble["candidates"]
+        if mode == "top_k":
+            raise ConfigError("ensemble.candidates: only mode softmax takes candidates; "
+                              "top_k tries every K")
+        if not (isinstance(lams, list) and lams
+                and all(_is_number(v) and 0 < v < np.inf for v in lams)):
+            raise ConfigError("ensemble.candidates: must be a non-empty list of finite "
+                              "numbers > 0")
+    for key in ("n", "d", "instances"):
+        if key in cfg.bounds and not (_is_number(cfg.bounds[key], int) and cfg.bounds[key] >= 1):
+            raise ConfigError(f"bounds.{key}: must be an integer >= 1")
+    if "noise" in cfg.bounds and not (_is_number(cfg.bounds["noise"])
+                                      and 0 <= cfg.bounds["noise"] < np.inf):
+        raise ConfigError("bounds.noise: must be a finite number >= 0")
     cfg.propensity_grid = _check_propensity_grid(cfg.propensity_grid)
     unknown = set(cfg.fit) - {"hp0", "hp1"}
     if unknown:
@@ -317,20 +347,22 @@ def _run_jobs(jobs: list, workers: int) -> list:
         return list(pool.map(_run_job, range(len(jobs))))
 
 
-def _train_member(index, role, dataset, split_idx, hp, seed, out, x_val, t_val):
+def _train_member(index, role, dataset, split_idx, hp, seed, out, x_val, t_val, x_test):
     """Sweep member job: trains one pipeline, predicts its effects and its
-    factual outcomes on the validation rows `x_val`, `t_val`, and writes it
-    to models/member_XXX.json under `out` last. Returns (index, role, the
-    file's path relative to `out`, tau, mu, None), or (index, role, None,
-    None, None, error) on a failure. Never raises; failures are recorded."""
+    factual outcomes on the validation rows `x_val`, `t_val` and its effects
+    on the test rows `x_test`, and writes it to models/member_XXX.json under
+    `out` last. Returns (index, role, the file's path relative to `out`, tau,
+    mu, test tau, None), or (index, role, None, None, None, None, error) on a
+    failure. Never raises; failures are recorded."""
     try:
         p, _ = train_pipeline(dataset, split_idx, role, hp, seed)
         tau, mu = predict_tau(p, x_val), predict_mu(p, x_val, t_val)
+        tau_test = predict_tau(p, x_test)
         path = Path("models") / f"member_{index:03d}.json"
         _write_json(out / path, p.to_dict())
-        return index, role, str(path), tau, mu, None
+        return index, role, str(path), tau, mu, tau_test, None
     except Exception as exc:
-        return index, role, None, None, None, f"{type(exc).__name__}: {exc}"
+        return index, role, None, None, None, None, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
@@ -342,27 +374,28 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     hps = [sample_hyperparams(hp_rng, cfg.search) for _ in roles]
     train, val = split_idx.train, split_idx.validation
     x_val, t_val, y_val = dataset.x[val], dataset.t[val], dataset.y[val]
+    x_test = dataset.x[split_idx.test]
     # the nuisances first, the longest first, then the members
     jobs = [(select_eta, (dataset, split_idx, cfg.propensity_grid, member_seed(cfg.seed, 10_000)))]
     jobs += [(fit_kernel_ridge_cv, xys)
              for xys in auxiliary_jobs(dataset, train, member_seed(cfg.seed, 10_001))]
     nuisances = len(jobs)
     jobs += [(_train_member, (k, role, dataset, split_idx, hp, member_seed(cfg.seed, 1 + k),
-                              out, x_val, t_val))
+                              out, x_val, t_val, x_test))
              for k, (role, hp) in enumerate(zip(roles, hps))]
     results = _run_jobs(jobs, workers)
     (eta, *fits), results = results[:nuisances], results[nuisances:]
 
     members = []
-    tau, mu = {}, {}
-    for (index, role, path, tau_k, mu_k, error), hp in zip(results, hps):
+    tau, mu, tau_test = {}, {}, {}
+    for (index, role, path, tau_k, mu_k, tau_test_k, error), hp in zip(results, hps):
         entry = {"index": index, "role": role, "status": "ok" if error is None else "failed",
                  "error": error, "val_mu_risk": None,
                  "hyperparams": {k: getattr(hp, k) for k in vars(hp)}}
         if error is None:
             entry["path"] = path
             entry["val_mu_risk"] = float(np.mean((y_val - mu_k) ** 2))
-            tau[index], mu[index] = tau_k, mu_k
+            tau[index], mu[index], tau_test[index] = tau_k, mu_k, tau_test_k
         members.append(entry)
 
     ok0 = [i for i in range(l0) if i in tau]
@@ -390,6 +423,10 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
                                      "n_candidates": len(rows)})
     _write_csv(out / "candidates.csv",
                ["candidate_id", "i0", "i1"] + list(PROXY_KINDS) + ["pehe"], rows)
+    # what `ensemble` needs of each usable member, so it decodes no model file
+    _write_json(out / "member_predictions.json", {
+        "validation_mu": {str(k): v.tolist() for k, v in mu.items()},
+        "test_tau": {str(k): v.tolist() for k, v in tau_test.items()}})
     failed = sum(1 for m in members if m["status"] == "failed")
     print(f"sweep complete: {len(members) - failed}/{len(members)} members trained, "
           f"{len(rows)} candidates scored")
@@ -471,20 +508,26 @@ def cmd_select(cfg: ExperimentConfig, out: Path, workers: int) -> int:
 
 
 def _load_sweep_members(out: Path):
-    """Per role, the sweep's usable members: their sweep indices, pipelines
-    and validation mu-risks as `sweep` recorded them; then the propensity
-    model and the split."""
+    """Per role, the sweep's usable members: their sweep indices, their
+    (validation mu, test tau) predictions and validation mu-risks as `sweep`
+    recorded them; then the propensity model and the split. Reads no model
+    file."""
     with open(out / "sweep.json") as fh:
         sweep = json.load(fh)
+    path = out / "member_predictions.json"
+    if not path.exists():
+        raise RuntimeError(f"no member predictions at {path}; rerun `sweep`")
+    with open(path) as fh:
+        preds = json.load(fh)
     members = {"control_driven": ([], [], []), "treatment_driven": ([], [], [])}
     for m in sweep["members"]:
         if m["status"] != "ok":
             continue
-        with open(out / m["path"]) as fh:
-            p = Pipeline.from_dict(json.load(fh))
-        indices, pipelines, risks = members[m["role"]]
+        indices, predictions, risks = members[m["role"]]
+        key = str(m["index"])
         indices.append(m["index"])
-        pipelines.append(p)
+        predictions.append((np.asarray(preds["validation_mu"][key], dtype=float),
+                            np.asarray(preds["test_tau"][key], dtype=float)))
         risks.append(m["val_mu_risk"])
     with open(out / "eta.json") as fh:
         eta = PropensityModel.from_dict(json.load(fh))
@@ -500,22 +543,24 @@ def cmd_ensemble(cfg: ExperimentConfig, out: Path, workers: int) -> int:
         raise RuntimeError(f"no sweep results in {out}; run `sweep` first")
     ranked0, ranked1, eta, split_idx = _load_sweep_members(out)
     dataset, truth = _resolve_dataset(cfg, out)
-    indices0, members0, risks0 = rank_members(*ranked0)
-    indices1, members1, risks1 = rank_members(*ranked1)
+    indices0, preds0, risks0 = rank_members(*ranked0)
+    indices1, preds1, risks1 = rank_members(*ranked1)
     mode = cfg.ensemble["mode"]
     if mode == "top_k":
-        candidates = list(range(1, min(len(members0), len(members1)) + 1))
+        candidates = list(range(1, min(len(preds0), len(preds1)) + 1))
     else:
         candidates = list(cfg.ensemble.get("candidates", LAMBDA_GRID))
+    val = split_idx.validation
     chosen, table = select_ensemble_hyperparam(
-        members0, members1, eta, mode, candidates, dataset,
-        split_idx.validation, risks0, risks1)
+        [mu for mu, _ in preds0], [mu for mu, _ in preds1], predict_eta(eta, dataset.x[val]),
+        dataset.y[val], mode, candidates, risks0, risks1)
 
     test_pehe = [""] * len(table)
     if truth is not None:
         test = split_idx.test
-        test_pehe = [pehe(tau_hat, truth, test)[0] for tau_hat in predict_ensemble_grid(
-            members0, members1, eta, mode, candidates, risks0, risks1, dataset.x[test])]
+        test_pehe = [pehe(tau_hat, truth, test)[0] for tau_hat in combine_ensemble_grid(
+            [tau for _, tau in preds0], [tau for _, tau in preds1],
+            predict_eta(eta, dataset.x[test]), mode, candidates, risks0, risks1)]
     rows = [[row["candidate"], row["mu_risk"], p] for row, p in zip(table, test_pehe)]
     _write_csv(out / "ensemble_curve.csv", ["candidate", "val_mu_risk", "test_pehe"], rows)
 

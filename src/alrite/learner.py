@@ -114,6 +114,23 @@ def eta_sensitivity_check(model: AlriteModel, eta_true: np.ndarray,
     return lhs, rhs
 
 
+def _check_ensemble(mode: str, param: float, mu_risks0, mu_risks1) -> None:
+    """The weight checks: a known mode, each arm's risks sorted increasing
+    and finite, K within both arms' member counts, lambda > 0."""
+    if mode not in ("top_k", "softmax"):
+        raise ValueError(f"unknown ensemble mode {mode!r}")
+    for risks in (mu_risks0, mu_risks1):
+        if any(b < a for a, b in zip(risks, risks[1:])):
+            raise ValueError("members must be sorted by increasing mu-risk")
+        if not all(np.isfinite(risks)):
+            raise ValueError("member mu-risks must be finite")
+    if mode == "top_k":
+        if not 1 <= int(param) <= min(len(mu_risks0), len(mu_risks1)):
+            raise ValueError("K out of range")
+    elif param <= 0:
+        raise ValueError("lambda must be positive")
+
+
 @dataclass
 class EnsembleModel:
     """Sweep members per arm, ranked by increasing validation mu-risk, with
@@ -128,30 +145,17 @@ class EnsembleModel:
     mu_risks1: list[float]
 
     def __post_init__(self):
-        if self.mode not in ("top_k", "softmax"):
-            raise ValueError(f"unknown ensemble mode {self.mode!r}")
         if len(self.members0) != len(self.mu_risks0) or len(self.members1) != len(self.mu_risks1):
             raise ValueError("one mu-risk per member required")
-        for risks in (self.mu_risks0, self.mu_risks1):
-            if any(b < a for a, b in zip(risks, risks[1:])):
-                raise ValueError("members must be sorted by increasing mu-risk")
-            if not all(np.isfinite(risks)):
-                raise ValueError("member mu-risks must be finite")
-        if self.mode == "top_k":
-            k = int(self.param)
-            if not 1 <= k <= min(len(self.members0), len(self.members1)):
-                raise ValueError("K out of range")
-        elif self.param <= 0:
-            raise ValueError("lambda must be positive")
+        _check_ensemble(self.mode, self.param, self.mu_risks0, self.mu_risks1)
 
 
-def rank_members(indices, pipelines: list[Pipeline],
-                 risks) -> tuple[list[int], list[Pipeline], list[float]]:
+def rank_members(indices, items: list, risks) -> tuple[list[int], list, list[float]]:
     """Sort sweep members by increasing validation factual MSE `risks`
     (stable, so equal risks keep their submission order); each member's
-    sweep index moves with its pipeline."""
+    sweep index and item (a pipeline, its predictions, ...) move with it."""
     order = np.argsort(risks, kind="stable")
-    return ([indices[i] for i in order], [pipelines[i] for i in order],
+    return ([indices[i] for i in order], [items[i] for i in order],
             [risks[i] for i in order])
 
 
@@ -163,21 +167,32 @@ def softmax_weights(mu_risks, lam: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _arm_weights(model: EnsembleModel, risks, count) -> np.ndarray:
-    if model.mode == "top_k":
-        k = int(model.param)
-        w = np.zeros(count)
+def _arm_weights(mode: str, param: float, risks) -> np.ndarray:
+    if mode == "top_k":
+        k = int(param)
+        w = np.zeros(len(risks))
         w[:k] = 1.0 / k
         return w
-    return softmax_weights(risks, model.param)
+    return softmax_weights(risks, param)
 
 
-def _combine(model: EnsembleModel, per_member0, per_member1, eta_hat):
-    w0 = _arm_weights(model, model.mu_risks0, len(model.members0))
-    w1 = _arm_weights(model, model.mu_risks1, len(model.members1))
-    agg0 = sum(w * v for w, v in zip(w0, per_member0))
-    agg1 = sum(w * v for w, v in zip(w1, per_member1))
-    return _blend(eta_hat, agg0, agg1)
+def combine_ensemble_grid(per_member0, per_member1, eta_hat, mode: str, candidates,
+                          mu_risks0, mu_risks1) -> list[np.ndarray]:
+    """The ensemble built with each K or lambda in `candidates`, from each
+    arm's per-member predictions (one array per member, in rank order, with
+    its mu-risk) blended by the propensities `eta_hat` at the same rows."""
+    if len(per_member0) != len(mu_risks0) or len(per_member1) != len(mu_risks1):
+        raise ValueError("one mu-risk per member required")
+    preds = []
+    for c in candidates:
+        param = float(c)
+        _check_ensemble(mode, param, mu_risks0, mu_risks1)
+        w0 = _arm_weights(mode, param, mu_risks0)
+        w1 = _arm_weights(mode, param, mu_risks1)
+        agg0 = sum(w * v for w, v in zip(w0, per_member0))
+        agg1 = sum(w * v for w, v in zip(w1, per_member1))
+        preds.append(_blend(eta_hat, agg0, agg1))
+    return preds
 
 
 def ensemble_predict(model: EnsembleModel, x: np.ndarray):
@@ -194,29 +209,25 @@ def predict_ensemble_grid(members0, members1, eta, mode: str, candidates,
     def predict(p):
         return predict_tau(p, x) if arm is None else predict_mu(p, x, arm)
 
-    per_member0 = [predict(p) for p in members0]
-    per_member1 = [predict(p) for p in members1]
-    eta_hat = predict_eta(eta, x)
-    return [_combine(EnsembleModel(members0, members1, eta, mode, float(c), mu_risks0,
-                                   mu_risks1), per_member0, per_member1, eta_hat)
-            for c in candidates]
+    return combine_ensemble_grid([predict(p) for p in members0],
+                                 [predict(p) for p in members1], predict_eta(eta, x),
+                                 mode, candidates, mu_risks0, mu_risks1)
 
 
-def select_ensemble_hyperparam(members0, members1, eta, mode: str, candidates,
-                               dataset: Dataset, val_indices,
+def select_ensemble_hyperparam(mu0, mu1, eta_val, y_val, mode: str, candidates,
                                mu_risks0, mu_risks1):
     """Pick the K or lambda whose ensemble minimizes validation factual
-    mu-risk; ties keep the earliest (smallest) candidate. Returns the chosen
+    mu-risk; ties keep the earliest (smallest) candidate. `mu0` and `mu1`
+    hold each ranked member's factual predictions on the validation rows,
+    whose propensities are `eta_val` and outcomes `y_val`. Returns the chosen
     value and the per-candidate risk table."""
     candidates = list(candidates)
     if not candidates:
         raise ValueError("empty candidate grid")
-    idx = np.asarray(val_indices, dtype=int)
-    if idx.size == 0:
+    if len(y_val) == 0:
         raise ValueError("empty index set")
-    preds = predict_ensemble_grid(members0, members1, eta, mode, candidates, mu_risks0,
-                                  mu_risks1, dataset.x[idx], dataset.t[idx])
-    table = [{"candidate": c, "mu_risk": float(np.mean((dataset.y[idx] - pred) ** 2))}
+    preds = combine_ensemble_grid(mu0, mu1, eta_val, mode, candidates, mu_risks0, mu_risks1)
+    table = [{"candidate": c, "mu_risk": float(np.mean((y_val - pred) ** 2))}
              for c, pred in zip(candidates, preds)]
     winner = int(np.argmin([row["mu_risk"] for row in table]))
     return candidates[winner], table

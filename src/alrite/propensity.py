@@ -22,6 +22,8 @@ Shared work, done once, with the same bits as doing it per member:
 - A tree sorts every feature once per fit. A child's order is its parent's,
   filtered to the child's rows, which is the child's own stable argsort; it
   is computed only for a node that may split, never for a leaf.
+- A logistic fit finds its arms' rows once, and each Adam step gathers the
+  arms' propensities by those indices instead of masking full-length arrays.
 """
 
 from __future__ import annotations
@@ -44,13 +46,17 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _arm_cross_entropy(eta1: np.ndarray, eta0: np.ndarray, floor: float = 1e-12) -> float:
+    """Balanced cross-entropy of the treated rows' propensities eta1 and the
+    control rows' eta0."""
+    return float(-np.sum(np.log(np.clip(eta1, floor, 1 - floor))) / max(len(eta1), 1)
+                 - np.sum(np.log(1 - np.clip(eta0, floor, 1 - floor))) / max(len(eta0), 1))
+
+
 def balanced_cross_entropy(eta: np.ndarray, t: np.ndarray, floor: float = 1e-12) -> float:
     """Arm-averaged negative log-likelihood (each arm weighted equally)."""
-    eta = np.clip(eta, floor, 1 - floor)
-    treated, control = t == 1, t == 0
-    n1 = max(np.count_nonzero(treated), 1)
-    n0 = max(np.count_nonzero(control), 1)
-    return float(-np.sum(np.log(eta[treated])) / n1 - np.sum(np.log(1 - eta[control])) / n0)
+    eta = np.asarray(eta)
+    return _arm_cross_entropy(eta[t == 1], eta[t == 0], floor)
 
 
 @dataclass
@@ -92,18 +98,23 @@ def train_propensity_lr(dataset_x: np.ndarray, t: np.ndarray, l2_strength: float
     theta = np.zeros(x.shape[1] + 1)  # [weights, bias]
     w, b = theta[:-1], theta[-1:]
     state = AdamState.for_params(theta, base_lr=base_lr, decay_rate=1.0)
-    best = (np.inf, theta.copy())
+    objective = _lr_objective(xs, t, l2_strength)
+    grad = np.empty_like(theta)
+    best_loss, best = np.inf, theta.copy()
     converged = False
     for _ in range(max_steps):
-        loss, gw, gb = lr_loss_and_grad(xs, t, w, b[0], l2_strength)
-        if loss < best[0]:
-            best = (loss, theta.copy())
+        loss, gw, gb = objective(w, b[0])
+        if loss < best_loss:
+            best_loss = loss
+            best[:] = theta
         gnorm = np.sqrt(float(gw @ gw) + gb * gb)
         if gnorm < grad_tol:
             converged = True
             break
-        adam_step(theta, np.append(gw, gb), state)
-    w, b = best[1][:-1], best[1][-1:]
+        grad[:-1] = gw
+        grad[-1] = gb
+        adam_step(theta, grad, state)
+    w, b = best[:-1], best[-1:]
     model = PropensityModel(
         "logistic_regression",
         {"weights": w, "bias": float(b[0]), "l2_strength": l2_strength,
@@ -114,21 +125,34 @@ def train_propensity_lr(dataset_x: np.ndarray, t: np.ndarray, l2_strength: float
     return model
 
 
+def _lr_objective(x: np.ndarray, t: np.ndarray, l2_strength: float):
+    """`lr_loss_and_grad` on the rows x with 0/1 labels t, as a function of
+    (w, b). The arm indices, their counts and the residual buffer are built
+    once."""
+    t = np.asarray(t, dtype=int)
+    treated, control = np.flatnonzero(t == 1), np.flatnonzero(t == 0)
+    n1, n0 = len(treated), len(control)
+    r = np.empty(len(t))
+
+    def objective(w: np.ndarray, b: float):
+        eta = _sigmoid(x @ w + b)
+        eta1, eta0 = eta[treated], eta[control]
+        loss = _arm_cross_entropy(eta1, eta0) + l2_strength * float(w @ w)
+        # d/du of the balanced CE: arm-normalized residual
+        r[treated] = -(1 - eta1) / n1
+        r[control] = eta0 / n0
+        gw = x.T @ r + 2.0 * l2_strength * w
+        gb = float(r.sum())
+        return loss, gw, gb
+
+    return objective
+
+
 def lr_loss_and_grad(x: np.ndarray, t: np.ndarray, w: np.ndarray, b: float,
                      l2_strength: float):
     """Balanced cross-entropy objective and its exact gradient in the weights
-    and the bias (the L2 penalty excludes the bias)."""
-    t = np.asarray(t, dtype=int)
-    treated = t == 1
-    n1 = np.count_nonzero(treated)
-    n0 = len(t) - n1
-    eta = _sigmoid(x @ w + b)
-    loss = balanced_cross_entropy(eta, t) + l2_strength * float(w @ w)
-    # d/du of the balanced CE: arm-normalized residual
-    r = np.where(treated, -(1 - eta) / n1, eta / n0)
-    gw = x.T @ r + 2.0 * l2_strength * w
-    gb = float(r.sum())
-    return loss, gw, gb
+    and the bias (the L2 penalty excludes the bias); t holds 0/1 labels."""
+    return _lr_objective(x, t, l2_strength)(w, b)
 
 
 def fit_knn(x: np.ndarray, t: np.ndarray, k: int) -> PropensityModel:

@@ -21,7 +21,7 @@ from alrite.nn import forward
 from alrite.pipeline import (PipelineHyperparams, compound_loss,
                              compound_loss_grads, predict_mu, predict_tau,
                              train_pipeline)
-from alrite.propensity import (DEFAULT_PROPENSITY_GRID, select_propensity)
+from alrite.propensity import (DEFAULT_PROPENSITY_GRID, predict_eta, select_propensity)
 from alrite.selection import (_average_ranks, proxy_score, rank_agreement)
 from alrite.twin import cross_pipeline_weights, mirror_twins
 from alrite.pipeline import build_pipeline
@@ -242,9 +242,11 @@ def run_benchmark_instance(seed):
     single = EnsembleModel(members0, members1, eta, "top_k", 1, risks0, risks1)
     single_rmse = pehe(ensemble_predict(single, ds.x[sp.test]), truth, sp.test)[1]
 
-    chosen, _ = select_ensemble_hyperparam(members0, members1, eta, "top_k",
-                                           list(range(1, 7)), ds, sp.validation,
-                                           risks0, risks1)
+    x_val, t_val = ds.x[sp.validation], ds.t[sp.validation]
+    chosen, _ = select_ensemble_hyperparam([predict_mu(p, x_val, t_val) for p in members0],
+                                           [predict_mu(p, x_val, t_val) for p in members1],
+                                           predict_eta(eta, x_val), ds.y[sp.validation],
+                                           "top_k", list(range(1, 7)), risks0, risks1)
     ensemble = EnsembleModel(members0, members1, eta, "top_k", chosen, risks0, risks1)
     ens_rmse = pehe(ensemble_predict(ensemble, ds.x[sp.test]), truth, sp.test)[1]
 

@@ -6,6 +6,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,9 +19,9 @@ import alrite.learner as learner
 import alrite.selection as selection
 from alrite.data import load_csv
 from alrite.learner import (EnsembleModel, aggregate_mu, aggregate_tau, ensemble_predict,
-                            rank_members)
+                            predict_ensemble_grid, rank_members)
 from alrite.metrics import pehe
-from alrite.pipeline import Pipeline
+from alrite.pipeline import Pipeline, predict_mu, predict_tau
 from alrite.propensity import DEFAULT_PROPENSITY_GRID, PropensityModel
 from alrite.selection import PROXY_KINDS, fit_auxiliaries, proxy_score
 from alrite.cli import (ALPHA_GRID, BATCH_GRID, BETA_GRID, LAMBDA_GRID,
@@ -95,6 +96,21 @@ def test_grid_constants_match_documented_domains():
     ({"propensity_grid": [{"kind": "knn", "k": 2.5}]}, "propensity_grid[0].k"),
     ({"propensity_grid": [{"kind": "tree", "max_depth": -1}]}, "propensity_grid[0].max_depth"),
     ({"propensity_grid": [{"kind": "tree", "min_leaf": 0}]}, "propensity_grid[0].min_leaf"),
+    ({"ensemble": {"mode": "softmax", "candidates": [-1.0]}}, "ensemble.candidates"),
+    ({"ensemble": {"mode": "softmax", "candidates": []}}, "ensemble.candidates"),
+    ({"ensemble": {"mode": "softmax", "candidates": "abc"}}, "ensemble.candidates"),
+    ({"ensemble": {"mode": "softmax", "candidates": [1.0, float("nan")]}}, "ensemble.candidates"),
+    ({"ensemble": {"mode": "softmax", "candidates": [True]}}, "ensemble.candidates"),
+    ({"ensemble": {"candidates": [1.0]}}, "ensemble.candidates"),
+    ({"ensemble": {"mode": "softmax", "candidats": [1.0]}}, "ensemble: unknown fields"),
+    ({"selection": {"proxy": "mu_risk", "proxi": "r_risk"}}, "selection: unknown fields"),
+    ({"split": {"test_frac": 0.2}}, "split: unknown fields"),
+    ({"bounds": {"instance": 3}}, "bounds: unknown fields"),
+    ({"bounds": {"n": 2.5}}, "bounds.n"),
+    ({"bounds": {"d": 0}}, "bounds.d"),
+    ({"bounds": {"instances": True}}, "bounds.instances"),
+    ({"bounds": {"noise": -1}}, "bounds.noise"),
+    ({"bounds": {"noise": float("inf")}}, "bounds.noise"),
 ])
 def test_validate_config_names_offending_field(raw, fragment):
     base = {"seed": 0, "dataset": {"kind": "ihdp_like"}}
@@ -136,6 +152,16 @@ def test_validate_config_builds_fit_hyperparams():
     ("fit", "propensity_grid", []),
     ("fit", "propensity_grid", [{"kind": "lr", "l2": -1}]),
     ("sweep", "propensity_grid", [{"kind": "svm"}]),
+    ("ensemble", "ensemble", {"mode": "softmax", "candidates": [-1.0]}),
+    ("ensemble", "ensemble", {"mode": "softmax", "candidates": []}),
+    ("ensemble", "ensemble", {"mode": "softmax", "candidates": "abc"}),
+    ("ensemble", "ensemble", {"mode": "softmax", "candidats": [1.0]}),
+    ("ensemble", "ensemble", {"mode": "top_k", "candidates": [1.0]}),
+    ("select", "selection", {"proxy": "mu_risk", "proxi": "r_risk"}),
+    ("sweep", "split", {"test_fraction": 0.2, "val_frac": 0.3}),
+    ("bounds", "bounds", {"n": 2.5}),
+    ("bounds", "bounds", {"noise": -1}),
+    ("bounds", "bounds", {"instances": 3, "nn": 40}),
 ])
 def test_hyperparameter_mistakes_exit_1(tmp_path, capsys, command, section, value):
     cfg = write_config(tmp_path, {section: value})
@@ -261,7 +287,8 @@ def test_artifact_bytes_independent_of_blas_threads_and_workers(tmp_path):
             runs[out.name] = {str(p.relative_to(out)): p.read_bytes()
                               for p in sorted(out.rglob("*")) if p.is_file()}
     first, *others = runs
-    assert len(runs[first]) == 13 and "ensemble.json" in runs[first]
+    assert len(runs[first]) == 14 and "ensemble.json" in runs[first]
+    assert "member_predictions.json" in runs[first]
     for name in others:
         assert runs[name].keys() == runs[first].keys(), name
         for path, data in runs[first].items():
@@ -405,6 +432,8 @@ def test_sweep_crash_isolation(tmp_path, monkeypatch):
     failed = next(m for m in sweep["members"] if m["status"] == "failed")
     assert "synthetic failure" in failed["error"]
     assert sweep["n_candidates"] == 2  # 1 surviving control x 2 treatment
+    preds = json.loads((out / "member_predictions.json").read_text())
+    assert set(preds["validation_mu"]) == set(preds["test_tau"]) == {"1", "2", "3"}
 
 
 def test_select_and_ensemble_and_report(tmp_path):
@@ -452,17 +481,98 @@ def test_ensemble_json_predicts_like_the_written_members(tmp_path):
     rebuilt = EnsembleModel([load(i) for i in ens["members0"]], [load(i) for i in ens["members1"]],
                             eta, ens["mode"], ens["param"], ens["mu_risks0"], ens["mu_risks1"])
 
-    ranked0, ranked1, _, split_idx = cli._load_sweep_members(out)
-    indices0, members0, risks0 = rank_members(*ranked0)
-    indices1, members1, risks1 = rank_members(*ranked1)
+    by_role = {role: [m for m in sweep["members"] if m["role"] == role]
+               for role in ("control_driven", "treatment_driven")}
+    indices0, members0, risks0 = rank_members(
+        [m["index"] for m in by_role["control_driven"]],
+        [load(m["index"]) for m in by_role["control_driven"]],
+        [m["val_mu_risk"] for m in by_role["control_driven"]])
+    indices1, members1, risks1 = rank_members(
+        [m["index"] for m in by_role["treatment_driven"]],
+        [load(m["index"]) for m in by_role["treatment_driven"]],
+        [m["val_mu_risk"] for m in by_role["treatment_driven"]])
     # a top-K ensemble lists the K best members per arm, the rest weigh 0
     k = int(ens["param"])
     assert ens["mode"] == "top_k" and k < len(members0)
     assert (ens["members0"], ens["members1"]) == (indices0[:k], indices1[:k])
     assert (ens["mu_risks0"], ens["mu_risks1"]) == (risks0[:k], risks1[:k])
-    x = load_csv(out / "dataset.csv")[0].x[split_idx.test]
+    test = json.loads((out / "split.json").read_text())["test"]
+    x = load_csv(out / "dataset.csv")[0].x[test]
     untrimmed = EnsembleModel(members0, members1, eta, ens["mode"], ens["param"], risks0, risks1)
     assert ensemble_predict(rebuilt, x).tobytes() == ensemble_predict(untrimmed, x).tobytes()
+
+
+def _decoded_members(out):
+    """The sweep's members decoded from models/, with the split's rows."""
+    dataset, truth = load_csv(out / "dataset.csv")
+    split_raw = json.loads((out / "split.json").read_text())
+    val, test = (np.asarray(split_raw[k], dtype=int) for k in ("validation", "test"))
+    members = json.loads((out / "sweep.json").read_text())["members"]
+    pipelines = {m["index"]: Pipeline.from_dict(json.loads((out / m["path"]).read_text()))
+                 for m in members}
+    return dataset, truth, val, test, members, pipelines
+
+
+def test_member_predictions_are_the_written_members_predictions(tmp_path):
+    _, out = run_sweep(tmp_path, "run")
+    dataset, _, val, test, members, pipelines = _decoded_members(out)
+    preds = json.loads((out / "member_predictions.json").read_text())
+    assert set(preds) == {"validation_mu", "test_tau"}
+    assert set(preds["validation_mu"]) == set(preds["test_tau"]) == {"0", "1", "2", "3"}
+    for index, p in pipelines.items():
+        mu = np.asarray(preds["validation_mu"][str(index)], dtype=float)
+        tau = np.asarray(preds["test_tau"][str(index)], dtype=float)
+        assert mu.tobytes() == predict_mu(p, dataset.x[val], dataset.t[val]).tobytes()
+        assert tau.tobytes() == predict_tau(p, dataset.x[test]).tobytes()
+
+
+@pytest.mark.parametrize("ensemble", [{"mode": "top_k"},
+                                      {"mode": "softmax"},
+                                      {"mode": "softmax", "candidates": [0.5, 3, 40.0]}])
+def test_ensemble_reads_no_model_file(tmp_path, ensemble):
+    cfg = write_config(tmp_path, {"ensemble": ensemble})
+    out = tmp_path / "run"
+    for command in ("generate", "sweep", "ensemble"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    written = {name: (out / name).read_bytes() for name in ("ensemble_curve.csv", "ensemble.json")}
+
+    # the curve the decoded members predict
+    dataset, truth, val, test, members, pipelines = _decoded_members(out)
+    eta = PropensityModel.from_dict(json.loads((out / "eta.json").read_text()))
+    ranked = [rank_members([m["index"] for m in members if m["role"] == role],
+                           [pipelines[m["index"]] for m in members if m["role"] == role],
+                           [m["val_mu_risk"] for m in members if m["role"] == role])
+              for role in ("control_driven", "treatment_driven")]
+    (_, members0, risks0), (_, members1, risks1) = ranked
+    grid = (list(range(1, 3)) if ensemble["mode"] == "top_k"
+            else ensemble.get("candidates", list(LAMBDA_GRID)))
+    mus = predict_ensemble_grid(members0, members1, eta, ensemble["mode"], grid, risks0, risks1,
+                                dataset.x[val], dataset.t[val])
+    taus = predict_ensemble_grid(members0, members1, eta, ensemble["mode"], grid, risks0, risks1,
+                                 dataset.x[test])
+    expected = [["candidate", "val_mu_risk", "test_pehe"]] + [
+        [repr(c) if isinstance(c, float) else str(c),
+         repr(float(np.mean((dataset.y[val] - mu) ** 2))), repr(pehe(tau, truth, test)[0])]
+        for c, mu, tau in zip(grid, mus, taus)]
+    with open(out / "ensemble_curve.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == expected
+
+    shutil.rmtree(out / "models")
+    for name in written:
+        (out / name).unlink()
+    assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
+    for name, data in written.items():
+        assert (out / name).read_bytes() == data, name
+
+
+def test_ensemble_without_member_predictions_exits_2(tmp_path, capsys):
+    cfg, out = run_sweep(tmp_path, "run")
+    (out / "member_predictions.json").unlink()
+    capsys.readouterr()
+    assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "member_predictions.json" in err and "rerun `sweep`" in err
+    assert not (out / "ensemble.json").exists()
 
 
 def test_only_model_files_hold_parameters(tmp_path):
@@ -483,12 +593,14 @@ def test_only_model_files_hold_parameters(tmp_path):
 
 
 def test_malformed_member_file_exits_2(tmp_path, capsys):
-    cfg, out = run_sweep(tmp_path, "run")
-    member = out / "models" / "member_000.json"
-    d = json.loads(member.read_text())
-    del d["theta"]
-    member.write_text(json.dumps(d))
-    assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 2
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+    model = out / "model.json"
+    d = json.loads(model.read_text())
+    del d["p0"]["theta"]
+    model.write_text(json.dumps(d))
+    assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "ValueError" in err and "rerun `sweep` or `fit`" in err
 

@@ -244,16 +244,34 @@ def test_select_ensemble_hyperparam_dominance_and_tie():
                                       [val_mu_risk(p, ds, idx) for p in members0])
     _, ranked1, risks1 = rank_members(range(4), members1,
                                       [val_mu_risk(p, ds, idx) for p in members1])
-    chosen, table = select_ensemble_hyperparam(ranked0, ranked1, eta, "top_k",
-                                               [1, 2, 3, 4], ds, idx, risks0, risks1)
+    mu0 = [predict_mu(p, ds.x, ds.t) for p in ranked0]
+    mu1 = [predict_mu(p, ds.x, ds.t) for p in ranked1]
+    eta_val = predict_eta(eta, ds.x)
+    chosen, table = select_ensemble_hyperparam(mu0, mu1, eta_val, ds.y, "top_k",
+                                               [1, 2, 3, 4], risks0, risks1)
     assert chosen in (1, 2, 3, 4)
     assert len(table) == 4
     assert table[[row["candidate"] for row in table].index(chosen)]["mu_risk"] == \
         min(row["mu_risk"] for row in table)
     # single candidate: returned as-is
-    only, _ = select_ensemble_hyperparam(ranked0, ranked1, eta, "top_k", [2],
-                                         ds, idx, risks0, risks1)
+    only, _ = select_ensemble_hyperparam(mu0, mu1, eta_val, ds.y, "top_k", [2],
+                                         risks0, risks1)
     assert only == 2
+    # each candidate's risk is that of the ensemble the members predict
+    for row, pred in zip(table, predict_ensemble_grid(ranked0, ranked1, eta, "top_k",
+                                                      [1, 2, 3, 4], risks0, risks1, ds.x, ds.t)):
+        assert row["mu_risk"] == float(np.mean((ds.y - pred) ** 2))
+    with pytest.raises(ValueError, match="empty candidate"):
+        select_ensemble_hyperparam(mu0, mu1, eta_val, ds.y, "top_k", [], risks0, risks1)
+    with pytest.raises(ValueError, match="K out of range"):
+        select_ensemble_hyperparam(mu0, mu1, eta_val, ds.y, "top_k", [5], risks0, risks1)
+    with pytest.raises(ValueError, match="lambda"):
+        select_ensemble_hyperparam(mu0, mu1, eta_val, ds.y, "softmax", [1.0, 0.0],
+                                   risks0, risks1)
+    with pytest.raises(ValueError, match="sorted"):
+        select_ensemble_hyperparam(mu0, mu1, eta_val, ds.y, "top_k", [1], risks0[::-1], risks1)
+    with pytest.raises(ValueError, match="one mu-risk per member"):
+        select_ensemble_hyperparam(mu0[:3], mu1, eta_val, ds.y, "top_k", [1], risks0, risks1)
 
 
 def test_ensemble_grid_matches_each_ensemble():

@@ -77,6 +77,65 @@ def test_lr_gradient_finite_differences():
         assert abs(fd_b - gb) < 1e-5 * max(1, abs(fd_b))
 
 
+def reference_lr_fit(x, t, l2_strength, max_steps=5000, grad_tol=1e-6, base_lr=0.1):
+    """The logistic fit rebuilding its arm masks and full-length residual
+    every step, as the objective was first written."""
+    from alrite.nn import AdamState, adam_step
+
+    def loss_and_grad(xs, w, b):
+        treated = t == 1
+        n1 = np.count_nonzero(treated)
+        n0 = len(t) - n1
+        eta = _sigmoid(xs @ w + b)
+        loss = balanced_cross_entropy(eta, t) + l2_strength * float(w @ w)
+        r = np.where(treated, -(1 - eta) / n1, eta / n0)
+        return loss, xs.T @ r + 2.0 * l2_strength * w, float(r.sum())
+
+    mean, sd = x.mean(axis=0), x.std(axis=0)
+    sd = np.where(sd > 0, sd, 1.0)
+    xs = (x - mean) / sd
+    theta = np.zeros(x.shape[1] + 1)
+    w, b = theta[:-1], theta[-1:]
+    state = AdamState.for_params(theta, base_lr=base_lr, decay_rate=1.0)
+    best = (np.inf, theta.copy())
+    converged = False
+    for _ in range(max_steps):
+        loss, gw, gb = loss_and_grad(xs, w, b[0])
+        if loss < best[0]:
+            best = (loss, theta.copy())
+        if np.sqrt(float(gw @ gw) + gb * gb) < grad_tol:
+            converged = True
+            break
+        adam_step(theta, np.append(gw, gb), state)
+    model = PropensityModel("logistic_regression",
+                            {"weights": best[1][:-1], "bias": float(best[1][-1]),
+                             "l2_strength": l2_strength, "x_mean": mean, "x_scale": sd})
+    if not converged:
+        model.warning = "gradient tolerance not reached (possible separation)"
+    return model
+
+
+@pytest.mark.parametrize("l2", (0.0, 1e-3, 0.1))
+@pytest.mark.parametrize("kind", ["acic_like", "ihdp_like", "separable"])
+def test_lr_fit_keeps_the_reference_bits(kind, l2):
+    max_steps = 5000
+    if kind == "acic_like":
+        ds, _ = generate_acic_like(1, 600, AcicProtocol())
+        x, t = ds.x, ds.t.astype(int)
+    elif kind == "ihdp_like":
+        ds, _ = generate_ihdp_like(1, n=747)
+        x, t = ds.x, ds.t.astype(int)
+    else:  # no finite optimum without a penalty; stopped early, it warns
+        x = np.random.default_rng(7).standard_normal((120, 3))
+        t = (x[:, 0] > 0).astype(int)
+        max_steps = 40
+    got = train_propensity_lr(x, t, l2, max_steps=max_steps)
+    expect = reference_lr_fit(x, t, l2, max_steps=max_steps)
+    assert got.to_dict() == expect.to_dict()
+    if kind == "separable":
+        assert got.warning is not None
+
+
 def test_lr_recovers_separable_direction():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((200, 2))
