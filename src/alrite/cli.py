@@ -54,6 +54,9 @@ DATASET_KINDS = ("ihdp_like", "acic_like", "toy", "csv")
 # search keys shared by every sweep member, with their types; unset, they
 # take PipelineHyperparams' defaults
 TRAINING_KEYS = {"epochs": int, "base_lr": float, "gamma": float}
+# search keys that narrow a hyper-parameter's draw, with their domains
+SEARCH_GRIDS = {"alpha_grid": ALPHA_GRID, "beta_grid": BETA_GRID, "layer_grid": LAYER_GRID,
+                "width_grid": WIDTH_GRID, "batch_grid": BATCH_GRID}
 
 
 class ConfigError(ValueError):
@@ -129,6 +132,7 @@ def _check_propensity_grid(grid) -> list:
 
 # the keys each of these sections reads
 SECTION_KEYS = {"split": ("test_fraction", "val_fraction"), "selection": ("proxy",),
+                "search": ("l0", "l1", *SEARCH_GRIDS, *TRAINING_KEYS),
                 "ensemble": ("mode", "candidates"), "bounds": ("n", "d", "instances", "noise")}
 
 
@@ -154,7 +158,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         unknown = set(getattr(cfg, name)) - set(keys)
         if unknown:
             raise ConfigError(f"{name}: unknown fields {sorted(unknown)}")
-    if not isinstance(cfg.seed, int) or cfg.seed < 0:
+    if not (_is_number(cfg.seed, int) and cfg.seed >= 0):
         raise ConfigError("seed: must be a non-negative integer")
     kind = cfg.dataset.get("kind")
     if kind not in DATASET_KINDS:
@@ -168,11 +172,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         cfg.split[key] = float(frac)
     for key in ("l0", "l1"):
         val = cfg.search[key]
-        if not (isinstance(val, int) and val >= 1):
+        if not (_is_number(val, int) and val >= 1):
             raise ConfigError(f"search.{key}: must be an integer >= 1")
-    for key, domain in (("alpha_grid", ALPHA_GRID), ("beta_grid", BETA_GRID),
-                        ("layer_grid", LAYER_GRID), ("width_grid", WIDTH_GRID),
-                        ("batch_grid", BATCH_GRID)):
+    for key, domain in SEARCH_GRIDS.items():
         if key in cfg.search:
             cfg.search[key] = _check_subgrid(f"search.{key}", cfg.search[key], domain)
     for key, cast in TRAINING_KEYS.items():

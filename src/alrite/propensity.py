@@ -22,8 +22,30 @@ Shared work, done once, with the same bits as doing it per member:
 - A tree sorts every feature once per fit. A child's order is its parent's,
   filtered to the child's rows, which is the child's own stable argsort; it
   is computed only for a node that may split, never for a leaf.
-- A logistic fit finds its arms' rows once, and each Adam step gathers the
-  arms' propensities by those indices instead of masking full-length arrays.
+- A logistic fit finds its arms' rows once, and each objective evaluation
+  gathers the arms' propensities by those indices instead of masking
+  full-length arrays.
+
+The logistic fit is a damped Newton method (IRLS) on the standardized
+features:
+- Step: solve (H + δI) p = -g, where H is the Hessian, built in blocks from
+  the curvature weights s = c·η(1-η) (c = 1/n₁ or 1/n₀ by arm): xsᵀ(s·xs) +
+  2λI, xsᵀs and Σs. The objective hands back the η it computed, so one
+  sigmoid per evaluation serves the loss, the gradient and the next Hessian.
+- Damping: δ = 1e-12·max(1, largest diagonal entry of H). A singular H, such
+  as a constant feature at l2 = 0 (its standardized column is all zeros),
+  then gives a finite step, and a coordinate with no curvature and no
+  gradient does not move.
+- Armijo backtracking halves the step, at most LINE_SEARCH_HALVINGS times,
+  until the loss falls by at least 1e-4·|gᵀp| times the step length. So the
+  loss never rises, and the last iterate is the best.
+- It stops when the gradient norm drops below 1e-6, after NEWTON_MAX_ITER
+  iterations, or when no step length lowers the loss.
+- Separation: at l2 = 0, rows that a hyperplane separates have no finite
+  optimum, and the gradient vanishes only as the weights diverge. The fit
+  warns "gradient tolerance not reached (possible separation)" when it
+  stopped short of the tolerance, or when l2 = 0 and its scores separate the
+  arms.
 """
 
 from __future__ import annotations
@@ -33,10 +55,14 @@ from functools import partial
 
 import numpy as np
 
-from .nn import AdamState, adam_step
 from .twin import pairwise_sq_dists, row_blocks
 
 DEFAULT_CLIP = 0.01
+# Newton iterations a logistic fit may take: a fit on the default grid meets
+# the gradient tolerance in a handful
+NEWTON_MAX_ITER = 100
+LINE_SEARCH_HALVINGS = 40
+SEPARATION_WARNING = "gradient tolerance not reached (possible separation)"
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
@@ -83,67 +109,79 @@ class PropensityModel:
 
 
 def train_propensity_lr(dataset_x: np.ndarray, t: np.ndarray, l2_strength: float,
-                        max_steps: int = 5000, grad_tol: float = 1e-6,
-                        base_lr: float = 0.1) -> PropensityModel:
-    """Full-batch Adam on the class-balanced cross-entropy with an L2 penalty
-    on the weights (bias excluded). Features are standardized internally."""
+                        grad_tol: float = 1e-6) -> PropensityModel:
+    """Damped Newton with Armijo backtracking (see the module docstring) on
+    the class-balanced cross-entropy with an L2 penalty on the weights (bias
+    excluded). Features are standardized internally."""
     x = np.asarray(dataset_x, dtype=float)
     t = np.asarray(t, dtype=int)
-    if t.sum() in (0, len(t)):
+    n1 = t.sum()
+    if n1 in (0, len(t)):
         raise ValueError("both arms required to fit a propensity model")
     mean = x.mean(axis=0)
     sd = x.std(axis=0)
     sd = np.where(sd > 0, sd, 1.0)
     xs = (x - mean) / sd
-    theta = np.zeros(x.shape[1] + 1)  # [weights, bias]
-    w, b = theta[:-1], theta[-1:]
-    state = AdamState.for_params(theta, base_lr=base_lr, decay_rate=1.0)
+    d = x.shape[1]
+    arm_weight = np.where(t == 1, 1.0 / n1, 1.0 / (len(t) - n1))
     objective = _lr_objective(xs, t, l2_strength)
-    grad = np.empty_like(theta)
-    best_loss, best = np.inf, theta.copy()
-    converged = False
-    for _ in range(max_steps):
-        loss, gw, gb = objective(w, b[0])
-        if loss < best_loss:
-            best_loss = loss
-            best[:] = theta
-        gnorm = np.sqrt(float(gw @ gw) + gb * gb)
-        if gnorm < grad_tol:
-            converged = True
+    theta = np.zeros(d + 1)  # [weights, bias]
+    loss, grad, eta = objective(theta)
+    hess = np.empty((d + 1, d + 1))
+    for _ in range(NEWTON_MAX_ITER):
+        if np.linalg.norm(grad) < grad_tol:
             break
-        grad[:-1] = gw
-        grad[-1] = gb
-        adam_step(theta, grad, state)
-    w, b = best[:-1], best[-1:]
+        s = arm_weight * eta * (1 - eta)
+        hess[:d, :d] = xs.T @ (s[:, None] * xs)
+        hess[:d, d] = hess[d, :d] = xs.T @ s
+        hess[d, d] = s.sum()
+        hess[range(d), range(d)] += 2.0 * l2_strength
+        hess[range(d + 1), range(d + 1)] += 1e-12 * max(1.0, hess.diagonal().max())
+        step = np.linalg.solve(hess, -grad)
+        slope, alpha = float(grad @ step), 1.0
+        for _ in range(LINE_SEARCH_HALVINGS):
+            candidate = theta + alpha * step
+            trial = objective(candidate)
+            if trial[0] <= loss + 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            break  # no step length lowers the loss
+        theta, (loss, grad, eta) = candidate, trial
+    w, b = theta[:-1], float(theta[-1])
     model = PropensityModel(
         "logistic_regression",
-        {"weights": w, "bias": float(b[0]), "l2_strength": l2_strength,
-         "x_mean": mean, "x_scale": sd},
+        {"weights": w, "bias": b, "l2_strength": l2_strength, "x_mean": mean, "x_scale": sd},
     )
-    if not converged:
-        model.warning = "gradient tolerance not reached (possible separation)"
+    score = xs @ w + b
+    if (np.linalg.norm(grad) >= grad_tol
+            or l2_strength == 0 and score[t == 1].min() > score[t == 0].max()):
+        model.warning = SEPARATION_WARNING
     return model
 
 
 def _lr_objective(x: np.ndarray, t: np.ndarray, l2_strength: float):
-    """`lr_loss_and_grad` on the rows x with 0/1 labels t, as a function of
-    (w, b). The arm indices, their counts and the residual buffer are built
-    once."""
+    """The balanced cross-entropy objective on the rows x with 0/1 labels t,
+    as a function of theta = [weights, bias]: (loss, gradient in theta, the
+    propensities η). The arm indices, their counts and the residual buffer
+    are built once."""
     t = np.asarray(t, dtype=int)
     treated, control = np.flatnonzero(t == 1), np.flatnonzero(t == 0)
     n1, n0 = len(treated), len(control)
     r = np.empty(len(t))
 
-    def objective(w: np.ndarray, b: float):
+    def objective(theta: np.ndarray):
+        w, b = theta[:-1], theta[-1]
         eta = _sigmoid(x @ w + b)
         eta1, eta0 = eta[treated], eta[control]
         loss = _arm_cross_entropy(eta1, eta0) + l2_strength * float(w @ w)
         # d/du of the balanced CE: arm-normalized residual
         r[treated] = -(1 - eta1) / n1
         r[control] = eta0 / n0
-        gw = x.T @ r + 2.0 * l2_strength * w
-        gb = float(r.sum())
-        return loss, gw, gb
+        grad = np.empty(len(theta))
+        grad[:-1] = x.T @ r + 2.0 * l2_strength * w
+        grad[-1] = r.sum()
+        return loss, grad, eta
 
     return objective
 
@@ -152,7 +190,8 @@ def lr_loss_and_grad(x: np.ndarray, t: np.ndarray, w: np.ndarray, b: float,
                      l2_strength: float):
     """Balanced cross-entropy objective and its exact gradient in the weights
     and the bias (the L2 penalty excludes the bias); t holds 0/1 labels."""
-    return _lr_objective(x, t, l2_strength)(w, b)
+    loss, grad, _ = _lr_objective(x, t, l2_strength)(np.append(w, b))
+    return loss, grad[:-1], float(grad[-1])
 
 
 def fit_knn(x: np.ndarray, t: np.ndarray, k: int) -> PropensityModel:

@@ -111,6 +111,10 @@ def test_grid_constants_match_documented_domains():
     ({"bounds": {"instances": True}}, "bounds.instances"),
     ({"bounds": {"noise": -1}}, "bounds.noise"),
     ({"bounds": {"noise": float("inf")}}, "bounds.noise"),
+    ({"seed": True}, "seed"),
+    ({"search": {"l0": True}}, "search.l0"),
+    ({"search": {"l1": True}}, "search.l1"),
+    ({"search": {"epochz": 5}}, "search: unknown fields"),
 ])
 def test_validate_config_names_offending_field(raw, fragment):
     base = {"seed": 0, "dataset": {"kind": "ihdp_like"}}
@@ -162,6 +166,11 @@ def test_validate_config_builds_fit_hyperparams():
     ("bounds", "bounds", {"n": 2.5}),
     ("bounds", "bounds", {"noise": -1}),
     ("bounds", "bounds", {"instances": 3, "nn": 40}),
+    ("sweep", "seed", True),
+    ("sweep", "search", {"l0": True, "l1": 1}),
+    ("sweep", "search", {"l0": 1, "l1": True}),
+    ("sweep", "search", {"l0": 1, "l1": 1, "epochz": 5}),
+    ("fit", "search", {"epochz": 5}),
 ])
 def test_hyperparameter_mistakes_exit_1(tmp_path, capsys, command, section, value):
     cfg = write_config(tmp_path, {section: value})

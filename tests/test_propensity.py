@@ -115,25 +115,74 @@ def reference_lr_fit(x, t, l2_strength, max_steps=5000, grad_tol=1e-6, base_lr=0
     return model
 
 
+def fit_gradient(model, x, t):
+    """The loss and gradient norm of a logistic fit on its standardized rows."""
+    p = model.params
+    xs = (x - p["x_mean"]) / p["x_scale"]
+    loss, gw, gb = lr_loss_and_grad(xs, t, p["weights"], p["bias"], p["l2_strength"])
+    return loss, np.sqrt(float(gw @ gw) + gb * gb)
+
+
+def fit_hessian(model, x, t):
+    """The objective's Hessian in [weights, bias] at a logistic fit."""
+    p = model.params
+    xs = np.hstack([(x - p["x_mean"]) / p["x_scale"], np.ones((len(x), 1))])
+    eta = _sigmoid(xs[:, :-1] @ p["weights"] + p["bias"])
+    s = np.where(t == 1, 1 / t.sum(), 1 / (len(t) - t.sum())) * eta * (1 - eta)
+    hess = xs.T @ (s[:, None] * xs)
+    hess[:-1, :-1] += 2 * p["l2_strength"] * np.eye(x.shape[1])
+    return hess
+
+
 @pytest.mark.parametrize("l2", (0.0, 1e-3, 0.1))
 @pytest.mark.parametrize("kind", ["acic_like", "ihdp_like", "separable"])
-def test_lr_fit_keeps_the_reference_bits(kind, l2):
-    max_steps = 5000
+def test_lr_newton_fit_meets_the_adam_baseline(kind, l2):
     if kind == "acic_like":
         ds, _ = generate_acic_like(1, 600, AcicProtocol())
         x, t = ds.x, ds.t.astype(int)
     elif kind == "ihdp_like":
         ds, _ = generate_ihdp_like(1, n=747)
         x, t = ds.x, ds.t.astype(int)
-    else:  # no finite optimum without a penalty; stopped early, it warns
+    else:  # no finite optimum without a penalty
         x = np.random.default_rng(7).standard_normal((120, 3))
         t = (x[:, 0] > 0).astype(int)
-        max_steps = 40
-    got = train_propensity_lr(x, t, l2, max_steps=max_steps)
-    expect = reference_lr_fit(x, t, l2, max_steps=max_steps)
-    assert got.to_dict() == expect.to_dict()
+    got = train_propensity_lr(x, t, l2)
+    adam = reference_lr_fit(x, t, l2)
+    (loss, gnorm), (adam_loss, adam_gnorm) = fit_gradient(got, x, t), fit_gradient(adam, x, t)
+    assert loss <= adam_loss
+    if adam.warning is not None:  # only the separable rows at l2 = 0
+        assert (kind, l2) == ("separable", 0.0)
+        assert got.warning == adam.warning
+        return
+    assert got.warning is None and gnorm < 1e-6
+    gap = np.abs(got.params["weights"] - adam.params["weights"]).max()
     if kind == "separable":
-        assert got.warning is not None
+        # each fit's distance to the optimum is at most its gradient norm over
+        # the smallest curvature, which at l2 = 1e-3 is about 5e-3 here
+        mu = np.linalg.eigvalsh(fit_hessian(got, x, t))[0]
+        assert gap <= 2 * (gnorm + adam_gnorm) / mu
+    else:
+        assert gap <= 1e-5
+
+
+def test_lr_constant_column_at_l2_zero_is_finite():
+    # the constant column standardizes to zeros, so its Hessian row is zero
+    rng = np.random.default_rng(8)
+    x = np.hstack([rng.standard_normal((200, 3)), np.full((200, 1), 4.0)])
+    t = rng.integers(0, 2, size=200)
+    model = train_propensity_lr(x, t, 0.0)
+    assert model.warning is None
+    assert np.all(np.isfinite(model.params["weights"])) and np.isfinite(model.params["bias"])
+    assert model.params["weights"][-1] == 0.0
+    assert fit_gradient(model, x, t)[1] < 1e-6
+
+
+def test_lr_warns_at_the_iteration_bound(monkeypatch):
+    ds, _ = generate_ihdp_like(1, n=747)
+    assert train_propensity_lr(ds.x, ds.t, 0.1).warning is None
+    monkeypatch.setattr(propensity, "NEWTON_MAX_ITER", 1)
+    model = train_propensity_lr(ds.x, ds.t, 0.1)
+    assert model.warning == "gradient tolerance not reached (possible separation)"
 
 
 def test_lr_recovers_separable_direction():
@@ -441,6 +490,30 @@ def test_select_propensity_matches_a_spec_major_loop(case, monkeypatch):
     assert by_member.tobytes() == np.array(expect).tobytes()
 
 
+def test_select_propensity_unpenalized_lr_on_a_separable_fold(monkeypatch):
+    # separable by x0 but for one control row among the treated ones: the fold
+    # that validates on it trains on separable rows
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((150, 2))
+    t = (x[:, 0] > 0).astype(int)
+    x[0], t[0] = (1.0, 0.0), 0
+    fits = []
+
+    def recording(x_rows, t_rows, l2):
+        model = train_propensity_lr(x_rows, t_rows, l2)
+        fits.append((bool(np.all(x_rows == x[0], axis=1).any()), model))
+        return model
+
+    monkeypatch.setattr(propensity, "train_propensity_lr", recording)
+    model = select_propensity(x, t, [{"kind": "lr", "l2": 0}], folds=5, seed=0)
+    assert len(fits) == 6  # five folds and the refit
+    for has_row, fit in fits:
+        assert np.all(np.isfinite(fit.params["weights"])) and np.isfinite(fit.params["bias"])
+        assert (fit.warning is None) == has_row
+    assert model.warning is None
+    assert np.all(np.isfinite(predict_eta(model, x)))
+
+
 def test_select_propensity_knn_peak_memory_is_one_block_search():
     # 6000 references per fold: the largest row block's distances and its
     # partition index block make about 2.5 blocks of BLOCK_ENTRIES; a search
@@ -489,8 +562,8 @@ def test_serialization_keeps_warning():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((40, 2))
     t = (x[:, 0] > 0).astype(int)
-    model = train_propensity_lr(x, t, 0.0, max_steps=3)
-    assert model.warning is not None
+    model = train_propensity_lr(x, t, 0.0)  # separable rows: no finite optimum
+    assert model.warning == "gradient tolerance not reached (possible separation)"
     clone = PropensityModel.from_dict(model.to_dict())
     assert clone.warning == model.warning
     assert PropensityModel.from_dict(fit_knn(x, t, 3).to_dict()).warning is None
