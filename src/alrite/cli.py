@@ -19,12 +19,17 @@ Exit codes: 0 success, 1 config error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
+import inspect
 import json
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -50,181 +55,183 @@ WIDTH_GRID = (20, 50, 100, 200)
 BATCH_GRID = (50, 100, 200, 500)
 LAMBDA_GRID = tuple(10.0 ** (k / 2) for k in range(-4, 9))
 
-DATASET_KINDS = ("ihdp_like", "acic_like", "toy", "csv")
-# search keys shared by every sweep member, with their types; unset, they
-# take PipelineHyperparams' defaults
-TRAINING_KEYS = {"epochs": int, "base_lr": float, "gamma": float}
-# search keys that narrow a hyper-parameter's draw, with their domains
-SEARCH_GRIDS = {"alpha_grid": ALPHA_GRID, "beta_grid": BETA_GRID, "layer_grid": LAYER_GRID,
-                "width_grid": WIDTH_GRID, "batch_grid": BATCH_GRID}
-
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class ExperimentConfig:
-    seed: int = 0
-    dataset: dict = field(default_factory=lambda: {"kind": "ihdp_like"})
-    split: dict = field(default_factory=lambda: {"test_fraction": 0.1, "val_fraction": 0.3})
-    search: dict = field(default_factory=lambda: {"l0": 2, "l1": 2})
-    propensity_grid: list | None = None  # None: DEFAULT_PROPENSITY_GRID
-    selection: dict = field(default_factory=lambda: {"proxy": "mu_risk"})
-    ensemble: dict = field(default_factory=lambda: {"mode": "top_k"})
-    bounds: dict = field(default_factory=dict)
-    fit: dict = field(default_factory=dict)  # "hp0", "hp1": PipelineHyperparams once validated
-    output_dir: str | None = None
-
-
-def _check_subgrid(name: str, values, domain) -> tuple:
-    out = []
-    for v in values:
-        if not any(np.isclose(v, ref, rtol=1e-12, atol=1e-300) for ref in domain):
-            raise ConfigError(f"{name}: value {v!r} outside the documented domain")
-        out.append(float(v))
-    if not out:
-        raise ConfigError(f"{name}: empty grid")
-    return tuple(out)
-
-
-def _hyperparams(name: str, values: dict) -> PipelineHyperparams:
-    try:
-        return PipelineHyperparams(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+class ExperimentConfig(SimpleNamespace):
+    """A checked config: every CONFIG key filled in; `fit` holds PipelineHyperparams."""
 
 
 def _is_number(val, kind=(int, float)) -> bool:
     return not isinstance(val, bool) and isinstance(val, kind)
 
 
-# each propensity grid kind's keys with their smallest values; only the L2
-# penalty (a float) need not be an integer
-GRID_MEMBER_KEYS = {"lr": {"l2": 0.0}, "knn": {"k": 1}, "tree": {"max_depth": 0, "min_leaf": 1}}
+def _build(name: str, cls, values: dict):
+    """`cls(**values)`; a ValueError or TypeError becomes a ConfigError."""
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
-def _check_propensity_grid(grid) -> list:
-    if grid is None:
-        return list(DEFAULT_PROPENSITY_GRID)
-    if not isinstance(grid, list) or not grid:
-        raise ConfigError("propensity_grid: must be a non-empty list")
-    for i, spec in enumerate(grid):
-        name = f"propensity_grid[{i}]"
-        if not (isinstance(spec, dict) and spec.get("kind") in tuple(GRID_MEMBER_KEYS)):
-            raise ConfigError(f"{name}: kind must be one of {sorted(GRID_MEMBER_KEYS)}")
-        keys = GRID_MEMBER_KEYS[spec["kind"]]
-        unknown = set(spec) - {"kind", *keys}
-        if unknown:
-            raise ConfigError(f"{name}: unknown fields {sorted(unknown)}")
-        if spec["kind"] == "knn" and "k" not in spec:
-            raise ConfigError(f"{name}.k: required for kind 'knn'")
-        for key, low in keys.items():
-            if key not in spec:
-                continue
-            val = spec[key]
-            number = (int, float) if isinstance(low, float) else int
-            if not (_is_number(val, number) and low <= val < np.inf):
-                what = "a finite number" if number is not int else "an integer"
-                raise ConfigError(f"{name}.{key}: must be {what} >= {low:g}")
-    return grid
+REQUIRED, OPTIONAL = object(), object()  # defaults: none, or left to the code that reads it
+# check(name, value) returns the value to keep or raises a ConfigError naming `name`
+Key = namedtuple("Key", "check default", defaults=(REQUIRED,))
 
 
-# the keys each of these sections reads
-SECTION_KEYS = {"split": ("test_fraction", "val_fraction"), "selection": ("proxy",),
-                "search": ("l0", "l1", *SEARCH_GRIDS, *TRAINING_KEYS),
-                "ensemble": ("mode", "candidates"), "bounds": ("n", "d", "instances", "noise")}
+def _check(ok, what: str) -> Callable:
+    def check(name, val):
+        if not ok(val):
+            raise ConfigError(f"{name}: must be {what}, got {val!r}")
+        return val
+    return check
 
 
-def validate_config(raw: dict) -> ExperimentConfig:
-    """The checked config: each section's defaults (the field factories of
-    `ExperimentConfig`) filled in, and `fit` turned into the "hp0" and "hp1"
-    PipelineHyperparams."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    known = {"seed", "dataset", "split", "search", "propensity_grid",
-             "selection", "ensemble", "bounds", "fit", "output_dir"}
-    unknown = set(raw) - known
+def _integer(low: int) -> Callable:
+    return _check(lambda v: _is_number(v, int) and v >= low, f"an integer >= {low}")
+
+
+_fraction = _check(lambda v: _is_number(v) and 0 < v < 1, "a number strictly in (0, 1)")
+_scale = _check(lambda v: _is_number(v) and 0 <= v < np.inf, "a finite number >= 0")
+_object = _check(lambda v: isinstance(v, dict), "a JSON object")
+_any = lambda name, val: val  # checked with its section
+
+
+def _each(check_member) -> Callable:
+    """A non-empty list, each member checked by `check_member`."""
+    def check(name, items):
+        if not (isinstance(items, list) and items):
+            raise ConfigError(f"{name}: must be a non-empty list, got {items!r}")
+        return [check_member(f"{name}[{i}]", v) for i, v in enumerate(items)]
+    return check
+
+
+def _grid(domain: tuple) -> Key:
+    """A search grid: values from `domain`, by default all of them."""
+    near = lambda v: any(np.isclose(v, ref, rtol=1e-12, atol=1e-300) for ref in domain)
+    return Key(_each(_check(lambda v: _is_number(v) and near(v), "in the documented domain")),
+               list(domain))
+
+
+def _hp_field(key: str) -> Key:
+    """A search key every sweep member takes, checked and defaulted by PipelineHyperparams."""
+    check = lambda name, v: getattr(_build(name, PipelineHyperparams, {key: v}), key)
+    return Key(check, getattr(PipelineHyperparams(), key))
+
+
+_ihdp = {k: p.default for k, p in inspect.signature(generate_ihdp_like).parameters.items()}
+_toy = {k: p.default for k, p in inspect.signature(generate_two_cluster_toy).parameters.items()}
+_SEED = Key(_integer(0))  # a dataset's seed defaults to the experiment seed (`_fill`)
+
+# The config: each section's keys, each key's check and default. A default is
+# written here or read from the generator, dataclass or grid that holds it.
+CONFIG = {
+    "seed": Key(_integer(0), 0),
+    "output_dir": Key(_check(lambda v: v is None or isinstance(v, str), "a string"), None),
+    # a member's keys the config leaves out take propensity's defaults
+    "propensity_grid": Key(_each(lambda name, member: _fill(name, ("kind", {
+        "lr": {"l2": Key(_scale, OPTIONAL)},
+        "knn": {"k": Key(_integer(1))},
+        "tree": {"max_depth": Key(_integer(0), OPTIONAL), "min_leaf": Key(_integer(1), OPTIONAL)},
+    }), member)), list(DEFAULT_PROPENSITY_GRID)),
+    "dataset": ("kind", {
+        "ihdp_like": {"seed": _SEED, "n": Key(_integer(20), _ihdp["n"]),
+                      "d": Key(_integer(1), _ihdp["d"]),
+                      "p_treat": Key(_fraction, _ihdp["p_treat"]),
+                      "confounded": Key(_check(lambda v: isinstance(v, bool), "true or false"),
+                                        _ihdp["confounded"]),
+                      "noise_scale": Key(_scale, _ihdp["noise_scale"])},
+        # AcicProtocol checks its fields, together (`validate_config`)
+        "acic_like": {"seed": _SEED, "n": Key(_integer(20), 1000),
+                      **{f.name: Key(_any, list(f.default) if isinstance(f.default, tuple)
+                                     else f.default) for f in fields(AcicProtocol)}},
+        "toy": {"seed": _SEED, "n": Key(_integer(40), _toy["n"])},
+        "csv": {"seed": _SEED, "path": Key(_check(lambda v: isinstance(v, str), "a file path"))},
+    }),
+    "split": {"test_fraction": Key(_fraction, 0.1), "val_fraction": Key(_fraction, 0.3)},
+    "search": {"l0": Key(_integer(1), 2), "l1": Key(_integer(1), 2),
+               "epochs": _hp_field("epochs"), "base_lr": _hp_field("base_lr"),
+               "gamma": _hp_field("gamma"),
+               "alpha_grid": _grid(ALPHA_GRID), "beta_grid": _grid(BETA_GRID),
+               "layer_grid": _grid(LAYER_GRID), "width_grid": _grid(WIDTH_GRID),
+               "batch_grid": _grid(BATCH_GRID)},
+    "selection": {"proxy": Key(_check(lambda v: v in PROXY_KINDS, f"one of {PROXY_KINDS}"),
+                               "mu_risk")},
+    "ensemble": ("mode", {
+        "top_k": {},  # tries every K
+        "softmax": {"candidates": Key(_each(_check(lambda v: _is_number(v) and 0 < v < np.inf,
+                                                   "a finite number > 0")), list(LAMBDA_GRID))},
+    }),
+    "bounds": {"n": Key(_integer(2), 100), "d": Key(_integer(1), 2),  # n: a row per arm
+               "instances": Key(_integer(1), 20), "noise": Key(_scale, 0.1)},
+    # each becomes a PipelineHyperparams (`validate_config`)
+    "fit": {"hp0": Key(_object, {}), "hp1": Key(_object, {})},
+}
+
+
+def _fill(name: str, table, given, /, **inherited) -> dict:
+    """`given` checked against `table` (each key's Key, or its section's
+    table), unknown keys refused and every missing key set to its default,
+    or to the same key's value in `inherited`, the enclosing level, if it has
+    one: `dataset.seed` defaults to `seed`. A variant section's table is a
+    (key, tables) pair: the key's value (by default the first) picks a table."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{name or 'config'}: must be a JSON object")
+    variant = ""
+    if isinstance(table, tuple):
+        key, tables = table
+        choice = given.get(key, next(iter(tables)))
+        if choice not in tuple(tables):
+            raise ConfigError(f"{name}.{key}: must be one of {tuple(tables)}, got {choice!r}")
+        table, variant = {key: Key(_any, choice), **tables[choice]}, f" for {key} {choice!r}"
+    path = lambda key: f"{name}.{key}" if name else key
+    unknown = [path(k) for k in sorted(set(given) - set(table))]
     if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    cfg = ExperimentConfig(**raw)
-    for name in ("dataset", "split", "search", "selection", "ensemble", "bounds", "fit"):
-        if not isinstance(getattr(cfg, name), dict):
-            raise ConfigError(f"{name}: must be a JSON object")
-    defaults = ExperimentConfig()
-    for name in ("split", "search", "selection", "ensemble"):
-        setattr(cfg, name, {**getattr(defaults, name), **getattr(cfg, name)})
-    for name, keys in SECTION_KEYS.items():
-        unknown = set(getattr(cfg, name)) - set(keys)
-        if unknown:
-            raise ConfigError(f"{name}: unknown fields {sorted(unknown)}")
-    if not (_is_number(cfg.seed, int) and cfg.seed >= 0):
-        raise ConfigError("seed: must be a non-negative integer")
-    kind = cfg.dataset.get("kind")
-    if kind not in DATASET_KINDS:
-        raise ConfigError(f"dataset.kind: expected one of {DATASET_KINDS}, got {kind!r}")
-    if kind == "csv" and "path" not in cfg.dataset:
-        raise ConfigError("dataset.path: required for kind 'csv'")
-    for key in ("test_fraction", "val_fraction"):
-        frac = cfg.split[key]
-        if not (isinstance(frac, (int, float)) and 0 < frac < 1):
-            raise ConfigError(f"split.{key}: must lie strictly in (0, 1)")
-        cfg.split[key] = float(frac)
-    for key in ("l0", "l1"):
-        val = cfg.search[key]
-        if not (_is_number(val, int) and val >= 1):
-            raise ConfigError(f"search.{key}: must be an integer >= 1")
-    for key, domain in SEARCH_GRIDS.items():
-        if key in cfg.search:
-            cfg.search[key] = _check_subgrid(f"search.{key}", cfg.search[key], domain)
-    for key, cast in TRAINING_KEYS.items():
-        if key in cfg.search:
-            _hyperparams(f"search.{key}", {key: cfg.search[key]})
-            cfg.search[key] = cast(cfg.search[key])
-    proxy = cfg.selection["proxy"]
-    if proxy not in PROXY_KINDS:
-        raise ConfigError(f"selection.proxy: expected one of {PROXY_KINDS}, got {proxy!r}")
-    mode = cfg.ensemble["mode"]
-    if mode not in ("top_k", "softmax"):
-        raise ConfigError(f"ensemble.mode: expected top_k or softmax, got {mode!r}")
-    if "candidates" in cfg.ensemble:
-        lams = cfg.ensemble["candidates"]
-        if mode == "top_k":
-            raise ConfigError("ensemble.candidates: only mode softmax takes candidates; "
-                              "top_k tries every K")
-        if not (isinstance(lams, list) and lams
-                and all(_is_number(v) and 0 < v < np.inf for v in lams)):
-            raise ConfigError("ensemble.candidates: must be a non-empty list of finite "
-                              "numbers > 0")
-    for key in ("n", "d", "instances"):
-        if key in cfg.bounds and not (_is_number(cfg.bounds[key], int) and cfg.bounds[key] >= 1):
-            raise ConfigError(f"bounds.{key}: must be an integer >= 1")
-    if "noise" in cfg.bounds and not (_is_number(cfg.bounds["noise"])
-                                      and 0 <= cfg.bounds["noise"] < np.inf):
-        raise ConfigError("bounds.noise: must be a finite number >= 0")
-    cfg.propensity_grid = _check_propensity_grid(cfg.propensity_grid)
-    unknown = set(cfg.fit) - {"hp0", "hp1"}
-    if unknown:
-        raise ConfigError(f"fit: unknown fields {sorted(unknown)}")
-    # fit takes the search's epochs and base_lr unless hp0/hp1 set them
-    shared = {k: cfg.search[k] for k in ("epochs", "base_lr") if k in cfg.search}
-    cfg.fit = {hp: _hyperparams(f"fit.{hp}", {**shared, **cfg.fit.get(hp, {})})
-               for hp in ("hp0", "hp1")}
+        raise ConfigError(f"{name or 'config'}: unknown fields {unknown}{variant}")
+    out = {}
+    for key, spec in table.items():
+        if not isinstance(spec, Key):
+            out[key] = _fill(path(key), spec, given.get(key, {}), **out)
+        elif key in given:
+            out[key] = spec.check(path(key), given[key])
+        elif (default := inherited.get(key, spec.default)) is REQUIRED:
+            raise ConfigError(f"{path(key)}: required{variant}")
+        elif default is not OPTIONAL:
+            out[key] = copy.deepcopy(default)
+    return out
+
+
+def _protocol(dataset: dict) -> AcicProtocol:
+    return _build("dataset", AcicProtocol, {f.name: dataset[f.name] for f in fields(AcicProtocol)})
+
+
+def validate_config(raw) -> ExperimentConfig:
+    """The config `raw` checked against CONFIG, with every default filled in
+    and `fit` turned into the "hp0" and "hp1" PipelineHyperparams."""
+    cfg = ExperimentConfig(**_fill("", CONFIG, raw))
+    if cfg.dataset["kind"] == "acic_like":
+        _protocol(cfg.dataset)
+    # fit takes the search's epochs and base_lr (not its gamma) unless hp0/hp1 set them
+    shared = {k: cfg.search[k] for k in ("epochs", "base_lr")}
+    cfg.fit = {hp: _build(f"fit.{hp}", PipelineHyperparams, {**shared, **values})
+               for hp, values in cfg.fit.items()}
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seed: int | None = None) -> ExperimentConfig:
+    """The checked config in the JSON file at `path` (None: an empty config),
+    its seed replaced by `seed` when one is given."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = {} if path is None else json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    try:
-        return validate_config(raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    if seed is not None and isinstance(raw, dict):
+        raw = {**raw, "seed": seed}
+    return validate_config(raw)
 
 
 def member_seed(master_seed: int, index: int) -> int:
@@ -233,41 +240,37 @@ def member_seed(master_seed: int, index: int) -> int:
 
 
 def sample_hyperparams(rng: np.random.Generator, search: dict) -> PipelineHyperparams:
-    """One uniform draw per hyper-parameter from its documented domain."""
-    pick = lambda key, domain: rng.choice(np.asarray(search.get(key, domain)))
+    """One uniform draw per hyper-parameter from its grid in `search`, a checked
+    section, which also gives every member's epochs, base_lr and gamma."""
+    pick = lambda key: rng.choice(np.asarray(search[key]))
     return PipelineHyperparams(
-        alpha=float(pick("alpha_grid", ALPHA_GRID)),
-        beta=float(pick("beta_grid", BETA_GRID)),
-        embed_layers=int(pick("layer_grid", LAYER_GRID)),
-        head_layers=int(pick("layer_grid", LAYER_GRID)),
-        embed_width=int(pick("width_grid", WIDTH_GRID)),
-        head_width=int(pick("width_grid", WIDTH_GRID)),
-        batch_size=int(pick("batch_grid", BATCH_GRID)),
-        **{k: cast(search[k]) for k, cast in TRAINING_KEYS.items() if k in search},
+        alpha=float(pick("alpha_grid")),
+        beta=float(pick("beta_grid")),
+        embed_layers=int(pick("layer_grid")),
+        head_layers=int(pick("layer_grid")),
+        embed_width=int(pick("width_grid")),
+        head_width=int(pick("width_grid")),
+        batch_size=int(pick("batch_grid")),
+        epochs=search["epochs"], base_lr=search["base_lr"], gamma=search["gamma"],
     )
 
 
 def _generate_dataset(cfg: ExperimentConfig) -> tuple[Dataset, GroundTruth | None]:
+    # the dataset section's keys are the generator's arguments
     ds = cfg.dataset
-    kind = ds["kind"]
-    seed = ds.get("seed", cfg.seed)
-    if kind == "csv":
+    args = {k: v for k, v in ds.items() if k != "kind"}
+    if ds["kind"] == "csv":
         return load_csv(ds["path"])
-    if kind == "ihdp_like":
-        return generate_ihdp_like(
-            seed, n=ds.get("n", 747), d=ds.get("d", 25),
-            p_treat=ds.get("p_treat", 139 / 747),
-            confounded=ds.get("confounded", False),
-            noise_scale=ds.get("noise_scale", 1.0))
-    if kind == "acic_like":
-        protocol_args = {k: v for k, v in ds.items() if k not in ("kind", "seed", "n")}
-        return generate_acic_like(seed, ds.get("n", 1000), AcicProtocol(**protocol_args))
-    return generate_two_cluster_toy(seed, n=ds.get("n", 200)), None
+    if ds["kind"] == "ihdp_like":
+        return generate_ihdp_like(**args)
+    if ds["kind"] == "toy":
+        return generate_two_cluster_toy(**args), None
+    return generate_acic_like(ds["seed"], ds["n"], _protocol(ds))
 
 
 def _resolve_dataset(cfg: ExperimentConfig, out: Path) -> tuple[Dataset, GroundTruth | None]:
     """The `dataset.csv` in `out`, else a freshly generated dataset. A file
-    whose `manifest.json` records another dataset config or dataset seed is
+    whose `manifest.json` records another dataset section, once filled in, is
     refused rather than reused."""
     path = out / "dataset.csv"
     if not path.exists():
@@ -275,13 +278,16 @@ def _resolve_dataset(cfg: ExperimentConfig, out: Path) -> tuple[Dataset, GroundT
     if (out / "manifest.json").exists():
         with open(out / "manifest.json") as fh:
             m = json.load(fh)
-        made = (m["dataset"], m["dataset"].get("seed", m["seed"]))
-        wanted = (cfg.dataset, cfg.dataset.get("seed", cfg.seed))
-        if made != wanted:
+        # older manifests record the section as given, without its defaults
+        try:
+            made = _fill("dataset", CONFIG["dataset"], m["dataset"], seed=m["seed"])
+        except ConfigError as exc:
+            raise ConfigError(f"{out / 'manifest.json'}: {exc}") from None
+        if made != cfg.dataset:
             raise ConfigError(
-                f"{path} was generated from dataset {made[0]} with seed {made[1]}, "
-                f"but the config asks for dataset {wanted[0]} with seed {wanted[1]}; "
-                "use another --out or regenerate")
+                f"{path} was generated from dataset {made} with seed {made['seed']}, "
+                f"but the config asks for dataset {cfg.dataset} with seed "
+                f"{cfg.dataset['seed']}; use another --out or regenerate")
     return load_csv(path)
 
 
@@ -551,7 +557,7 @@ def cmd_ensemble(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     if mode == "top_k":
         candidates = list(range(1, min(len(preds0), len(preds1)) + 1))
     else:
-        candidates = list(cfg.ensemble.get("candidates", LAMBDA_GRID))
+        candidates = list(cfg.ensemble["candidates"])
     val = split_idx.validation
     chosen, table = select_ensemble_hyperparam(
         [mu for mu, _ in preds0], [mu for mu, _ in preds1], predict_eta(eta, dataset.x[val]),
@@ -597,10 +603,8 @@ def _bound_instance(instance: int, seed: int, n: int, d: int, noise: float) -> l
 
 def cmd_bounds(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     b = cfg.bounds
-    n, d = b.get("n", 100), b.get("d", 2)
-    noise = b.get("noise", 0.1)
-    jobs = [(_bound_instance, (i, member_seed(cfg.seed, 20_000 + i), n, d, noise))
-            for i in range(b.get("instances", 20))]
+    jobs = [(_bound_instance, (i, member_seed(cfg.seed, 20_000 + i), b["n"], b["d"], b["noise"]))
+            for i in range(b["instances"])]
     rows = [row for instance in _run_jobs(jobs, workers) for row in instance]
     violations = sum(row[-1] == "violated" for row in rows)
     out.mkdir(parents=True, exist_ok=True)
@@ -726,20 +730,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config is not None else validate_config({})
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed: must be non-negative")
-            cfg.seed = args.seed
-        out = Path(args.out or cfg.output_dir or "run")
+        cfg = load_config(args.config, args.seed)
         if args.workers < 1:
             raise ConfigError("workers: must be >= 1")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         with one_blas_thread():
-            return COMMANDS[args.command](cfg, out, args.workers)
+            return COMMANDS[args.command](cfg, Path(args.out or cfg.output_dir or "run"),
+                                          args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

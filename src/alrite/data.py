@@ -8,12 +8,26 @@ treatment flags are 0/1.
 from __future__ import annotations
 
 import csv
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 FEATURE_KINDS = ("continuous", "binary", "count")
+
+
+def check_field_types(obj) -> None:
+    """Refuses another type in an int, float or bool field of the dataclass
+    `obj` (floats must be finite; a bool is no number) and casts the others."""
+    types = {"bool": (bool, bool, "true or false"), "int": (numbers.Integral, int, "integers"),
+             "float": (numbers.Real, float, "finite numbers")}
+    for f in fields(obj):
+        if f.type in types:
+            v, (cls, cast, what) = getattr(obj, f.name), types[f.type]
+            if isinstance(v, bool) != (cast is bool) or not (isinstance(v, cls) and np.isfinite(v)):
+                raise ValueError(f"{f.name}: {f.type} fields must be {what}, got {v!r}")
+            setattr(obj, f.name, cast(v))
 
 
 @dataclass
@@ -148,6 +162,9 @@ def generate_ihdp_like(
     return Dataset(x, t, y, kinds), GroundTruth(mu0, mu1)
 
 
+TERM_KINDS = ("polynomial", "step", "indicator")
+
+
 @dataclass
 class AcicProtocol:
     """Configuration of one step/polynomial/indicator generation protocol."""
@@ -162,11 +179,15 @@ class AcicProtocol:
     outcome_terms: int = 3
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_continuous + self.n_count + self.n_binary != self.d:
             raise ValueError("feature-kind counts must sum to d")
-        for k in self.term_kinds:
-            if k not in ("polynomial", "step", "indicator"):
-                raise ValueError(f"unknown term kind {k!r}")
+        # the propensity reads two covariates, each surface outcome_terms of them
+        if min(self.n_continuous, self.n_count, self.n_binary) < 0 or self.d < 2 or not (
+                0 <= self.outcome_terms <= self.d):
+            raise ValueError("need counts >= 0, d >= 2 and outcome_terms in [0, d]")
+        if len(self.term_kinds) != 4 or any(k not in TERM_KINDS for k in self.term_kinds):
+            raise ValueError(f"term_kinds must be 4 of {TERM_KINDS}, got {self.term_kinds!r}")
         if self.link not in ("identity", "sigmoid", "clip"):
             raise ValueError(f"unknown link {self.link!r}")
         if self.noise_scale <= 0:
@@ -215,7 +236,7 @@ def generate_acic_like(seed: int, n: int, protocol: AcicProtocol) -> tuple[Datas
 
     def surface():
         cols = rng.choice(p.d, size=p.outcome_terms, replace=False)
-        terms = [_random_term(rng.choice(["polynomial", "step", "indicator"]), rng) for _ in cols]
+        terms = [_random_term(rng.choice(TERM_KINDS), rng) for _ in cols]
         ci, cj = rng.choice(p.d, size=2, replace=False)
         inter = _random_term("polynomial", rng)
         scale = rng.uniform(0.5, 2.0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blas import one_blas_thread
-from .data import Dataset, Scaler, SplitIndices, identity_scaler, standardize
+from .data import Dataset, Scaler, SplitIndices, check_field_types, identity_scaler, standardize
 from .nn import AdamState, Mlp, adam_step, backward, forward, forward_cached, mlp_init
 from .twin import ArmError, TwinMap, mirror_twins
 
@@ -133,16 +133,12 @@ class PipelineHyperparams:
     decay_period: int = 100
 
     def __post_init__(self):
-        counts = (self.embed_layers, self.head_layers, self.embed_width, self.head_width,
-                  self.batch_size, self.epochs, self.decay_period)
-        if not all(isinstance(v, (int, np.integer)) for v in counts):
-            raise ValueError("layers, widths, batch size, epochs and decay period must be integers")
+        check_field_types(self)  # integer fields become int, real ones float
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ValueError("alpha, beta, gamma must be >= 0")
-        if min(self.embed_layers, self.head_layers) < 1:
-            raise ValueError("need at least one layer per network")
-        if min(self.embed_width, self.head_width, self.batch_size) < 1 or self.base_lr <= 0:
-            raise ValueError("widths, batch size and learning rate must be positive")
+        if min(self.embed_layers, self.head_layers, self.embed_width, self.head_width,
+               self.batch_size, self.decay_period, self.base_lr, self.decay_rate) <= 0:
+            raise ValueError("layers, widths, batch size, decay period and rate, lr must be > 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 

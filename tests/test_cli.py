@@ -115,6 +115,30 @@ def test_grid_constants_match_documented_domains():
     ({"search": {"l0": True}}, "search.l0"),
     ({"search": {"l1": True}}, "search.l1"),
     ({"search": {"epochz": 5}}, "search: unknown fields"),
+    ({"search": {"epochs": True}}, "search.epochs"),
+    ({"search": {"gamma": True}}, "search.gamma"),
+    ({"search": {"layer_grid": [True]}}, "search.layer_grid"),
+    ({"search": {"alpha_grid": "abc"}}, "search.alpha_grid"),
+    ({"search": {"alpha_grid": 5}}, "search.alpha_grid"),
+    ({"fit": {"hp0": {"epochs": True}}}, "fit.hp0: epochs"),
+    ({"fit": {"hp0": {"alpha": True}}}, "fit.hp0: alpha"),
+    ({"fit": {"hp0": [1]}}, "fit.hp0"),
+    ({"dataset": {"kind": "ihdp_like", "nn": 5}}, "dataset.nn"),
+    ({"dataset": {"kind": "ihdp_like", "n": -5}}, "dataset.n"),
+    ({"dataset": {"kind": "ihdp_like", "n": True}}, "dataset.n"),
+    ({"dataset": {"kind": "ihdp_like", "n": 50.5}}, "dataset.n"),
+    ({"dataset": {"kind": "ihdp_like", "p_treat": 1.5}}, "dataset.p_treat"),
+    ({"dataset": {"kind": "ihdp_like", "confounded": 1}}, "dataset.confounded"),
+    ({"dataset": {"kind": "ihdp_like", "seed": -1}}, "dataset.seed"),
+    ({"dataset": {"kind": "toy", "n": "abc"}}, "dataset.n"),
+    ({"dataset": {"kind": "toy", "d": 5}}, "dataset.d"),
+    ({"dataset": {"kind": "acic_like", "nn": 5}}, "dataset.nn"),
+    ({"dataset": {"kind": "acic_like", "d": 10}}, "dataset: feature-kind counts must sum to d"),
+    ({"dataset": {"kind": "acic_like", "term_kinds": ["step"] * 3}}, "dataset: term_kinds"),
+    ({"dataset": {"kind": "acic_like", "outcome_terms": 59}}, "dataset: need"),
+    ({"dataset": {"kind": "acic_like", "noise_scale": True}}, "dataset: noise_scale"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"bounds": {"n": 1}}, "bounds.n"),
 ])
 def test_validate_config_names_offending_field(raw, fragment):
     base = {"seed": 0, "dataset": {"kind": "ihdp_like"}}
@@ -171,12 +195,37 @@ def test_validate_config_builds_fit_hyperparams():
     ("sweep", "search", {"l0": 1, "l1": True}),
     ("sweep", "search", {"l0": 1, "l1": 1, "epochz": 5}),
     ("fit", "search", {"epochz": 5}),
+    ("sweep", "search", {"l0": 1, "l1": 1, "epochs": True}),
+    ("fit", "fit", {"hp0": {"alpha": True}}),
+    ("generate", "dataset", {"kind": "ihdp_like", "nn": 5}),
+    ("generate", "dataset", {"kind": "ihdp_like", "n": -5}),
+    ("generate", "dataset", {"kind": "ihdp_like", "n": True}),
+    ("generate", "dataset", {"kind": "ihdp_like", "n": 50.5}),
+    ("generate", "dataset", {"kind": "ihdp_like", "p_treat": 1.5}),
+    ("generate", "dataset", {"kind": "toy", "n": "abc"}),
+    ("generate", "dataset", {"kind": "acic_like", "nn": 5}),
+    ("generate", "dataset", {"kind": "acic_like", "d": 10}),
+    ("generate", "dataset", {"kind": "acic_like", "term_kinds": ["step"] * 3}),
+    ("generate", "dataset", {"kind": "acic_like", "outcome_terms": 59}),
 ])
 def test_hyperparameter_mistakes_exit_1(tmp_path, capsys, command, section, value):
     cfg = write_config(tmp_path, {section: value})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_readme_config_matches_the_schema():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        validate_config(json.loads(block))
+    # the README lists each dataset kind's keys
+    bullets = {b.split("`")[1]: b for b in readme.split("\n  - ")[1:]}
+    _, kinds = cli.CONFIG["dataset"]
+    for kind, keys in kinds.items():
+        assert all(f"`{key}`" in bullets[kind] or key == "seed" for key in keys), kind
 
 
 def test_member_seed_counter_based():
@@ -187,8 +236,10 @@ def test_member_seed_counter_based():
 
 def test_sample_hyperparams_respects_subgrids():
     rng = np.random.default_rng(0)
-    search = {"alpha_grid": (0.0, 1.0), "beta_grid": (1.0,), "layer_grid": (1, 2),
-              "width_grid": (20,), "batch_grid": (50,), "epochs": 5}
+    # sample_hyperparams takes a checked search section, every key filled in
+    search = validate_config({"search": {
+        "alpha_grid": [0.0, 1.0], "beta_grid": [1.0], "layer_grid": [1, 2],
+        "width_grid": [20], "batch_grid": [50], "epochs": 5}}).search
     for _ in range(20):
         hp = sample_hyperparams(rng, search)
         assert hp.alpha in (0.0, 1.0)
@@ -643,6 +694,28 @@ def test_seed_override(tmp_path):
     assert main(["generate", "--config", cfg, "--out", str(b)]) == 0
     assert (a / "dataset.csv").read_bytes() != (b / "dataset.csv").read_bytes()
     assert json.loads((a / "manifest.json").read_text())["seed"] == 11
+
+
+def test_dataset_equal_to_the_one_on_disk_is_reused(tmp_path):
+    out = tmp_path / "run"
+    hp = {"epochs": 1, "embed_layers": 1, "head_layers": 1}
+
+    def config(dataset):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"dataset": dataset, "fit": {"hp0": hp, "hp1": hp}}))
+        return str(path)
+
+    assert main(["generate", "--config", config({"kind": "toy"}), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["dataset"] == {"kind": "toy", "seed": 0, "n": 200}
+    # a default or the experiment seed spelled out gives the same data
+    for same in ({"kind": "toy", "n": 200}, {"kind": "toy", "seed": 0}):
+        assert main(["fit", "--config", config(same), "--out", str(out)]) == 0
+    # a manifest recording the section as given, without its defaults, matches too
+    manifest["dataset"] = {"kind": "toy"}
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["fit", "--config", config({"kind": "toy", "n": 200}), "--out", str(out)]) == 0
+    assert main(["fit", "--config", config({"kind": "toy", "n": 201}), "--out", str(out)]) == 1
 
 
 def test_dataset_from_another_config_is_refused(tmp_path, capsys):

@@ -62,6 +62,16 @@ def test_acic_protocol_validation():
         AcicProtocol(d=10, n_continuous=5, n_count=3, n_binary=3)
     with pytest.raises(ValueError):
         AcicProtocol(link="probit")
+    # shapes generate_acic_like cannot use
+    for kinds in (("step",) * 3, ("step",) * 5):
+        with pytest.raises(ValueError, match="term_kinds"):
+            AcicProtocol(term_kinds=kinds)
+    with pytest.raises(ValueError, match="outcome_terms"):
+        AcicProtocol(outcome_terms=59)
+    with pytest.raises(ValueError, match="d >= 2"):
+        AcicProtocol(d=1, n_continuous=1, n_count=0, n_binary=0, outcome_terms=1)
+    with pytest.raises(ValueError, match="n_binary"):
+        AcicProtocol(n_count=26, n_binary=True)  # true is no count
 
 
 def test_two_cluster_toy_structure():
