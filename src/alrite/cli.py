@@ -13,6 +13,10 @@ nuisances and its members; `fit`'s are its two pipelines and its propensity
 CV; `bounds`' are its instances. A sweep member's job also predicts the
 validation and test rows; `sweep` keeps those predictions in
 `member_predictions.json`, so `ensemble` decodes no model file.
+Commands read one another's artifacts in the output directory through one
+reader, `_read`: JSON comes back parsed, CSV as (header, rows), and a missing
+file stops the command with exit code 2 and the name of the command that
+writes it.
 Exit codes: 0 success, 1 config error, 2 runtime failure.
 """
 
@@ -76,7 +80,7 @@ def _build(name: str, cls, values: dict):
         raise ConfigError(f"{name}: {exc}") from None
 
 
-REQUIRED, OPTIONAL = object(), object()  # defaults: none, or left to the code that reads it
+REQUIRED = object()  # a key with no default
 # check(name, value) returns the value to keep or raises a ConfigError naming `name`
 Key = namedtuple("Key", "check default", defaults=(REQUIRED,))
 
@@ -130,11 +134,10 @@ _SEED = Key(_integer(0))  # a dataset's seed defaults to the experiment seed (`_
 CONFIG = {
     "seed": Key(_integer(0), 0),
     "output_dir": Key(_check(lambda v: v is None or isinstance(v, str), "a string"), None),
-    # a member's keys the config leaves out take propensity's defaults
     "propensity_grid": Key(_each(lambda name, member: _fill(name, ("kind", {
-        "lr": {"l2": Key(_scale, OPTIONAL)},
+        "lr": {"l2": Key(_scale, 1e-3)},
         "knn": {"k": Key(_integer(1))},
-        "tree": {"max_depth": Key(_integer(0), OPTIONAL), "min_leaf": Key(_integer(1), OPTIONAL)},
+        "tree": {"max_depth": Key(_integer(0), 3), "min_leaf": Key(_integer(1), 10)},
     }), member)), list(DEFAULT_PROPENSITY_GRID)),
     "dataset": ("kind", {
         "ihdp_like": {"seed": _SEED, "n": Key(_integer(20), _ihdp["n"]),
@@ -198,7 +201,7 @@ def _fill(name: str, table, given, /, **inherited) -> dict:
             out[key] = spec.check(path(key), given[key])
         elif (default := inherited.get(key, spec.default)) is REQUIRED:
             raise ConfigError(f"{path(key)}: required{variant}")
-        elif default is not OPTIONAL:
+        else:
             out[key] = copy.deepcopy(default)
     return out
 
@@ -275,9 +278,7 @@ def _resolve_dataset(cfg: ExperimentConfig, out: Path) -> tuple[Dataset, GroundT
     path = out / "dataset.csv"
     if not path.exists():
         return _generate_dataset(cfg)
-    if (out / "manifest.json").exists():
-        with open(out / "manifest.json") as fh:
-            m = json.load(fh)
+    if m := _read(out, "manifest.json", required=False):
         # older manifests record the section as given, without its defaults
         try:
             made = _fill("dataset", CONFIG["dataset"], m["dataset"], seed=m["seed"])
@@ -293,6 +294,27 @@ def _resolve_dataset(cfg: ExperimentConfig, out: Path) -> tuple[Dataset, GroundT
 
 def _split_for(cfg: ExperimentConfig, dataset: Dataset):
     return split(dataset, cfg.split["test_fraction"], cfg.split["val_fraction"], cfg.seed)
+
+
+# the command that writes each artifact a command cannot run without
+WRITERS = {"model.json": "fit", **dict.fromkeys(("sweep.json", "candidates.csv", "eta.json",
+                                                 "split.json", "member_predictions.json"), "sweep")}
+
+
+def _read(out: Path, name: str, required: bool = True):
+    """The artifact `name` in `out`: JSON parsed, CSV as (header, rows). A
+    missing file raises a RuntimeError naming it and the command that writes
+    it, or, when not `required`, gives None."""
+    try:
+        with open(out / name, newline="") as fh:
+            if name.endswith(".csv"):
+                reader = csv.reader(fh)
+                return next(reader), list(reader)
+            return json.load(fh)
+    except FileNotFoundError:
+        if required:
+            raise RuntimeError(f"missing {out / name}; rerun `{WRITERS[name]}`") from None
+        return None
 
 
 def _write_json(path: Path, payload) -> None:
@@ -447,7 +469,6 @@ def cmd_fit(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     jobs = alrite_fit_jobs(dataset, split_idx, cfg.fit["hp0"], cfg.fit["hp1"],
                            cfg.propensity_grid, cfg.seed)
     (p0, rep0), (p1, rep1), eta = _run_jobs(jobs, workers)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "model.json", AlriteModel(p0, p1, eta).to_dict())
     _write_json(out / "fit_report.json", {
         role: {"val_mse": rep.val_mse, "retained_epoch": rep.retained_epoch}
@@ -457,11 +478,7 @@ def cmd_fit(cfg: ExperimentConfig, out: Path, workers: int) -> int:
 
 
 def cmd_evaluate(cfg: ExperimentConfig, out: Path, workers: int) -> int:
-    model_path = out / "model.json"
-    if not model_path.exists():
-        raise RuntimeError(f"no fitted model at {model_path}; run `fit` first")
-    with open(model_path) as fh:
-        model = AlriteModel.from_dict(json.load(fh))
+    model = AlriteModel.from_dict(_read(out, "model.json"))
     dataset, truth = _resolve_dataset(cfg, out)
     split_idx = _split_for(cfg, dataset)
     test = split_idx.test
@@ -480,14 +497,8 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, workers: int) -> int:
 
 
 def _read_candidates(out: Path):
-    path = out / "candidates.csv"
-    if not path.exists():
-        raise RuntimeError(f"no sweep results at {path}; run `sweep` first")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    return header, rows
+    """`candidates.csv`, under the name perfbench's `cli.artifact_read` span traces."""
+    return _read(out, "candidates.csv")
 
 
 def _proxy_winner(header: list[str], rows: list[list[str]], kind: str) -> int:
@@ -520,13 +531,7 @@ def _load_sweep_members(out: Path):
     (validation mu, test tau) predictions and validation mu-risks as `sweep`
     recorded them; then the propensity model and the split. Reads no model
     file."""
-    with open(out / "sweep.json") as fh:
-        sweep = json.load(fh)
-    path = out / "member_predictions.json"
-    if not path.exists():
-        raise RuntimeError(f"no member predictions at {path}; rerun `sweep`")
-    with open(path) as fh:
-        preds = json.load(fh)
+    sweep, preds = _read(out, "sweep.json"), _read(out, "member_predictions.json")
     members = {"control_driven": ([], [], []), "treatment_driven": ([], [], [])}
     for m in sweep["members"]:
         if m["status"] != "ok":
@@ -537,18 +542,14 @@ def _load_sweep_members(out: Path):
         predictions.append((np.asarray(preds["validation_mu"][key], dtype=float),
                             np.asarray(preds["test_tau"][key], dtype=float)))
         risks.append(m["val_mu_risk"])
-    with open(out / "eta.json") as fh:
-        eta = PropensityModel.from_dict(json.load(fh))
-    with open(out / "split.json") as fh:
-        raw = json.load(fh)
+    eta = PropensityModel.from_dict(_read(out, "eta.json"))
+    raw = _read(out, "split.json")
     split_idx = SplitIndices(*(np.asarray(raw[k], dtype=int)
                                for k in ("train", "validation", "test")))
     return members["control_driven"], members["treatment_driven"], eta, split_idx
 
 
 def cmd_ensemble(cfg: ExperimentConfig, out: Path, workers: int) -> int:
-    if not (out / "sweep.json").exists():
-        raise RuntimeError(f"no sweep results in {out}; run `sweep` first")
     ranked0, ranked1, eta, split_idx = _load_sweep_members(out)
     dataset, truth = _resolve_dataset(cfg, out)
     indices0, preds0, risks0 = rank_members(*ranked0)
@@ -607,7 +608,6 @@ def cmd_bounds(cfg: ExperimentConfig, out: Path, workers: int) -> int:
             for i in range(b["instances"])]
     rows = [row for instance in _run_jobs(jobs, workers) for row in instance]
     violations = sum(row[-1] == "violated" for row in rows)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "bounds.csv",
                ["instance", "kind", "bound", "pehe", "slack", "certified", "status"], rows)
     print(f"verified {len(rows)} bound evaluations, {violations} violations")
@@ -615,28 +615,25 @@ def cmd_bounds(cfg: ExperimentConfig, out: Path, workers: int) -> int:
 
 
 def cmd_report(cfg: ExperimentConfig, out: Path, workers: int) -> int:
-    lines = []
-    gaps = []
+    lines, gaps = [], []
 
-    manifest = out / "manifest.json"
-    if manifest.exists():
-        with open(manifest) as fh:
-            m = json.load(fh)
+    def read(name):
+        artifact = _read(out, name, required=False)
+        if artifact is None:
+            gaps.append(name)
+        return artifact
+
+    if m := read("manifest.json"):
         lines.append(f"dataset: {m['n']} samples, {m['d']} features, "
                      f"{m['n_treated']} treated, truth={'yes' if m['has_truth'] else 'no'}")
-    else:
-        gaps.append("manifest.json")
 
-    if (out / "sweep.json").exists():
-        with open(out / "sweep.json") as fh:
-            sweep = json.load(fh)
+    if sweep := read("sweep.json"):
         ok = sum(1 for x in sweep["members"] if x["status"] == "ok")
         lines.append(f"sweep: {ok}/{len(sweep['members'])} members trained, "
                      f"{sweep['n_candidates']} candidates")
-        header, rows = _read_candidates(out)
-        pehe_col = header.index("pehe")
-        have_truth = bool(rows and rows[0][pehe_col])
-        if have_truth:
+        header, rows = read("candidates.csv") or ([], [])
+        if rows and rows[0][header.index("pehe")]:  # the truth is known
+            pehe_col = header.index("pehe")
             u = [float(r[pehe_col]) for r in rows]
             agree_rows = []
             for kind in PROXY_KINDS:
@@ -655,43 +652,24 @@ def cmd_report(cfg: ExperimentConfig, out: Path, workers: int) -> int:
                        ["kind", "winner_id", "score", "pehe"], sel_rows)
             best = min(u)
             lines.append(f"best candidate within-sample sqrt PEHE: {np.sqrt(best):.4f}")
-    else:
-        gaps.append("sweep.json")
 
-    if (out / "evaluation.json").exists():
-        with open(out / "evaluation.json") as fh:
-            ev = json.load(fh)
+    if ev := read("evaluation.json"):
         if "sqrt_pehe" in ev:
             lines.append(f"fitted model out-of-sample sqrt PEHE: {ev['sqrt_pehe']:.4f}, "
                          f"eps_ATE: {ev['eps_ate']:.4f}")
         lines.append(f"observational policy risk: {ev['orpol']:.4f}")
-    else:
-        gaps.append("evaluation.json")
 
-    if (out / "ensemble_curve.csv").exists():
-        with open(out / "ensemble_curve.csv", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            n_rows = sum(1 for _ in reader)
-        lines.append(f"ensemble curve: {n_rows} candidates evaluated")
-    else:
-        gaps.append("ensemble_curve.csv")
+    if curve := read("ensemble_curve.csv"):
+        lines.append(f"ensemble curve: {len(curve[1])} candidates evaluated")
 
-    if (out / "bounds.csv").exists():
-        with open(out / "bounds.csv", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            statuses = [row[-1] for row in reader]
+    if bounds := read("bounds.csv"):
+        statuses = [row[-1] for row in bounds[1]]
         lines.append(f"bounds: {statuses.count('ok')}/{len(statuses)} evaluations hold")
-    else:
-        gaps.append("bounds.csv")
 
-    for gap in gaps:
-        lines.append(f"missing: {gap}")
+    lines += [f"missing: {gap}" for gap in gaps]
     digest = "\n".join(lines) + "\n"
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "digest.txt", "w") as fh:
-        fh.write(digest)
+    (out / "digest.txt").write_text(digest)
     print(digest, end="")
     return 0
 

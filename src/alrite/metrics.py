@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, GroundTruth
+from .data import Dataset, GroundTruth, _retry_arms
 from .nn import Mlp, forward, lipschitz_upper_bound
 from .pipeline import Pipeline, PipelineHyperparams, compound_loss
 from .twin import cross_pipeline_weights, mirror_twins
@@ -221,12 +221,12 @@ def make_linear_instance(seed: int, n: int = 100, d: int = 2,
 
     Returns (dataset, truth, p0, p1, L). Use noise = 0 for the
     single-pipeline bound, which holds surely only for noiseless outcomes.
+    Raises GenerationError when 10 draws of the treatment leave an arm
+    empty, as every draw does at n = 1.
     """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
-    t = rng.binomial(1, 0.5, size=n)
-    while t.sum() in (0, n):
-        t = rng.binomial(1, 0.5, size=n)
+    t = _retry_arms(lambda: rng.binomial(1, 0.5, size=n))
     b0 = rng.standard_normal(d)
     b1 = rng.standard_normal(d)
     mu0, mu1 = x @ b0, x @ b1

@@ -350,11 +350,11 @@ def predict_eta(model: PropensityModel, x: np.ndarray) -> np.ndarray:
 def _fit_grid_member(spec: dict, x: np.ndarray, t: np.ndarray) -> PropensityModel:
     kind = spec["kind"]
     if kind == "lr":
-        return train_propensity_lr(x, t, spec.get("l2", 1e-3))
+        return train_propensity_lr(x, t, spec["l2"])
     if kind == "knn":
         return fit_knn(x, t, min(spec["k"], len(t)))
     if kind == "tree":
-        return fit_tree(x, t, spec.get("max_depth", 3), spec.get("min_leaf", 10))
+        return fit_tree(x, t, spec["max_depth"], spec["min_leaf"])
     raise ValueError(f"unknown grid member kind {kind!r}")
 
 
@@ -373,7 +373,7 @@ DEFAULT_PROPENSITY_GRID = (
     {"kind": "lr", "l2": 1e-1},
     {"kind": "knn", "k": 10},
     {"kind": "knn", "k": 30},
-    {"kind": "tree", "max_depth": 3},
+    {"kind": "tree", "max_depth": 3, "min_leaf": 10},
 )
 
 

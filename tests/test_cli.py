@@ -166,6 +166,15 @@ def test_validate_config_builds_fit_hyperparams():
     assert cfg.propensity_grid == list(DEFAULT_PROPENSITY_GRID)
 
 
+def test_validate_config_fills_propensity_grid_member_defaults():
+    assert (validate_config({"propensity_grid": [{"kind": "lr"}]}).propensity_grid
+            == [{"kind": "lr", "l2": 1e-3}])
+    grid = [{"kind": "tree"}, {"kind": "tree", "max_depth": 1}, {"kind": "knn", "k": 4}]
+    assert validate_config({"propensity_grid": grid}).propensity_grid == [
+        {"kind": "tree", "max_depth": 3, "min_leaf": 10},
+        {"kind": "tree", "max_depth": 1, "min_leaf": 10}, {"kind": "knn", "k": 4}]
+
+
 @pytest.mark.parametrize("command,section,value", [
     ("fit", "fit", {"hp0": {"widht": 5}}),
     ("fit", "fit", {"hp0": {"epochs": -1}}),
@@ -633,6 +642,41 @@ def test_ensemble_without_member_predictions_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "member_predictions.json" in err and "rerun `sweep`" in err
     assert not (out / "ensemble.json").exists()
+
+
+@pytest.fixture(scope="module")
+def swept(tmp_path_factory):
+    """A config and an `--out` that `generate` and `sweep` wrote; copy before
+    changing it."""
+    return run_sweep(tmp_path_factory.mktemp("swept"), "run")
+
+
+@pytest.mark.parametrize("command,name,writer", [
+    *(("ensemble", name, "sweep")
+      for name in ("sweep.json", "eta.json", "split.json", "member_predictions.json")),
+    ("evaluate", "model.json", "fit"),
+    ("select", "candidates.csv", "sweep"),
+])
+def test_missing_artifact_names_the_command_that_writes_it(swept, tmp_path, capsys,
+                                                           command, name, writer):
+    cfg, out = swept[0], tmp_path / "run"
+    shutil.copytree(swept[1], out)
+    (out / name).unlink(missing_ok=True)  # sweep writes no model.json
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and f"rerun `{writer}`" in err
+
+
+def test_report_on_a_sweep_without_candidates_lists_them_missing(swept, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(swept[1], out)
+    (out / "candidates.csv").unlink()
+    assert main(["report", "--out", str(out)]) == 0
+    digest = (out / "digest.txt").read_text()
+    assert "sweep: 4/4 members trained, 4 candidates\n" in digest
+    assert "missing: candidates.csv\n" in digest
+    assert not (out / "rank_agreement.csv").exists()
 
 
 def test_only_model_files_hold_parameters(tmp_path):

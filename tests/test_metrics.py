@@ -4,7 +4,7 @@ the loss-decomposition identity and slack non-negativity."""
 import numpy as np
 import pytest
 
-from alrite.data import Dataset, GroundTruth
+from alrite.data import Dataset, GenerationError, GroundTruth
 from alrite.metrics import (BoundReport, Lemma4Case, bound_m1, bound_m2,
                             bound_m3, eps_ate, lemma4_sanity,
                             make_linear_instance, pehe, policy_risks,
@@ -182,6 +182,21 @@ def test_make_linear_instance_lipschitz_claim():
     beta0 = np.linalg.lstsq(ds.x, truth.mu0, rcond=None)[0]
     beta1 = np.linalg.lstsq(ds.x, truth.mu1, rcond=None)[0]
     assert max(np.linalg.norm(beta0), np.linalg.norm(beta1)) <= lip + 1e-9
+
+
+def test_make_linear_instance_draws_the_arms_at_most_ten_times():
+    with pytest.raises(GenerationError):  # one row never holds both arms
+        make_linear_instance(0, n=1)
+    with pytest.raises(GenerationError):  # at n=2, d=2 this seed needs an 11th draw
+        make_linear_instance(8754, n=2)
+    # within ten draws, t is the one an unbounded redraw loop gives
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal((2, 2))
+        t = rng.binomial(1, 0.5, size=2)
+        while t.sum() in (0, 2):
+            t = rng.binomial(1, 0.5, size=2)
+        assert np.array_equal(make_linear_instance(seed, n=2)[0].t, t)
 
 
 def test_lemma4_constant_per_cell_passes():
