@@ -13,10 +13,10 @@ nuisances and its members; `fit`'s are its two pipelines and its propensity
 CV; `bounds`' are its instances. A sweep member's job also predicts the
 validation and test rows; `sweep` keeps those predictions in
 `member_predictions.json`, so `ensemble` decodes no model file.
-Commands read one another's artifacts in the output directory through one
-reader, `_read`: JSON comes back parsed, CSV as (header, rows), and a missing
-file stops the command with exit code 2 and the name of the command that
-writes it.
+`ARTIFACTS` lists every file each command writes into the output directory.
+Commands read one another's files through one reader, `_read`: JSON comes
+back parsed, CSV as (header, rows), and a missing, empty or malformed file
+stops the command with exit code 2, its path and the command that writes it.
 Exit codes: 0 success, 1 config error, 2 runtime failure.
 """
 
@@ -278,7 +278,7 @@ def _resolve_dataset(cfg: ExperimentConfig, out: Path) -> tuple[Dataset, GroundT
     path = out / "dataset.csv"
     if not path.exists():
         return _generate_dataset(cfg)
-    if m := _read(out, "manifest.json", required=False):
+    if m := _read(out, "manifest.json", []):
         # older manifests record the section as given, without its defaults
         try:
             made = _fill("dataset", CONFIG["dataset"], m["dataset"], seed=m["seed"])
@@ -296,15 +296,24 @@ def _split_for(cfg: ExperimentConfig, dataset: Dataset):
     return split(dataset, cfg.split["test_fraction"], cfg.split["val_fraction"], cfg.seed)
 
 
-# the command that writes each artifact a command cannot run without
-WRITERS = {"model.json": "fit", **dict.fromkeys(("sweep.json", "candidates.csv", "eta.json",
-                                                 "split.json", "member_predictions.json"), "sweep")}
+# every file each command writes into `--out`, sweep's member models by a pattern
+ARTIFACTS = {
+    "generate": ("dataset.csv", "manifest.json"),
+    "sweep": ("eta.json", "split.json", "sweep.json", "candidates.csv",
+              "member_predictions.json", "models/member_*.json"),
+    "fit": ("model.json", "fit_report.json"),
+    "evaluate": ("evaluation.json",),
+    "select": ("selection.json",),
+    "ensemble": ("ensemble_curve.csv", "ensemble.json"),
+    "bounds": ("bounds.csv",),
+    "report": ("digest.txt", "rank_agreement.csv", "selection_summary.csv"),
+}
 
 
-def _read(out: Path, name: str, required: bool = True):
-    """The artifact `name` in `out`: JSON parsed, CSV as (header, rows). A
-    missing file raises a RuntimeError naming it and the command that writes
-    it, or, when not `required`, gives None."""
+def _read(out: Path, name: str, missing: list | None = None):
+    """The artifact `name` in `out`: JSON parsed, CSV as (header, rows). A missing
+    file joins `missing` and gives None; with no list, or if malformed, it raises."""
+    rerun = f"rerun `{next(c for c, names in ARTIFACTS.items() if name in names)}`"
     try:
         with open(out / name, newline="") as fh:
             if name.endswith(".csv"):
@@ -312,9 +321,11 @@ def _read(out: Path, name: str, required: bool = True):
                 return next(reader), list(reader)
             return json.load(fh)
     except FileNotFoundError:
-        if required:
-            raise RuntimeError(f"missing {out / name}; rerun `{WRITERS[name]}`") from None
-        return None
+        if missing is None:
+            raise RuntimeError(f"missing {out / name}; {rerun}") from None
+        missing.append(name)
+    except (StopIteration, ValueError, csv.Error) as exc:
+        raise RuntimeError(f"cannot read {out / name} ({exc!r}); {rerun}") from None
 
 
 def _write_json(path: Path, payload) -> None:
@@ -451,6 +462,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     _write_json(out / "sweep.json", {"seed": cfg.seed, "l0": l0, "l1": l1,
                                      "members": members,
                                      "n_candidates": len(rows)})
+    named = {out / m["path"] for m in members if m["status"] == "ok"}
+    for stale in set((out / "models").glob("member_*.json")) - named:  # an earlier sweep's
+        stale.unlink()
     _write_csv(out / "candidates.csv",
                ["candidate_id", "i0", "i1"] + list(PROXY_KINDS) + ["pehe"], rows)
     # what `ensemble` needs of each usable member, so it decodes no model file
@@ -616,53 +630,40 @@ def cmd_bounds(cfg: ExperimentConfig, out: Path, workers: int) -> int:
 
 def cmd_report(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     lines, gaps = [], []
-
-    def read(name):
-        artifact = _read(out, name, required=False)
-        if artifact is None:
-            gaps.append(name)
-        return artifact
-
-    if m := read("manifest.json"):
+    if m := _read(out, "manifest.json", gaps):
         lines.append(f"dataset: {m['n']} samples, {m['d']} features, "
                      f"{m['n_treated']} treated, truth={'yes' if m['has_truth'] else 'no'}")
 
-    if sweep := read("sweep.json"):
+    if sweep := _read(out, "sweep.json", gaps):
         ok = sum(1 for x in sweep["members"] if x["status"] == "ok")
         lines.append(f"sweep: {ok}/{len(sweep['members'])} members trained, "
                      f"{sweep['n_candidates']} candidates")
-        header, rows = read("candidates.csv") or ([], [])
+        header, rows = _read(out, "candidates.csv", gaps) or ([], [])
         if rows and rows[0][header.index("pehe")]:  # the truth is known
-            pehe_col = header.index("pehe")
-            u = [float(r[pehe_col]) for r in rows]
-            agree_rows = []
+            cols = {name: [float(r[c]) for r in rows] for c, name in enumerate(header)}
+            u, agree_rows, sel_rows = cols["pehe"], [], []
             for kind in PROXY_KINDS:
-                col = header.index(kind)
-                v = [float(r[col]) for r in rows]
+                v, w = cols[kind], int(np.argmin(cols[kind]))  # ties keep the first row
                 if len(u) >= 2:
                     stats = rank_agreement(u, v)
                     agree_rows.append([kind, stats["spearman"], stats["kendall"], stats["dcg"]])
+                sel_rows.append([kind, int(cols["candidate_id"][w]), v[w], u[w]])
             _write_csv(out / "rank_agreement.csv",
                        ["kind", "spearman", "kendall", "dcg"], agree_rows)
-            sel_rows = []
-            for kind in PROXY_KINDS:
-                w = _proxy_winner(header, rows, kind)
-                sel_rows.append([kind, int(rows[w][0]), float(rows[w][header.index(kind)]), u[w]])
             _write_csv(out / "selection_summary.csv",
                        ["kind", "winner_id", "score", "pehe"], sel_rows)
-            best = min(u)
-            lines.append(f"best candidate within-sample sqrt PEHE: {np.sqrt(best):.4f}")
+            lines.append(f"best candidate within-sample sqrt PEHE: {np.sqrt(min(u)):.4f}")
 
-    if ev := read("evaluation.json"):
+    if ev := _read(out, "evaluation.json", gaps):
         if "sqrt_pehe" in ev:
             lines.append(f"fitted model out-of-sample sqrt PEHE: {ev['sqrt_pehe']:.4f}, "
                          f"eps_ATE: {ev['eps_ate']:.4f}")
         lines.append(f"observational policy risk: {ev['orpol']:.4f}")
 
-    if curve := read("ensemble_curve.csv"):
+    if curve := _read(out, "ensemble_curve.csv", gaps):
         lines.append(f"ensemble curve: {len(curve[1])} candidates evaluated")
 
-    if bounds := read("bounds.csv"):
+    if bounds := _read(out, "bounds.csv", gaps):
         statuses = [row[-1] for row in bounds[1]]
         lines.append(f"bounds: {statuses.count('ok')}/{len(statuses)} evaluations hold")
 

@@ -9,7 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from alrite.cli import main as cli_main
+from alrite.cli import ARTIFACTS, main as cli_main
 from alrite.data import (Dataset, GroundTruth, generate_ihdp_like,
                          generate_two_cluster_toy, split)
 from alrite.learner import (AlriteModel, EnsembleModel, alrite_fit, ensemble_predict,
@@ -397,8 +397,10 @@ def test_criterion_12_byte_identical_reruns(tmp_path):
         out = tmp_path / name
         for command in ("generate", "sweep", "bounds"):
             assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 0
-        outputs.append({f: (out / f).read_bytes()
-                        for f in ("dataset.csv", "candidates.csv", "bounds.csv")})
-    ok = outputs[0] == outputs[1]
-    report(12, ok, "dataset.csv, candidates.csv and bounds.csv byte-identical "
+        # every file these commands write, 4 member models among them
+        outputs.append({p.relative_to(out).as_posix(): p.read_bytes()
+                        for command in ("generate", "sweep", "bounds")
+                        for pattern in ARTIFACTS[command] for p in sorted(out.glob(pattern))})
+    ok = len(outputs[0]) == 12 and outputs[0] == outputs[1]
+    report(12, ok, f"{len(outputs[0])} files of generate, sweep and bounds byte-identical "
                    "across reruns")

@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,15 @@ def test_readme_config_matches_the_schema():
         assert all(f"`{key}`" in bullets[kind] or key == "seed" for key in keys), kind
 
 
+def test_readme_lists_the_files_each_command_writes():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme[readme.index("\n- `generate`: "):].split("\n\n")[0]  # the file list
+    listed = dict(re.findall(r"^- `(\w+)`: (.*?)(?=\n- |\Z)", block, re.M | re.S))
+    assert listed.keys() == cli.ARTIFACTS.keys()
+    for command, names in cli.ARTIFACTS.items():
+        assert set(re.findall(r"`([^`]+\.\w+)`", listed[command])) == set(names), command
+
+
 def test_member_seed_counter_based():
     assert member_seed(0, 1) == member_seed(0, 1)
     assert member_seed(0, 1) != member_seed(0, 2)
@@ -280,6 +290,13 @@ def test_generate_refuses_csv_kind(tmp_path):
     assert main(["generate", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
 
 
+def written(out, *commands):
+    """The bytes of each file in `out` that `commands` write, by `cli.ARTIFACTS`,
+    keyed by its path relative to `out`."""
+    return {p.relative_to(out).as_posix(): p.read_bytes() for command in commands
+            for pattern in cli.ARTIFACTS[command] for p in sorted(out.glob(pattern))}
+
+
 def run_sweep(tmp_path, name, extra_args=()):
     cfg = write_config(tmp_path)
     out = tmp_path / name
@@ -313,10 +330,9 @@ def test_sweep_master_seed_determinism(tmp_path):
 def test_sweep_bytes_independent_of_workers(tmp_path):
     _, serial = run_sweep(tmp_path, "serial", ["--workers", "1"])
     _, pooled = run_sweep(tmp_path, "pooled", ["--workers", "2"])
-    models = sorted(str(p.relative_to(serial)) for p in (serial / "models").glob("*.json"))
-    assert len(models) == 4
-    for name in ["candidates.csv", "sweep.json", "eta.json"] + models:
-        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+    files = written(serial, "sweep")
+    assert len(files) == 5 + 4  # 4 member models
+    assert written(pooled, "sweep") == files
 
 
 # width-100 two-layer members on 240 rows: large enough products that a
@@ -328,11 +344,12 @@ THREADS_CONFIG = {
                "batch_grid": [100]},
     "ensemble": {"mode": "softmax", "candidates": [1.0, 100.0]},
 }
+RAN = ("generate", "sweep", "select", "ensemble")
 RUN_COMMANDS = """
 import sys
 from alrite.cli import main
-config, out, workers = sys.argv[1:]
-for command in ("generate", "sweep", "select", "ensemble"):
+config, out, workers, *commands = sys.argv[1:]
+for command in commands:
     args = [command, "--config", config, "--out", out]
     if command == "sweep":
         args += ["--workers", workers]
@@ -351,13 +368,12 @@ def test_artifact_bytes_independent_of_blas_threads_and_workers(tmp_path):
             out = tmp_path / f"threads{threads}-workers{workers}"
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run([sys.executable, "-c", RUN_COMMANDS, str(cfg), str(out),
-                                   workers], env=env, capture_output=True, text=True)
+                                   workers, *RAN], env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             runs[out.name] = {str(p.relative_to(out)): p.read_bytes()
                               for p in sorted(out.rglob("*")) if p.is_file()}
     first, *others = runs
-    assert len(runs[first]) == 14 and "ensemble.json" in runs[first]
-    assert "member_predictions.json" in runs[first]
+    assert runs[first].keys() == written(tmp_path / first, *RAN).keys()
     for name in others:
         assert runs[name].keys() == runs[first].keys(), name
         for path, data in runs[first].items():
@@ -429,8 +445,9 @@ def test_fit_and_bounds_bytes_independent_of_workers(tmp_path):
     assert codes == [0, 0]
     pooled, codes = _fit_and_bounds(tmp_path, "pooled", "2")
     assert codes == [0, 0]
-    for name in ("model.json", "fit_report.json", "bounds.csv"):
-        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+    files = written(serial, "fit", "bounds")
+    assert len(files) == 3
+    assert written(pooled, "fit", "bounds") == files
     assert len((serial / "bounds.csv").read_text().splitlines()) == 1 + 3 * 3
 
 
@@ -646,26 +663,66 @@ def test_ensemble_without_member_predictions_exits_2(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def swept(tmp_path_factory):
-    """A config and an `--out` that `generate` and `sweep` wrote; copy before
-    changing it."""
-    return run_sweep(tmp_path_factory.mktemp("swept"), "run")
+    """A config and an `--out` that `generate`, `sweep` and `fit` wrote; copy
+    before changing it."""
+    cfg, out = run_sweep(tmp_path_factory.mktemp("swept"), "run")
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+    return cfg, out
 
 
-@pytest.mark.parametrize("command,name,writer", [
-    *(("ensemble", name, "sweep")
+DAMAGE = {"deleted": lambda path: path.unlink(),
+          "emptied": lambda path: path.write_bytes(b""),
+          "holding {": lambda path: path.write_bytes(b"{"),
+          "truncated": lambda path: path.write_bytes(path.read_bytes()[:20])}
+
+
+DAMAGED = [
+    *(("ensemble", name, "sweep", "deleted")
       for name in ("sweep.json", "eta.json", "split.json", "member_predictions.json")),
-    ("evaluate", "model.json", "fit"),
-    ("select", "candidates.csv", "sweep"),
-])
-def test_missing_artifact_names_the_command_that_writes_it(swept, tmp_path, capsys,
-                                                           command, name, writer):
+    ("evaluate", "model.json", "fit", "deleted"),
+    ("select", "candidates.csv", "sweep", "deleted"),
+    ("select", "candidates.csv", "sweep", "emptied"),
+    ("ensemble", "split.json", "sweep", "holding {"),
+    ("evaluate", "manifest.json", "generate", "truncated"),
+    ("report", "sweep.json", "sweep", "truncated"),
+]
+
+
+# a deleted file's case is named without its damage
+@pytest.mark.parametrize("command,name,writer,damage", DAMAGED, ids=[
+    "-".join(case[:3] if case[3] == "deleted" else case) for case in DAMAGED])
+def test_missing_artifact_names_the_command_that_writes_it(swept, tmp_path, capsys, command,
+                                                           name, writer, damage):
     cfg, out = swept[0], tmp_path / "run"
     shutil.copytree(swept[1], out)
-    (out / name).unlink(missing_ok=True)  # sweep writes no model.json
+    DAMAGE[damage](out / name)
     capsys.readouterr()
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert name in err and f"rerun `{writer}`" in err
+    assert str(out / name) in err and f"rerun `{writer}`" in err
+
+
+def test_a_smaller_sweep_removes_the_earlier_members(swept, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(swept[1], out)
+    cfg = write_config(tmp_path, {"search": {**SMALL_CONFIG["search"], "l0": 1, "l1": 1}})
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    named = {m["path"] for m in json.loads((out / "sweep.json").read_text())["members"]}
+    assert named == {"models/member_000.json", "models/member_001.json"}
+    assert {p.relative_to(out).as_posix() for p in (out / "models").iterdir()} == named
+
+
+def test_each_command_writes_exactly_its_artifacts(tmp_path):
+    assert cli.ARTIFACTS.keys() == cli.COMMANDS.keys()
+    cfg, out = write_config(tmp_path), tmp_path / "run"
+    files = set()
+    for command, patterns in cli.ARTIFACTS.items():  # an order each command can run in
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0, command
+        added = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} - files
+        assert all(any(fnmatch(f, pattern) for pattern in patterns) for f in added), command
+        assert all(any(fnmatch(f, pattern) for f in added) for pattern in patterns), command
+        files |= added
+    assert len(files) == 21  # 4 member models
 
 
 def test_report_on_a_sweep_without_candidates_lists_them_missing(swept, tmp_path):
