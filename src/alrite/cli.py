@@ -515,17 +515,16 @@ def _read_candidates(out: Path):
     return _read(out, "candidates.csv")
 
 
-def _proxy_winner(header: list[str], rows: list[list[str]], kind: str) -> int:
-    """Row of candidates.csv with the smallest `kind` score; ties keep the
-    first row."""
-    col = header.index(kind)
-    return int(np.argmin([float(r[col]) for r in rows]))
+def _proxy_winner(scores: list[float]) -> int:
+    """Row of candidates.csv with the smallest of a proxy's `scores`; ties keep
+    the first row."""
+    return int(np.argmin(scores))
 
 
 def cmd_select(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     header, rows = _read_candidates(out)
     kind = cfg.selection["proxy"]
-    winner = rows[_proxy_winner(header, rows, kind)]
+    winner = rows[_proxy_winner([float(r[header.index(kind)]) for r in rows])]
     pehe_cell = winner[header.index("pehe")]
     payload = {
         "proxy": kind,
@@ -643,7 +642,7 @@ def cmd_report(cfg: ExperimentConfig, out: Path, workers: int) -> int:
             cols = {name: [float(r[c]) for r in rows] for c, name in enumerate(header)}
             u, agree_rows, sel_rows = cols["pehe"], [], []
             for kind in PROXY_KINDS:
-                v, w = cols[kind], int(np.argmin(cols[kind]))  # ties keep the first row
+                v, w = cols[kind], _proxy_winner(cols[kind])
                 if len(u) >= 2:
                     stats = rank_agreement(u, v)
                     agree_rows.append([kind, stats["spearman"], stats["kendall"], stats["dcg"]])

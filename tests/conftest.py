@@ -2,6 +2,7 @@
 
 import pytest
 
+import alrite.cli
 import alrite.propensity
 import alrite.selection
 import alrite.twin
@@ -40,3 +41,20 @@ def blocked(monkeypatch):
         return whole, out
 
     return run
+
+
+@pytest.fixture
+def written():
+    """`written(out, *commands)` maps each file in `out` that `commands` write,
+    by `cli.ARTIFACTS`, to its bytes, keyed by its path relative to `out`. It
+    checks that every entry of those commands matches at least one file."""
+    def read(out, *commands):
+        files = {}
+        for command in commands:
+            for pattern in alrite.cli.ARTIFACTS[command]:
+                paths = sorted(out.glob(pattern))
+                assert paths, f"no {pattern} in {out}, which `{command}` writes"
+                files.update((p.relative_to(out).as_posix(), p.read_bytes()) for p in paths)
+        return files
+
+    return read

@@ -9,7 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from alrite.cli import ARTIFACTS, main as cli_main
+from alrite.cli import main as cli_main
 from alrite.data import (Dataset, GroundTruth, generate_ihdp_like,
                          generate_two_cluster_toy, split)
 from alrite.learner import (AlriteModel, EnsembleModel, alrite_fit, ensemble_predict,
@@ -381,7 +381,7 @@ def test_criterion_11_lemma4_cases():
 
 # --------------------------------------------------------------- criterion 12
 
-def test_criterion_12_byte_identical_reruns(tmp_path):
+def test_criterion_12_byte_identical_reruns(tmp_path, written):
     config = {
         "seed": 7,
         "dataset": {"kind": "ihdp_like", "n": 150, "d": 5, "noise_scale": 0.5},
@@ -398,9 +398,7 @@ def test_criterion_12_byte_identical_reruns(tmp_path):
         for command in ("generate", "sweep", "bounds"):
             assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 0
         # every file these commands write, 4 member models among them
-        outputs.append({p.relative_to(out).as_posix(): p.read_bytes()
-                        for command in ("generate", "sweep", "bounds")
-                        for pattern in ARTIFACTS[command] for p in sorted(out.glob(pattern))})
+        outputs.append(written(out, "generate", "sweep", "bounds"))
     ok = len(outputs[0]) == 12 and outputs[0] == outputs[1]
     report(12, ok, f"{len(outputs[0])} files of generate, sweep and bounds byte-identical "
                    "across reruns")

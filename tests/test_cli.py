@@ -290,13 +290,6 @@ def test_generate_refuses_csv_kind(tmp_path):
     assert main(["generate", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
 
 
-def written(out, *commands):
-    """The bytes of each file in `out` that `commands` write, by `cli.ARTIFACTS`,
-    keyed by its path relative to `out`."""
-    return {p.relative_to(out).as_posix(): p.read_bytes() for command in commands
-            for pattern in cli.ARTIFACTS[command] for p in sorted(out.glob(pattern))}
-
-
 def run_sweep(tmp_path, name, extra_args=()):
     cfg = write_config(tmp_path)
     out = tmp_path / name
@@ -327,7 +320,7 @@ def test_sweep_master_seed_determinism(tmp_path):
     assert (out_a / "sweep.json").read_bytes() == (out_b / "sweep.json").read_bytes()
 
 
-def test_sweep_bytes_independent_of_workers(tmp_path):
+def test_sweep_bytes_independent_of_workers(tmp_path, written):
     _, serial = run_sweep(tmp_path, "serial", ["--workers", "1"])
     _, pooled = run_sweep(tmp_path, "pooled", ["--workers", "2"])
     files = written(serial, "sweep")
@@ -358,7 +351,7 @@ for command in commands:
 """
 
 
-def test_artifact_bytes_independent_of_blas_threads_and_workers(tmp_path):
+def test_artifact_bytes_independent_of_blas_threads_and_workers(tmp_path, written):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(THREADS_CONFIG))
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -373,6 +366,7 @@ def test_artifact_bytes_independent_of_blas_threads_and_workers(tmp_path):
             runs[out.name] = {str(p.relative_to(out)): p.read_bytes()
                               for p in sorted(out.rglob("*")) if p.is_file()}
     first, *others = runs
+    assert len(runs[first]) == 14  # 4 member models
     assert runs[first].keys() == written(tmp_path / first, *RAN).keys()
     for name in others:
         assert runs[name].keys() == runs[first].keys(), name
@@ -440,7 +434,7 @@ def _fit_and_bounds(tmp_path, name, workers):
     return out, codes
 
 
-def test_fit_and_bounds_bytes_independent_of_workers(tmp_path):
+def test_fit_and_bounds_bytes_independent_of_workers(tmp_path, written):
     serial, codes = _fit_and_bounds(tmp_path, "serial", "1")
     assert codes == [0, 0]
     pooled, codes = _fit_and_bounds(tmp_path, "pooled", "2")
@@ -490,13 +484,11 @@ def test_candidate_rows_rebuild_from_written_members(tmp_path):
 
 
 def test_proxy_winner_smallest_index_tie():
-    header = ["candidate_id", "i0", "i1", "mu_risk", "tau_dr", "pehe"]
-    rows = [["0", "0", "2", "0.5", "0.3", ""], ["1", "0", "3", "0.2", "0.1", ""],
-            ["2", "1", "2", "0.2", "0.1", ""], ["3", "1", "3", "0.9", "0.1", ""]]
-    assert cli._proxy_winner(header, rows, "mu_risk") == 1
-    assert cli._proxy_winner(header, rows, "tau_dr") == 1
-    assert cli._proxy_winner(header, rows[2:], "tau_dr") == 0
-    assert cli._proxy_winner(header, rows[:1], "mu_risk") == 0
+    mu_risk, tau_dr = [0.5, 0.2, 0.2, 0.9], [0.3, 0.1, 0.1, 0.1]
+    assert cli._proxy_winner(mu_risk) == 1
+    assert cli._proxy_winner(tau_dr) == 1
+    assert cli._proxy_winner(tau_dr[2:]) == 0
+    assert cli._proxy_winner(mu_risk[:1]) == 0
 
 
 def test_sweep_crash_isolation(tmp_path, monkeypatch):
