@@ -391,16 +391,17 @@ def _run_jobs(jobs: list, workers: int) -> list:
 def _train_member(index, role, dataset, split_idx, hp, seed, out, x_val, t_val, x_test):
     """Sweep member job: trains one pipeline, predicts its effects and its
     factual outcomes on the validation rows `x_val`, `t_val` and its effects
-    on the test rows `x_test`, and writes it to models/member_XXX.json under
-    `out` last. Returns (index, role, the file's path relative to `out`, tau,
-    mu, test tau, None), or (index, role, None, None, None, None, error) on a
-    failure. Never raises; failures are recorded."""
+    on the test rows `x_test`, and writes it to models/member_XXX.json.part
+    under `out` last, which `sweep` renames once the sweep is usable. Returns
+    (index, role, the final path relative to `out`, tau, mu, test tau, None),
+    or (index, role, None, None, None, None, error) on a failure. Never
+    raises; failures are recorded."""
     try:
         p, _ = train_pipeline(dataset, split_idx, role, hp, seed)
         tau, mu = predict_tau(p, x_val), predict_mu(p, x_val, t_val)
         tau_test = predict_tau(p, x_test)
         path = Path("models") / f"member_{index:03d}.json"
-        _write_json(out / path, p.to_dict())
+        _write_json(out / f"{path}.part", p.to_dict())
         return index, role, str(path), tau, mu, tau_test, None
     except Exception as exc:
         return index, role, None, None, None, None, f"{type(exc).__name__}: {exc}"
@@ -441,8 +442,13 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
 
     ok0 = [i for i in range(l0) if i in tau]
     ok1 = [l0 + j for j in range(l1) if l0 + j in tau]
-    if not ok0 or not ok1:
+    staged = [out / f"{m['path']}.part" for m in members if m["status"] == "ok"]
+    if not ok0 or not ok1:  # the members of an earlier sweep stay as they are
+        for part in staged:
+            part.unlink()
         raise RuntimeError("sweep produced no usable member for at least one role")
+    for part in staged:
+        part.replace(part.with_suffix(""))
 
     _write_json(out / "eta.json", eta.to_dict())
     aux = assemble_auxiliaries(dataset, train, eta, fits)

@@ -420,8 +420,8 @@ def identity_scaler(d: int) -> Scaler:
                   np.ones(d, dtype=bool), np.zeros(d, dtype=bool))
 
 
-def standardize(dataset: Dataset, fit_indices) -> tuple[Scaler, Dataset]:
-    """Fit on fit_indices only; binary columns pass through untouched."""
+def fit_scaler(dataset: Dataset, fit_indices) -> Scaler:
+    """Scaler of the fit_indices rows; binary columns keep mean 0, scale 1."""
     idx = np.asarray(fit_indices, dtype=int)
     if idx.size == 0:
         raise ValueError("fit_indices must be non-empty")
@@ -439,7 +439,12 @@ def standardize(dataset: Dataset, fit_indices) -> tuple[Scaler, Dataset]:
     y_mean = float(dataset.y[idx].mean())
     y_sd = float(dataset.y[idx].std(ddof=0))
     y_scale = y_sd if y_sd > 0 else 1.0
-    scaler = Scaler(x_mean, x_scale, y_mean, y_scale, cont, clamped)
+    return Scaler(x_mean, x_scale, y_mean, y_scale, cont, clamped)
+
+
+def standardize(dataset: Dataset, fit_indices) -> tuple[Scaler, Dataset]:
+    """Fit on fit_indices only; binary columns pass through untouched."""
+    scaler = fit_scaler(dataset, fit_indices)
     transformed = Dataset(
         scaler.transform_x(dataset.x),
         dataset.t,

@@ -69,12 +69,21 @@ def mlp_init(
     return Mlp(list(layer_dims), weights, biases, activation, output_normalization)
 
 
-def elu(u: np.ndarray) -> np.ndarray:
-    return np.where(u >= 0, u, np.expm1(u))
+def elu(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """u where u >= 0, expm1(u) below, as max(u, expm1(min(u, 0))): expm1
+    runs on min(u, 0) only and no mask is allocated. The bits equal
+    np.where(u >= 0, u, np.expm1(u)) (infinities and subnormals included;
+    NaN stays NaN) except at u = -0.0, which gives +0.0. `out` may be `u`
+    itself."""
+    neg = np.minimum(u, 0.0)
+    np.expm1(neg, out=neg)
+    return np.maximum(u, neg, out=neg if out is None else out)
 
 
 def elu_grad(u: np.ndarray) -> np.ndarray:
-    return np.where(u >= 0, 1.0, np.exp(u))
+    """1 where u >= 0, exp(u) below, as exp(min(u, 0))."""
+    neg = np.minimum(u, 0.0)
+    return np.exp(neg, out=neg)
 
 
 def _as_batch(x: np.ndarray, in_dim: int) -> np.ndarray:
@@ -84,39 +93,44 @@ def _as_batch(x: np.ndarray, in_dim: int) -> np.ndarray:
     return x
 
 
+def _forward(mlp: Mlp, x: np.ndarray, keep: bool):
+    """The layer loop of `forward` and `forward_cached`: returns (output,
+    cache), the cache None unless `keep`. Without `keep` each layer's result
+    is activated and normalized in place and the previous activation is
+    released, so only about two activations are alive at a time."""
+    a = _as_batch(x, mlp.in_dim)
+    inputs, pre_acts = [], []
+    last = len(mlp.weights) - 1
+    for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        if keep:
+            inputs.append(a)
+        a = a @ w
+        a += b
+        if l < last:
+            if keep:
+                pre_acts.append(a)
+            if mlp.activation == "elu":
+                a = elu(a, out=None if keep else a)
+    raw_out, norms = a, None
+    if mlp.output_normalization:
+        norms = np.linalg.norm(raw_out, axis=1, keepdims=True)
+        a = np.divide(raw_out, np.where(norms > 0, norms, 1.0), out=None if keep else a)
+    return a, ((inputs, pre_acts, raw_out, norms) if keep else None)
+
+
 def forward_cached(mlp: Mlp, x: np.ndarray):
     """Forward pass keeping the per-layer activations needed by backward.
 
     Returns (output, cache). cache holds the input of each affine layer and
     the pre-activations of hidden layers, plus normalization state.
     """
-    x = _as_batch(x, mlp.in_dim)
-    inputs = [x]
-    pre_acts = []
-    a = x
-    n_layers = len(mlp.weights)
-    for l in range(n_layers):
-        z = a @ mlp.weights[l] + mlp.biases[l]
-        if l < n_layers - 1:
-            pre_acts.append(z)
-            a = elu(z) if mlp.activation == "elu" else z
-            inputs.append(a)
-        else:
-            a = z
-    raw_out = a
-    norms = None
-    if mlp.output_normalization:
-        norms = np.linalg.norm(raw_out, axis=1, keepdims=True)
-        safe = np.where(norms > 0, norms, 1.0)
-        out = raw_out / safe
-    else:
-        out = raw_out
-    return out, (inputs, pre_acts, raw_out, norms)
+    return _forward(mlp, x, keep=True)
 
 
 def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on an (n, d) batch."""
-    out, _ = forward_cached(mlp, x)
+    """Evaluate the network on an (n, d) batch; the bits of
+    `forward_cached(mlp, x)[0]`, with no cache kept."""
+    out, _ = _forward(mlp, x, keep=False)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite network output")
     return out
@@ -148,7 +162,7 @@ def backward(mlp: Mlp, cache, upstream: np.ndarray):
         g = g @ mlp.weights[l].T
         if l > 0:
             if mlp.activation == "elu":
-                g = g * elu_grad(pre_acts[l - 1])
+                g *= elu_grad(pre_acts[l - 1])
     return grad_w, grad_b, g
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blas import one_blas_thread
-from .data import Dataset, Scaler, SplitIndices, check_field_types, identity_scaler, standardize
+from .data import Dataset, Scaler, SplitIndices, check_field_types, fit_scaler, identity_scaler
 from .nn import AdamState, Mlp, adam_step, backward, forward, forward_cached, mlp_init
 from .twin import ArmError, TwinMap, mirror_twins
 
@@ -267,10 +267,10 @@ def predict_tau(p: Pipeline, x: np.ndarray) -> np.ndarray:
     return (forward(p.h1, z)[:, 0] - forward(p.h0, z)[:, 0]) * scaler.y_scale
 
 
-def _val_factual_mse_std(p: Pipeline, x_std, t, y_std, idx) -> float:
-    z = forward(p.phi, x_std[idx])
-    pred = np.where(t[idx] == 1, forward(p.h1, z)[:, 0], forward(p.h0, z)[:, 0])
-    return float(np.mean((y_std[idx] - pred) ** 2))
+def _val_factual_mse_std(p: Pipeline, x_std, t, y_std) -> float:
+    z = forward(p.phi, x_std)
+    pred = np.where(t == 1, forward(p.h1, z)[:, 0], forward(p.h0, z)[:, 0])
+    return float(np.mean((y_std - pred) ** 2))
 
 
 @one_blas_thread()
@@ -287,10 +287,12 @@ def train_pipeline(dataset: Dataset, split_idx: SplitIndices, role: str,
         ts = dataset.t[part]
         if ts.sum() in (0, len(ts)):
             raise ArmError(f"{name} split has an empty treatment arm")
-    scaler, ds_std = standardize(dataset, train_idx)
-    x = ds_std.x[train_idx]
-    t = ds_std.t[train_idx]
-    y = ds_std.y[train_idx]
+    # only the rows training reads are standardized, each set once
+    scaler = fit_scaler(dataset, train_idx)
+    x, t, y = (scaler.transform_x(dataset.x[train_idx]), dataset.t[train_idx],
+               scaler.transform_y(dataset.y[train_idx]))
+    val = (scaler.transform_x(dataset.x[val_idx]), dataset.t[val_idx],
+           scaler.transform_y(dataset.y[val_idx]))
     n = len(train_idx)
 
     rng = np.random.default_rng(seed)
@@ -299,7 +301,7 @@ def train_pipeline(dataset: Dataset, split_idx: SplitIndices, role: str,
     state = AdamState.for_params(p.theta, hp.base_lr, hp.decay_rate, hp.decay_period)
 
     breakdowns: list[dict] = []
-    val_mses = [_val_factual_mse_std(p, ds_std.x, ds_std.t, ds_std.y, val_idx)]
+    val_mses = [_val_factual_mse_std(p, *val)]
     best_epoch = 0
     best_mse = val_mses[0]
     best_theta = p.theta.copy()
@@ -323,7 +325,7 @@ def train_pipeline(dataset: Dataset, split_idx: SplitIndices, role: str,
             n_batches += 1
         epoch_terms["regularization"] /= max(n_batches, 1)  # shared term, not additive
         breakdowns.append(epoch_terms)
-        val_mse = _val_factual_mse_std(p, ds_std.x, ds_std.t, ds_std.y, val_idx)
+        val_mse = _val_factual_mse_std(p, *val)
         val_mses.append(val_mse)
         if val_mse < best_mse:
             best_mse = val_mse

@@ -226,23 +226,19 @@ def _scan_first_best(gain: np.ndarray, best):
         pos, best = q, gain[q]
 
 
-def _build_tree(x, t, sort, depth, max_depth, min_leaf):
-    """`sort()` gives x's stable argsort along axis 0, every feature sorted;
-    only a node that may split calls it."""
+def _best_split(x, t, order, min_leaf):
+    """(gain, feature, threshold) of the node's first best admissible split,
+    or None. `order` is x's stable argsort along axis 0."""
     n = len(t)
-    rate = float(np.mean(t))
-    node = {"leaf": True, "value": rate, "n": n}
-    if depth >= max_depth or n < 2 * min_leaf or rate in (0.0, 1.0):
-        return node
-    order = sort()
     n1 = t.sum()
     parent_impurity = _gini(n1, n)
     # a split after the first `size` sorted samples leaves at least min_leaf
-    # on each side
+    # on each side; size - 1 and size are contiguous, so both are slices
     xv = np.take_along_axis(x, order, axis=0)
     size = np.arange(min_leaf, n - min_leaf + 1)
-    left1 = np.cumsum(t[order], axis=0)[size - 1]
-    admissible = xv[size - 1] != xv[size]  # cannot split between equal values
+    below, at = slice(min_leaf - 1, n - min_leaf), slice(min_leaf, n - min_leaf + 1)
+    left1 = np.cumsum(t.astype(np.int32)[order], axis=0, dtype=np.int32)[below]
+    admissible = xv[below] != xv[at]  # cannot split between equal values
     best = None
     for j in range(x.shape[1]):
         ok = admissible[:, j]
@@ -255,6 +251,20 @@ def _build_tree(x, t, sort, depth, max_depth, min_leaf):
         if pos is not None:
             k = i[pos]
             best = (gain, j, 0.5 * (xv[k - 1, j] + xv[k, j]))
+    return best
+
+
+def _build_tree(x, t, sort, depth, max_depth, min_leaf):
+    """`sort()` gives x's stable argsort along axis 0, every feature sorted;
+    only a node that may split calls it. A node's split search frees its
+    arrays before the children are built; only `order` stays for them."""
+    n = len(t)
+    rate = float(np.mean(t))
+    node = {"leaf": True, "value": rate, "n": n}
+    if depth >= max_depth or n < 2 * min_leaf or rate in (0.0, 1.0):
+        return node
+    order = sort()
+    best = _best_split(x, t, order, min_leaf)
     if best is None or best[0] <= 1e-12:
         return node
     _, j, thr = best
@@ -319,8 +329,9 @@ def _knn_etas(x: np.ndarray, ref_x: np.ndarray, ref_t: np.ndarray, ks) -> list[n
     the largest k's neighbours."""
     widest = max(ks)
     etas = [np.empty(len(x)) for _ in ks]
+    ref_sq = np.sum(ref_x * ref_x, axis=1)
     for rows in row_blocks(len(x), len(ref_x)):
-        sq = pairwise_sq_dists(x[rows], ref_x)
+        sq = pairwise_sq_dists(x[rows], ref_x, ref_sq)
         pool = _k_nearest(sq, widest)
         for eta, k in zip(etas, ks):
             eta[rows] = ref_t[pool if k == widest else _k_nearest(sq, k, pool)].mean(axis=1)

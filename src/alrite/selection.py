@@ -35,14 +35,16 @@ class KernelRidge:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Predictions at each row of the (n, d) batch x."""
         out = np.empty(len(x))
+        ref_sq = np.sum(self.x_train * self.x_train, axis=1)
         for rows in row_blocks(len(x), len(self.x_train)):
-            out[rows] = self.y_mean + _rbf_kernel(x[rows], self.x_train,
-                                                  self.bandwidth) @ self.alpha
+            out[rows] = self.y_mean + _rbf_kernel(x[rows], self.x_train, self.bandwidth,
+                                                  ref_sq) @ self.alpha
         return out
 
 
-def _rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
-    k = pairwise_sq_dists(a, b)
+def _rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float,
+                b_sq: np.ndarray | None = None) -> np.ndarray:
+    k = pairwise_sq_dists(a, b, b_sq)
     np.maximum(k, 0.0, out=k)
     np.negative(k, out=k)
     k /= 2.0 * bandwidth**2
@@ -159,8 +161,9 @@ def nn_imputed_outcome(aux: Auxiliaries, x: np.ndarray, t: np.ndarray) -> np.nda
         if donors.size == 0:
             raise ValueError("no opposite-arm donors available")
         query, ref = np.flatnonzero(mask), aux.donors_x[donors]
+        ref_sq = np.sum(ref * ref, axis=1)
         for rows in row_blocks(len(query), len(ref)):
-            nearest = np.argmin(pairwise_sq_dists(x[query[rows]], ref), axis=1)
+            nearest = np.argmin(pairwise_sq_dists(x[query[rows]], ref, ref_sq), axis=1)
             out[query[rows]] = aux.donors_y[donors[nearest]]
     return out
 

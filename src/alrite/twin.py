@@ -19,12 +19,18 @@ its own transpose to the symmetric `syrk` BLAS kernel, whose summation order
 differs and changes the last bits.
 
 Every query-versus-reference search runs in row blocks from `row_blocks`, so
-its peak memory is one block of about `BLOCK_ENTRIES` float64 entries (8 MB)
-instead of n x m: `mirror_twins` and `cross_pipeline_weights` here, kNN
-`propensity.predict_eta`, `selection.KernelRidge.predict` and
-`selection.nn_imputed_outcome`. The square whole-matrix calls (the kernel
-ridge solve, the bandwidth heuristic on at most 500 rows) are not blocked.
-A search whose n x m fits the budget makes the single whole call.
+its peak memory is one block instead of n x m: `mirror_twins` and
+`cross_pipeline_weights` here, kNN `propensity.predict_eta` (which also holds
+the block's int64 partition index), `selection.KernelRidge.predict` and
+`selection.nn_imputed_outcome`. Against m references a block holds `step`
+rows, the largest multiple of `ROW_ALIGN` within `BLOCK_ENTRIES` = 2^18
+float64 entries (2 MB) but at least `ROW_ALIGN`; the last block also takes
+the remainder, up to 2 * step - 1 rows. So a block is under 2 *
+BLOCK_ENTRIES entries (4 MB) while m <= BLOCK_ENTRIES // ROW_ALIGN = 5461,
+and at most 95 * m entries (760 * m bytes) for more references, where every
+step is ROW_ALIGN rows. The square whole-matrix calls (the kernel ridge
+solve, the bandwidth heuristic on at most 500 rows) are not blocked. A search
+whose n x m fits the budget makes the single whole call.
 
 Blocks must not change bits. With one OpenBLAS thread (0.3.31, SkylakeX) a
 row block's product equals the same rows of the whole product only if the
@@ -67,7 +73,7 @@ def _check_arms(t: np.ndarray) -> None:
         raise ArmError("both treatment arms must be non-empty")
 
 
-BLOCK_ENTRIES = 1 << 20  # float64 entries per distance block: 8 MB
+BLOCK_ENTRIES = 1 << 18  # float64 entries per step of rows: 2 MB (the bound: module docstring)
 ROW_ALIGN = 48  # rows; block starts on a multiple of this (see the module docstring)
 
 
@@ -82,12 +88,15 @@ def row_blocks(n: int, m: int) -> list[slice]:
     return [slice(ends[i], ends[i + 1]) for i in range(count)]
 
 
-def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def pairwise_sq_dists(a: np.ndarray, b: np.ndarray,
+                      b_sq: np.ndarray | None = None) -> np.ndarray:
     """(len(a), len(b)) squared Euclidean distances, unclipped: round-off can
-    leave tiny negatives. The only full-size allocation is the result."""
+    leave tiny negatives. The only full-size allocation is the result.
+    `b_sq`, when given, is `np.sum(b * b, axis=1)`: a search over row blocks
+    of one reference set computes it once instead of once per block."""
     sq = (2.0 * a) @ b.T
     np.subtract(np.sum(a * a, axis=1)[:, None], sq, out=sq)
-    sq += np.sum(b * b, axis=1)[None, :]
+    sq += (np.sum(b * b, axis=1) if b_sq is None else b_sq)[None, :]
     return sq
 
 
@@ -113,8 +122,9 @@ def _search(t: np.ndarray, searches) -> TwinMap:
         q = np.flatnonzero(t == arm)
         cand = np.flatnonzero(t != arm)
         ref = latent[cand]
+        ref_sq = np.sum(ref * ref, axis=1)
         for rows in row_blocks(len(q), len(cand)):
-            sq = pairwise_sq_dists(latent[q[rows]], ref)
+            sq = pairwise_sq_dists(latent[q[rows]], ref, ref_sq)
             np.maximum(sq, 0.0, out=sq)
             best = np.argmin(sq, axis=1)  # argmin returns the first (smallest-index) minimum
             twin_index[q[rows]] = cand[best]

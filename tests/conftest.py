@@ -27,9 +27,9 @@ def blocked(monkeypatch):
             for budget in SMALL_BLOCK_BUDGETS:
                 rows = []
 
-                def counting(a, b):
+                def counting(a, b, *rest):
                     rows.append(len(a))
-                    return kernel(a, b)
+                    return kernel(a, b, *rest)
 
                 with monkeypatch.context() as mp:
                     mp.setattr(alrite.twin, "BLOCK_ENTRIES", budget)

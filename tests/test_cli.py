@@ -704,6 +704,26 @@ def test_a_smaller_sweep_removes_the_earlier_members(swept, tmp_path):
     assert {p.relative_to(out).as_posix() for p in (out / "models").iterdir()} == named
 
 
+def test_a_sweep_without_a_usable_role_leaves_the_earlier_members(swept, tmp_path,
+                                                                  monkeypatch, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(swept[1], out)
+    before = {p.name: p.read_bytes() for p in (out / "models").iterdir()}
+    real = cli.train_pipeline
+
+    def control_only(dataset, split_idx, role, hp, seed):
+        if role == "treatment_driven":
+            raise RuntimeError("synthetic failure")
+        return real(dataset, split_idx, role, hp, seed)
+
+    monkeypatch.setattr(cli, "train_pipeline", control_only)
+    # fewer epochs than the earlier sweep, so its control members differ
+    cfg = write_config(tmp_path, {"search": {**SMALL_CONFIG["search"], "epochs": 3}})
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert "no usable member for at least one role" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (out / "models").iterdir()} == before
+
+
 def test_each_command_writes_exactly_its_artifacts(tmp_path):
     assert cli.ARTIFACTS.keys() == cli.COMMANDS.keys()
     cfg, out = write_config(tmp_path), tmp_path / "run"

@@ -1,10 +1,12 @@
 """Network engine tests: finite-difference gradients, optimizer oracle,
 spectral norms against numpy's SVD."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from alrite.nn import (AdamState, adam_step, backward, elu, forward,
+from alrite.nn import (AdamState, adam_step, backward, elu, elu_grad, forward,
                        forward_cached, lipschitz_upper_bound, mlp_init,
                        spectral_norm)
 
@@ -68,6 +70,67 @@ def test_elu_values():
     assert elu(np.array([0.0]))[0] == 0.0
     assert elu(np.array([2.0]))[0] == 2.0
     assert np.isclose(elu(np.array([-1.0]))[0], np.expm1(-1.0))
+
+
+# +-0, +-inf, NaN, subnormals, the smallest normal, large negatives (expm1
+# saturates at -1, exp underflows to 0) and ordinary values
+EDGE_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, -1e-310,
+                        2.2250738585072014e-308, -2.2250738585072014e-308, -1e-20,
+                        -1.0, 1.0, -40.0, -745.2, -800.0, -1e300, 1e300, 0.5, -0.5])
+
+
+@pytest.mark.parametrize("copies", (1, 7))  # 7 copies: 140 entries, the vectorized loops too
+def test_elu_and_elu_grad_equal_the_where_form(copies):
+    u = np.tile(EDGE_VALUES, copies)
+    with np.errstate(all="ignore"):
+        ref_elu = np.where(u >= 0, u, np.expm1(u))
+        ref_grad = np.where(u >= 0, 1.0, np.exp(u))
+    in_place = u.copy()
+    for got in (elu(u), elu(in_place, out=in_place)):
+        assert np.array_equal(np.isnan(got), np.isnan(u))
+        same = ~np.isnan(u)
+        # bit for bit but at -0.0: the max form gives +0.0 where np.where
+        # passes -0.0 through; the two are equal as numbers
+        neg_zero = same & (u == 0) & np.signbit(u)
+        assert not np.signbit(got[neg_zero]).any()
+        keep = same & ~neg_zero
+        assert got[keep].tobytes() == ref_elu[keep].tobytes()
+    grad = elu_grad(u)
+    assert np.array_equal(np.isnan(grad), np.isnan(u))
+    same = ~np.isnan(u)
+    assert grad[same].tobytes() == ref_grad[same].tobytes()
+
+
+@pytest.mark.parametrize("rows", (1, 37))
+@pytest.mark.parametrize("activation,normalize", [
+    ("elu", False), ("identity", False), ("elu", True), ("identity", True),
+])
+def test_forward_has_the_bits_of_forward_cached(activation, normalize, rows):
+    rng = np.random.default_rng(rows)
+    mlp = mlp_init([4, 6, 6, 3], rng, activation, normalize)
+    for b in mlp.biases:
+        b += 0.1 * rng.standard_normal(b.shape)
+    x = rng.standard_normal((rows, 4))
+    x_before = x.copy()
+    assert forward(mlp, x).tobytes() == forward_cached(mlp, x)[0].tobytes()
+    assert x.tobytes() == x_before.tobytes()  # the input is never written
+
+
+def test_forward_keeps_no_per_layer_activations():
+    # 6 layers of width 200 over 5000 rows: each activation takes n*w*8 = 8 MB.
+    # Keeping every layer's input and pre-activation, as forward_cached does,
+    # peaks above 10 of them; forward holds about two at a time.
+    rng = np.random.default_rng(0)
+    n, w = 5000, 200
+    mlp = mlp_init([w] * 7, rng)
+    x = rng.standard_normal((n, w))
+    tracemalloc.start()
+    try:
+        forward(mlp, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * w * 8
 
 
 def test_forward_one_row_batches_and_batch_agree():

@@ -15,7 +15,7 @@ from alrite.propensity import (DEFAULT_CLIP, DEFAULT_PROPENSITY_GRID,
                                calibration_table, fit_knn, fit_tree,
                                lr_loss_and_grad, predict_eta,
                                select_propensity, train_propensity_lr)
-from alrite.twin import BLOCK_ENTRIES, pairwise_sq_dists
+from alrite.twin import BLOCK_ENTRIES, pairwise_sq_dists, row_blocks
 
 
 def test_balanced_cross_entropy_hand_value():
@@ -396,6 +396,22 @@ def test_split_scan_keeps_first_of_near_ties():
         assert _scan_first_best(gain, best) == sequential(gain, best)
 
 
+def test_tree_peak_memory_is_one_node_search_plus_the_ancestors_orders():
+    # the root's split search (argsort, sorted copy, label counts) takes about
+    # 3 times x's bytes; below it a node holds only its ancestors' argsorts.
+    # A recursion that keeps each node's search arrays peaks at 9 times.
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((5000, 50))
+    t = (rng.random(5000) < 1 / (1 + np.exp(-x[:, 0] - x[:, 1]))).astype(int)
+    tracemalloc.start()
+    try:
+        fit_tree(x, t, max_depth=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * x.nbytes
+
+
 def test_tree_rejects_min_leaf_below_one():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((60, 2))
@@ -515,19 +531,25 @@ def test_select_propensity_unpenalized_lr_on_a_separable_fold(monkeypatch):
 
 
 def test_select_propensity_knn_peak_memory_is_one_block_search():
-    # 6000 references per fold: the largest row block's distances and its
-    # partition index block make about 2.5 blocks of BLOCK_ENTRIES; a search
-    # that still holds the previous row block's distances peaks at about 3.3
+    # about 6000 references per fold. The bound is the largest row block's
+    # float64 distances plus its int64 partition indices (5.9 MB here), times
+    # a margin of 1.3 for the fold copies and the k-nearest temporaries (the
+    # search peaks at 1.16 times the block). A search that still holds the
+    # previous row block's distances peaks at about 1.55 times the block.
     rng = np.random.default_rng(5)
     x, t = rng.standard_normal((7500, 10)), rng.integers(0, 2, size=7500)
     grid = [{"kind": "knn", "k": 10}, {"kind": "knn", "k": 30}]
+    folds = _stratified_folds(t, 5, np.random.default_rng(0))  # select_propensity's, seed 0
+    block_entries = max((rows.stop - rows.start) * (len(t) - len(val))
+                     for val in folds for rows in row_blocks(len(val), len(t) - len(val)))
     tracemalloc.start()
     try:
         select_propensity(x, t, grid, folds=5, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.8 * BLOCK_ENTRIES * 8
+    assert peak < 1.3 * block_entries * (8 + 8)
+    assert 1.3 * block_entries * (8 + 8) < 2.8 * (1 << 20) * 8  # the bound at 8 MB blocks
 
 
 def test_calibration_table_counts_and_rates():

@@ -210,9 +210,9 @@ def search_calls(monkeypatch):
     """(query rows, candidate rows) of every twin-search distance block."""
     calls = []
 
-    def counting(a, b):
+    def counting(a, b, *rest):
         calls.append((len(a), len(b)))
-        return pairwise_sq_dists(a, b)
+        return pairwise_sq_dists(a, b, *rest)
 
     monkeypatch.setattr(alrite.twin, "pairwise_sq_dists", counting)
     return calls
@@ -264,6 +264,8 @@ def test_pairwise_kernel_bit_equal_to_three_temporaries():
     for n, m, d in ((300, 200, 50), (97, 311, 3), (500, 500, 58)):
         a, b = rng.standard_normal((n, d)), rng.standard_normal((m, d)) * 3.0
         assert pairwise_sq_dists(a, b).tobytes() == three_temporaries(a, b).tobytes()
+        b_sq = np.sum(b * b, axis=1)  # precomputed once, as blocked searches do
+        assert pairwise_sq_dists(a, b, b_sq).tobytes() == three_temporaries(a, b).tobytes()
         # a is b: the product must not become a symmetric rank-k update
         expect = (np.sum(a * a, axis=1)[:, None] - 2.0 * a @ a.T
                   + np.sum(a * a, axis=1)[None, :])
