@@ -9,8 +9,7 @@ package's computable upper bounds on the heterogeneous-effect error.
 
 from .data import (AcicProtocol, Dataset, GroundTruth, SplitIndices,
                    generate_acic_like, generate_ihdp_like,
-                   generate_two_cluster_toy, load_csv, save_csv, split,
-                   standardize)
+                   generate_two_cluster_toy, load_csv, save_csv, split)
 from .learner import (AlriteModel, EnsembleModel, alrite_fit, alrite_predict,
                       ensemble_predict, eta_sensitivity_check,
                       select_ensemble_hyperparam)

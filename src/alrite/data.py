@@ -385,6 +385,9 @@ class Scaler:
     clamped: np.ndarray  # boolean mask of zero-variance continuous columns
 
     def transform_x(self, x: np.ndarray) -> np.ndarray:
+        # refuse, rather than broadcast, rows of another width
+        if np.shape(x)[-1:] != self.x_mean.shape:
+            raise ValueError(f"expected {len(self.x_mean)} columns, got shape {np.shape(x)}")
         return (x - self.x_mean) / self.x_scale
 
     def transform_y(self, y: np.ndarray) -> np.ndarray:
@@ -440,15 +443,3 @@ def fit_scaler(dataset: Dataset, fit_indices) -> Scaler:
     y_sd = float(dataset.y[idx].std(ddof=0))
     y_scale = y_sd if y_sd > 0 else 1.0
     return Scaler(x_mean, x_scale, y_mean, y_scale, cont, clamped)
-
-
-def standardize(dataset: Dataset, fit_indices) -> tuple[Scaler, Dataset]:
-    """Fit on fit_indices only; binary columns pass through untouched."""
-    scaler = fit_scaler(dataset, fit_indices)
-    transformed = Dataset(
-        scaler.transform_x(dataset.x),
-        dataset.t,
-        scaler.transform_y(dataset.y),
-        list(dataset.feature_kinds),
-    )
-    return scaler, transformed

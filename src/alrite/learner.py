@@ -116,7 +116,8 @@ def eta_sensitivity_check(model: AlriteModel, eta_true: np.ndarray,
 
 def _check_ensemble(mode: str, param: float, mu_risks0, mu_risks1) -> None:
     """The weight checks: a known mode, each arm's risks sorted increasing
-    and finite, K within both arms' member counts, lambda > 0."""
+    and finite, K a whole number within both arms' member counts (2.0 is
+    K = 2), lambda finite and > 0."""
     if mode not in ("top_k", "softmax"):
         raise ValueError(f"unknown ensemble mode {mode!r}")
     for risks in (mu_risks0, mu_risks1):
@@ -125,10 +126,10 @@ def _check_ensemble(mode: str, param: float, mu_risks0, mu_risks1) -> None:
         if not all(np.isfinite(risks)):
             raise ValueError("member mu-risks must be finite")
     if mode == "top_k":
-        if not 1 <= int(param) <= min(len(mu_risks0), len(mu_risks1)):
-            raise ValueError("K out of range")
-    elif param <= 0:
-        raise ValueError("lambda must be positive")
+        if not (float(param).is_integer() and 1 <= param <= min(len(mu_risks0), len(mu_risks1))):
+            raise ValueError(f"K out of range or not a whole number: {param!r}")
+    elif not 0 < param < np.inf:
+        raise ValueError(f"lambda must be finite and positive: {param!r}")
 
 
 @dataclass
@@ -196,22 +197,11 @@ def combine_ensemble_grid(per_member0, per_member1, eta_hat, mode: str, candidat
 
 
 def ensemble_predict(model: EnsembleModel, x: np.ndarray):
-    return predict_ensemble_grid(model.members0, model.members1, model.eta, model.mode,
-                                 [model.param], model.mu_risks0, model.mu_risks1, x)[0]
-
-
-def predict_ensemble_grid(members0, members1, eta, mode: str, candidates,
-                          mu_risks0, mu_risks1, x: np.ndarray, arm=None) -> list[np.ndarray]:
-    """Predictions at x of the ensemble built with each K or lambda in
-    `candidates`: effects, or factual outcomes when `arm` is given. Each
-    member and eta_hat are predicted once for the whole grid."""
-
-    def predict(p):
-        return predict_tau(p, x) if arm is None else predict_mu(p, x, arm)
-
-    return combine_ensemble_grid([predict(p) for p in members0],
-                                 [predict(p) for p in members1], predict_eta(eta, x),
-                                 mode, candidates, mu_risks0, mu_risks1)
+    """The ensemble's effect estimate at x."""
+    return combine_ensemble_grid([predict_tau(p, x) for p in model.members0],
+                                 [predict_tau(p, x) for p in model.members1],
+                                 predict_eta(model.eta, x), model.mode, [model.param],
+                                 model.mu_risks0, model.mu_risks1)[0]
 
 
 def select_ensemble_hyperparam(mu0, mu1, eta_val, y_val, mode: str, candidates,

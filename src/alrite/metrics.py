@@ -74,9 +74,8 @@ class BoundReport:
 
 def _require_unscaled(*pipelines: Pipeline):
     for p in pipelines:
-        if p.scaler is not None and (p.scaler.y_scale != 1.0 or p.scaler.y_mean != 0.0
-                                     or np.any(p.scaler.x_scale != 1.0)
-                                     or np.any(p.scaler.x_mean != 0.0)):
+        if (p.scaler.y_scale != 1.0 or p.scaler.y_mean != 0.0
+                or np.any(p.scaler.x_scale != 1.0) or np.any(p.scaler.x_mean != 0.0)):
             raise ValueError("bound evaluators require pipelines in raw data units")
 
 

@@ -51,12 +51,14 @@ class Pipeline:
     h0: Mlp
     h1: Mlp
     role: str
-    scaler: Scaler | None = None
+    scaler: Scaler | None = None  # None: the identity scaler of phi's input
     theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}")
+        if self.scaler is None:
+            self.scaler = identity_scaler(self.phi.in_dim)
         k = self.phi.out_dim
         if self.h0.in_dim != k or self.h1.in_dim != k:
             raise ValueError("head input dim must equal embedding output dim")
@@ -81,7 +83,7 @@ class Pipeline:
     def to_dict(self) -> dict:
         d = {"role": self.role,
              "theta": base64.b64encode(self.theta.astype("<f8").tobytes()).decode("ascii"),
-             "scaler": self.scaler.to_dict() if self.scaler else None}
+             "scaler": self.scaler.to_dict()}
         for name, net in zip(NETWORKS, self.networks()):
             d[name] = {"layer_dims": list(net.layer_dims), "activation": net.activation,
                        "output_normalization": net.output_normalization}
@@ -248,23 +250,21 @@ def compound_loss_grads(p: Pipeline, x, t, y, twinmap: TwinMap,
 def predict_mu(p: Pipeline, x: np.ndarray, arm) -> np.ndarray:
     """Factual prediction for the given arm(s) at each row of the (n, d)
     batch x, in original outcome units."""
-    scaler = p.scaler or identity_scaler(np.shape(x)[-1])
-    z = forward(p.phi, scaler.transform_x(x))
+    z = forward(p.phi, p.scaler.transform_x(x))
     arm = np.broadcast_to(np.asarray(arm, dtype=int), (len(z),))
     out = np.empty(len(z))
     for a, head in ((0, p.h0), (1, p.h1)):
         mask = arm == a
         if mask.any():
             out[mask] = forward(head, z[mask])[:, 0]
-    return scaler.inverse_y(out)
+    return p.scaler.inverse_y(out)
 
 
 def predict_tau(p: Pipeline, x: np.ndarray) -> np.ndarray:
     """h1(phi(x)) - h0(phi(x)) at each row of the (n, d) batch x,
     de-standardized to outcome units."""
-    scaler = p.scaler or identity_scaler(np.shape(x)[-1])
-    z = forward(p.phi, scaler.transform_x(x))
-    return (forward(p.h1, z)[:, 0] - forward(p.h0, z)[:, 0]) * scaler.y_scale
+    z = forward(p.phi, p.scaler.transform_x(x))
+    return (forward(p.h1, z)[:, 0] - forward(p.h0, z)[:, 0]) * p.scaler.y_scale
 
 
 def _val_factual_mse_std(p: Pipeline, x_std, t, y_std) -> float:

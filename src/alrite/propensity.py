@@ -186,14 +186,6 @@ def _lr_objective(x: np.ndarray, t: np.ndarray, l2_strength: float):
     return objective
 
 
-def lr_loss_and_grad(x: np.ndarray, t: np.ndarray, w: np.ndarray, b: float,
-                     l2_strength: float):
-    """Balanced cross-entropy objective and its exact gradient in the weights
-    and the bias (the L2 penalty excludes the bias); t holds 0/1 labels."""
-    loss, grad, _ = _lr_objective(x, t, l2_strength)(np.append(w, b))
-    return loss, grad[:-1], float(grad[-1])
-
-
 def fit_knn(x: np.ndarray, t: np.ndarray, k: int) -> PropensityModel:
     if not 1 <= k <= len(t):
         raise ValueError("k out of range")

@@ -19,11 +19,11 @@ import alrite.cli as cli
 import alrite.learner as learner
 import alrite.selection as selection
 from alrite.data import load_csv
-from alrite.learner import (EnsembleModel, aggregate_mu, aggregate_tau, ensemble_predict,
-                            predict_ensemble_grid, rank_members)
+from alrite.learner import (EnsembleModel, aggregate_mu, aggregate_tau, combine_ensemble_grid,
+                            ensemble_predict, rank_members)
 from alrite.metrics import pehe
 from alrite.pipeline import Pipeline, predict_mu, predict_tau
-from alrite.propensity import DEFAULT_PROPENSITY_GRID, PropensityModel
+from alrite.propensity import DEFAULT_PROPENSITY_GRID, PropensityModel, predict_eta
 from alrite.selection import PROXY_KINDS, fit_auxiliaries, proxy_score
 from alrite.cli import (ALPHA_GRID, BATCH_GRID, BETA_GRID, LAMBDA_GRID,
                         LAYER_GRID, WIDTH_GRID, ConfigError, main,
@@ -624,10 +624,13 @@ def test_ensemble_reads_no_model_file(tmp_path, ensemble):
     (_, members0, risks0), (_, members1, risks1) = ranked
     grid = (list(range(1, 3)) if ensemble["mode"] == "top_k"
             else ensemble.get("candidates", list(LAMBDA_GRID)))
-    mus = predict_ensemble_grid(members0, members1, eta, ensemble["mode"], grid, risks0, risks1,
-                                dataset.x[val], dataset.t[val])
-    taus = predict_ensemble_grid(members0, members1, eta, ensemble["mode"], grid, risks0, risks1,
-                                 dataset.x[test])
+    x_val, t_val, x_test = dataset.x[val], dataset.t[val], dataset.x[test]
+    mus = combine_ensemble_grid([predict_mu(p, x_val, t_val) for p in members0],
+                                [predict_mu(p, x_val, t_val) for p in members1],
+                                predict_eta(eta, x_val), ensemble["mode"], grid, risks0, risks1)
+    taus = combine_ensemble_grid([predict_tau(p, x_test) for p in members0],
+                                 [predict_tau(p, x_test) for p in members1],
+                                 predict_eta(eta, x_test), ensemble["mode"], grid, risks0, risks1)
     expected = [["candidate", "val_mu_risk", "test_pehe"]] + [
         [repr(c) if isinstance(c, float) else str(c),
          repr(float(np.mean((dataset.y[val] - mu) ** 2))), repr(pehe(tau, truth, test)[0])]

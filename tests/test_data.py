@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from alrite.data import (AcicProtocol, CsvFormatError, Dataset, GenerationError,
-                         GroundTruth, generate_acic_like, generate_ihdp_like,
+                         GroundTruth, fit_scaler, generate_acic_like, generate_ihdp_like,
                          generate_two_cluster_toy, identity_scaler, load_csv,
-                         save_csv, split, standardize)
+                         save_csv, split)
 
 
 def test_ihdp_like_shapes_and_kinds():
@@ -154,21 +154,22 @@ def test_split_impossible_raises():
 def test_standardize_fit_indices_only_and_binary_passthrough():
     ds, _ = generate_ihdp_like(4, n=100, d=8)
     fit_idx = np.arange(60)
-    scaler, std = standardize(ds, fit_idx)
+    scaler = fit_scaler(ds, fit_idx)
+    x_std, y_std = scaler.transform_x(ds.x), scaler.transform_y(ds.y)
     cont = [k == "continuous" for k in ds.feature_kinds]
-    assert np.allclose(std.x[fit_idx][:, cont].mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(std.x[fit_idx][:, cont].std(axis=0), 1.0, atol=1e-12)
+    assert np.allclose(x_std[fit_idx][:, cont].mean(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(x_std[fit_idx][:, cont].std(axis=0), 1.0, atol=1e-12)
     binary = [not c for c in cont]
-    assert np.array_equal(std.x[:, binary], ds.x[:, binary])
-    assert np.allclose(scaler.inverse_y(std.y), ds.y)
+    assert np.array_equal(x_std[:, binary], ds.x[:, binary])
+    assert np.allclose(scaler.inverse_y(y_std), ds.y)
 
 
 def test_standardize_zero_variance_clamped():
     x = np.column_stack([np.ones(10), np.arange(10.0)])
     ds = Dataset(x, np.array([0, 1] * 5), np.arange(10.0), ["continuous"] * 2)
-    scaler, std = standardize(ds, np.arange(10))
+    scaler = fit_scaler(ds, np.arange(10))
     assert scaler.clamped[0] and not scaler.clamped[1]
-    assert np.all(np.isfinite(std.x))
+    assert np.all(np.isfinite(scaler.transform_x(ds.x)))
 
 
 def test_identity_scaler_is_identity():

@@ -5,8 +5,8 @@ import pytest
 
 from alrite.data import generate_ihdp_like, split
 from alrite.learner import (AlriteModel, EnsembleModel, aggregate_tau,
-                            alrite_fit, alrite_predict, ensemble_predict,
-                            eta_sensitivity_check, predict_ensemble_grid,
+                            alrite_fit, alrite_predict, combine_ensemble_grid,
+                            ensemble_predict, eta_sensitivity_check,
                             rank_members, select_ensemble_hyperparam,
                             softmax_weights)
 from alrite.metrics import make_linear_instance, pehe
@@ -220,6 +220,19 @@ def test_ensemble_validation():
         EnsembleModel(members0, members1, eta, "softmax", 0.0, [0.1, 0.2], [0.1, 0.2])
 
 
+def test_ensemble_refuses_fractional_k_and_non_finite_lambda():
+    ds, truth, members0, members1 = linear_members(6, count=2)
+    eta = constant_eta_model(0.5)
+    risks = [0.1, 0.2]
+    for mode, param in (("top_k", 1.5), ("softmax", np.inf), ("softmax", np.nan)):
+        with pytest.raises(ValueError, match="whole number" if mode == "top_k" else "finite"):
+            EnsembleModel(members0, members1, eta, mode, param, risks, risks)
+    # ensemble.json stores K as a float
+    k2 = EnsembleModel(members0, members1, eta, "top_k", 2.0, risks, risks)
+    assert np.array_equal(ensemble_predict(k2, ds.x), ensemble_predict(
+        EnsembleModel(members0, members1, eta, "top_k", 2, risks, risks), ds.x))
+
+
 def test_rank_members_sorted_by_validation_risk():
     ds, truth, members0, _ = linear_members(7)
     idx = np.arange(ds.n)
@@ -258,8 +271,8 @@ def test_select_ensemble_hyperparam_dominance_and_tie():
                                          risks0, risks1)
     assert only == 2
     # each candidate's risk is that of the ensemble the members predict
-    for row, pred in zip(table, predict_ensemble_grid(ranked0, ranked1, eta, "top_k",
-                                                      [1, 2, 3, 4], risks0, risks1, ds.x, ds.t)):
+    for row, pred in zip(table, combine_ensemble_grid(mu0, mu1, eta_val, "top_k",
+                                                      [1, 2, 3, 4], risks0, risks1)):
         assert row["mu_risk"] == float(np.mean((ds.y - pred) ** 2))
     with pytest.raises(ValueError, match="empty candidate"):
         select_ensemble_hyperparam(mu0, mu1, eta_val, ds.y, "top_k", [], risks0, risks1)
@@ -274,21 +287,35 @@ def test_select_ensemble_hyperparam_dominance_and_tie():
         select_ensemble_hyperparam(mu0[:3], mu1, eta_val, ds.y, "top_k", [1], risks0, risks1)
 
 
+def test_select_ensemble_hyperparam_refuses_fractional_k_and_non_finite_lambda():
+    ds, truth, members0, members1 = linear_members(12, count=2)
+    risks = [0.1, 0.2]
+    mu0 = [predict_mu(p, ds.x, ds.t) for p in members0]
+    mu1 = [predict_mu(p, ds.x, ds.t) for p in members1]
+    eta_val = predict_eta(constant_eta_model(0.5), ds.x)
+    for mode, grid in (("top_k", [1, 1.5]), ("softmax", [1.0, np.inf]), ("softmax", [np.nan])):
+        with pytest.raises(ValueError, match="whole number" if mode == "top_k" else "finite"):
+            select_ensemble_hyperparam(mu0, mu1, eta_val, ds.y, mode, grid, risks, risks)
+    chosen, table = select_ensemble_hyperparam(mu0, mu1, eta_val, ds.y, "top_k", [1.0, 2.0],
+                                               risks, risks)
+    assert chosen in (1.0, 2.0) and all(np.isfinite(row["mu_risk"]) for row in table)
+
+
 def test_ensemble_grid_matches_each_ensemble():
     ds, truth, members0, members1 = linear_members(11)
     eta = constant_eta_model(0.3)
     risks = [0.1, 0.2, 0.3, 0.4]
     lams = [0.5, 2.0, 8.0]
-    taus = predict_ensemble_grid(members0, members1, eta, "softmax", lams,
-                                 risks, risks, ds.x)
-    mus = predict_ensemble_grid(members0, members1, eta, "softmax", lams,
-                                risks, risks, ds.x, ds.t)
+    e = predict_eta(eta, ds.x)
+    taus = combine_ensemble_grid([predict_tau(p, ds.x) for p in members0],
+                                 [predict_tau(p, ds.x) for p in members1], e, "softmax", lams,
+                                 risks, risks)
+    per0 = [predict_mu(p, ds.x, ds.t) for p in members0]
+    per1 = [predict_mu(p, ds.x, ds.t) for p in members1]
+    mus = combine_ensemble_grid(per0, per1, e, "softmax", lams, risks, risks)
     for lam, tau, mu in zip(lams, taus, mus):
         ens = EnsembleModel(members0, members1, eta, "softmax", lam, risks, risks)
         assert np.array_equal(tau, ensemble_predict(ens, ds.x))
-        per0 = [predict_mu(p, ds.x, ds.t) for p in members0]
-        per1 = [predict_mu(p, ds.x, ds.t) for p in members1]
-        e = predict_eta(eta, ds.x)
         w = softmax_weights(risks, lam)
         expect = (1 - e) * sum(wi * v for wi, v in zip(w, per0)) \
             + e * sum(wi * v for wi, v in zip(w, per1))

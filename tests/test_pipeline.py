@@ -137,7 +137,12 @@ def test_networks_round_trip_through_dict():
     hp = PipelineHyperparams(embed_layers=2, head_layers=2, embed_width=5, head_width=4,
                              normalize_embedding=True)
     p = build_pipeline(3, "control_driven", hp, rng)
-    clone = Pipeline.from_dict(p.to_dict())
+    # built without a scaler: it carries the identity one, as does a file
+    # whose "scaler" is null
+    d = p.to_dict()
+    assert d["scaler"] == identity_scaler(3).to_dict()
+    assert Pipeline.from_dict({**d, "scaler": None}).to_dict() == d
+    clone = Pipeline.from_dict(d)
     x = rng.standard_normal((4, 3))
     for net, other in zip(p.networks(), clone.networks()):
         assert (net.layer_dims, net.activation, net.output_normalization) == \
@@ -216,14 +221,15 @@ def test_predict_tau_is_head_difference():
 
 
 def test_one_dimensional_input_raises():
-    # a single sample is a one-row batch; a vector is refused, not promoted
+    # a single sample is a one-row batch; a vector is refused, not promoted,
+    # and so is a batch of one column, which the scaler would broadcast
     x, t, y, p, tm, hp = tiny_instance(7)
-    for scaler in (None, identity_scaler(x.shape[1])):
-        p.scaler = scaler
-        for fn in (lambda v: forward(p.phi, v), lambda v: predict_tau(p, v),
-                   lambda v: predict_mu(p, v, 0)):
+    p.scaler = identity_scaler(x.shape[1])
+    for fn in (lambda v: forward(p.phi, v), lambda v: predict_tau(p, v),
+               lambda v: predict_mu(p, v, 0)):
+        for bad in (x[0], x[:, :1]):
             with pytest.raises(ValueError):
-                fn(x[0])
+                fn(bad)
     for eta in (fit_knn(x, t, k=3), train_propensity_lr(x, t, 0.1)):
         assert predict_eta(eta, x[:1]).shape == (1,)
         with pytest.raises(ValueError):

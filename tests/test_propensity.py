@@ -10,10 +10,9 @@ import alrite.propensity as propensity
 from alrite.data import AcicProtocol, generate_acic_like, generate_ihdp_like
 from alrite.propensity import (DEFAULT_CLIP, DEFAULT_PROPENSITY_GRID,
                                PropensityModel, _fit_grid_member, _k_nearest,
-                               _knn_etas, _scan_first_best, _sigmoid,
+                               _knn_etas, _lr_objective, _scan_first_best, _sigmoid,
                                _stratified_folds, balanced_cross_entropy,
-                               calibration_table, fit_knn, fit_tree,
-                               lr_loss_and_grad, predict_eta,
+                               calibration_table, fit_knn, fit_tree, predict_eta,
                                select_propensity, train_propensity_lr)
 from alrite.twin import BLOCK_ENTRIES, pairwise_sq_dists, row_blocks
 
@@ -62,19 +61,16 @@ def test_lr_gradient_finite_differences():
         t[0], t[1] = 0, 1
         w = rng.standard_normal(d)
         b = float(rng.standard_normal())
-        l2 = 0.05
-        _, gw, gb = lr_loss_and_grad(x, t, w, b, l2)
+        theta = np.append(w, b)
+        objective = _lr_objective(x, t, 0.05)
+        _, grad, _ = objective(theta)
         h = 1e-6
-        for j in range(d):
-            wp, wm = w.copy(), w.copy()
-            wp[j] += h
-            wm[j] -= h
-            fd = (lr_loss_and_grad(x, t, wp, b, l2)[0]
-                  - lr_loss_and_grad(x, t, wm, b, l2)[0]) / (2 * h)
-            assert abs(fd - gw[j]) < 1e-5 * max(1, abs(fd))
-        fd_b = (lr_loss_and_grad(x, t, w, b + h, l2)[0]
-                - lr_loss_and_grad(x, t, w, b - h, l2)[0]) / (2 * h)
-        assert abs(fd_b - gb) < 1e-5 * max(1, abs(fd_b))
+        for j in range(d + 1):
+            tp, tm = theta.copy(), theta.copy()
+            tp[j] += h
+            tm[j] -= h
+            fd = (objective(tp)[0] - objective(tm)[0]) / (2 * h)
+            assert abs(fd - grad[j]) < 1e-5 * max(1, abs(fd))
 
 
 def reference_lr_fit(x, t, l2_strength, max_steps=5000, grad_tol=1e-6, base_lr=0.1):
@@ -119,8 +115,8 @@ def fit_gradient(model, x, t):
     """The loss and gradient norm of a logistic fit on its standardized rows."""
     p = model.params
     xs = (x - p["x_mean"]) / p["x_scale"]
-    loss, gw, gb = lr_loss_and_grad(xs, t, p["weights"], p["bias"], p["l2_strength"])
-    return loss, np.sqrt(float(gw @ gw) + gb * gb)
+    loss, grad, _ = _lr_objective(xs, t, p["l2_strength"])(np.append(p["weights"], p["bias"]))
+    return loss, float(np.linalg.norm(grad))
 
 
 def fit_hessian(model, x, t):
