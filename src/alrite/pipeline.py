@@ -16,7 +16,8 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .data import Dataset, Scaler, SplitIndices, check_field_types, fit_scaler, identity_scaler
-from .nn import AdamState, Mlp, adam_step, backward, forward, forward_cached, mlp_init
+from .nn import (ADAM_CHUNK, AdamState, Mlp, adam_step, backward, forward, forward_cached,
+                 mlp_init)
 from .twin import ArmError, TwinMap, mirror_twins
 
 ROLES = ("control_driven", "treatment_driven")
@@ -35,7 +36,9 @@ class Pipeline:
     Layout: phi, then h0, then h1; within each network every layer's weight
     matrix (row-major) in layer order, then every layer's bias. Each
     network's `weights[l]` and `biases[l]` is a reshaped view into `theta`,
-    so Adam, the L2 term and the best-epoch snapshot are single array ops.
+    so Adam, the L2 term and the best-epoch snapshot each work on one vector.
+    `layer_views` cuts any theta-shaped buffer the same way; the gradient of
+    `compound_loss_grads` is written through it layer by layer.
 
     Serialized form (`to_dict`): "phi", "h0" and "h1" hold each network's
     `layer_dims`, `activation` and `output_normalization`; "theta" holds
@@ -62,13 +65,11 @@ class Pipeline:
         k = self.phi.out_dim
         if self.h0.in_dim != k or self.h1.in_dim != k:
             raise ValueError("head input dim must equal embedding output dim")
-        groups = [arrays for net in self.networks() for arrays in (net.weights, net.biases)]
-        self.theta = np.concatenate([np.ravel(a) for g in groups for a in g], dtype=float)
-        offset = 0
-        for arrays in groups:
-            for l, a in enumerate(arrays):
-                arrays[l] = self.theta[offset : offset + a.size].reshape(a.shape)
-                offset += a.size
+        self.theta = np.concatenate([np.ravel(a) for net in self.networks()
+                                     for a in net.weights + net.biases], dtype=float)
+        for net, views in zip(self.networks(), self.layer_views(self.theta)):
+            net.weights[:] = [w for w, _ in views]
+            net.biases[:] = [b for _, b in views]
 
     @property
     def focus_arm(self) -> int:
@@ -76,6 +77,21 @@ class Pipeline:
 
     def networks(self) -> tuple[Mlp, Mlp, Mlp]:
         return self.phi, self.h0, self.h1
+
+    def layer_views(self, buf: np.ndarray) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+        """Per network (phi, h0, h1), each layer's (weight, bias) as views
+        into the theta-shaped `buf`, at their offsets in the layout above."""
+        views, offset = [], 0
+        for net in self.networks():
+            weights, biases = [], []
+            for fan_in, fan_out in zip(net.layer_dims[:-1], net.layer_dims[1:]):
+                weights.append(buf[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+                offset += fan_in * fan_out
+            for fan_out in net.layer_dims[1:]:
+                biases.append(buf[offset : offset + fan_out])
+                offset += fan_out
+            views.append(list(zip(weights, biases)))
+        return views
 
     def copy(self) -> "Pipeline":
         return Pipeline(self.phi.copy(), self.h0.copy(), self.h1.copy(), self.role, self.scaler)
@@ -166,28 +182,34 @@ def build_pipeline(d: int, role: str, hp: PipelineHyperparams,
 
 
 def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap, hp: PipelineHyperparams,
-               batch, want_grads: bool):
+               batch, grad: np.ndarray | None):
     # heads[focus], the own head, fits the focus arm's outcome; heads[1 - focus],
-    # the cross head, fits the opposite arm with twin-vote weights.
+    # the cross head, fits the opposite arm with twin-vote weights. With a
+    # theta-shaped `grad` the gradient is written into it, else it is skipped.
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=int)
     y = np.asarray(y, dtype=float)
     focus = p.focus_arm
-    n_focus = int(np.sum(t == focus))
+    n_focus = int(np.count_nonzero(t == focus))
     n_other = len(t) - n_focus
     batch = np.arange(len(t)) if batch is None else np.asarray(batch, dtype=int)
     heads = (p.h0, p.h1)
-    bf = batch[t[batch] == focus]
-    bo = batch[t[batch] == 1 - focus]
+    in_focus = t[batch] == focus
+    bf, bo = batch[in_focus], batch[~in_focus]
     if n_focus == 0 or n_other == 0:
         raise ArmError("both treatment arms must be non-empty")
     twins = twinmap.twin_index[bf]
     if np.any(twins < 0):
         raise ValueError("twin map holds no twins for the focus arm's rows; "
                          "search it with mirror_twins(z, t, arm=focus)")
-    union = np.unique(np.concatenate([bf, bo, twins]))
+    # the sorted distinct rows the batch reads, and each row's position in them
+    marked = np.zeros(len(t), dtype=bool)
+    for rows in (bf, bo, twins):
+        marked[rows] = True
+    union = np.flatnonzero(marked)
+    position = np.cumsum(marked) - 1
     z_union, cache_phi = forward_cached(p.phi, x[union])
-    rf, ro, rm = (np.searchsorted(union, rows) for rows in (bf, bo, twins))
+    rf, ro, rm = position[bf], position[bo], position[twins]
 
     terms = {}
     pred_f, cache_own = forward_cached(heads[focus], z_union[rf])
@@ -205,27 +227,25 @@ def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap, hp: PipelineHyperparams,
 
     terms["regularization"] = hp.gamma * float(p.theta @ p.theta)
     total = sum(terms.values())
-    if not want_grads:
-        return total, terms, None
+    if grad is None:
+        return total, terms
 
     # rf and ro are unique and disjoint, so plain fancy-index adds are exact;
     # an arm with no rows in the batch backpropagates exact zeros.
+    phi_views, *head_views = p.layer_views(grad)  # h0, h1
     gz = np.zeros_like(z_union)
-    head_grads = [None, None]  # h0, h1
     up_f = (2.0 / n_focus) * res_f[:, None]
     up_o = (2.0 / denom) * (w_o * res_o)[:, None]
     for arm, cache, rows, up in ((focus, cache_own, rf, up_f), (1 - focus, cache_cross, ro, up_o)):
-        gw, gb, gin = backward(heads[arm], cache, up)
-        head_grads[arm] = gw + gb
+        _, _, gin = backward(heads[arm], cache, up, out=head_views[arm])
         gz[rows] += gin
     # alpha term: gradient flows through both endpoints, never through the
     # twin index itself; twins (rm) can repeat, so they need a scatter-add
     coef = 2.0 * hp.alpha / n_focus
     gz[rf] += coef * diff
     np.add.at(gz, rm, -coef * diff)
-    gw, gb, _ = backward(p.phi, cache_phi, gz)
-    grad = np.concatenate([g.ravel() for g in gw + gb + head_grads[0] + head_grads[1]])
-    return total, terms, grad
+    backward(p.phi, cache_phi, gz, out=phi_views, input_grad=False)
+    return total, terms
 
 
 def compound_loss(p: Pipeline, x: np.ndarray, t: np.ndarray, y: np.ndarray,
@@ -235,15 +255,21 @@ def compound_loss(p: Pipeline, x: np.ndarray, t: np.ndarray, y: np.ndarray,
     (defaults to all samples). Normalizers use full-set arm counts so
     batch losses sum to the full loss over an epoch (up to the shared
     regularizer)."""
-    total, terms, _ = _loss_core(p, x, t, y, twinmap, hp, batch, want_grads=False)
-    return total, terms
+    return _loss_core(p, x, t, y, twinmap, hp, batch, None)
 
 
 def compound_loss_grads(p: Pipeline, x, t, y, twinmap: TwinMap,
-                        hp: PipelineHyperparams, batch=None):
-    """Loss, breakdown and the gradient as one vector laid out like `p.theta`."""
-    total, terms, grad = _loss_core(p, x, t, y, twinmap, hp, batch, want_grads=True)
-    grad += 2.0 * hp.gamma * p.theta
+                        hp: PipelineHyperparams, batch=None, out=None):
+    """Loss, breakdown and the gradient as one vector laid out like `p.theta`,
+    written into `out` when it is given (a float64 array of theta's shape)."""
+    grad = np.empty_like(p.theta) if out is None else out
+    total, terms = _loss_core(p, x, t, y, twinmap, hp, batch, grad)
+    # the L2 term 2 * gamma * theta, a chunk at a time: no theta-sized temporary
+    coef = 2.0 * hp.gamma
+    scaled = np.empty(min(grad.size, ADAM_CHUNK))
+    for start in range(0, grad.size, ADAM_CHUNK):
+        g = grad[start : start + ADAM_CHUNK]
+        g += np.multiply(coef, p.theta[start : start + ADAM_CHUNK], out=scaled[: g.size])
     return total, terms, grad
 
 
@@ -305,6 +331,7 @@ def train_pipeline(dataset: Dataset, split_idx: SplitIndices, role: str,
     best_epoch = 0
     best_mse = val_mses[0]
     best_theta = p.theta.copy()
+    grad = np.empty_like(p.theta)  # every step's gradient is written here
 
     for epoch in range(hp.epochs):
         z = forward(p.phi, x)
@@ -315,7 +342,7 @@ def train_pipeline(dataset: Dataset, split_idx: SplitIndices, role: str,
         n_batches = 0
         for start in range(0, n, hp.batch_size):
             batch = order[start : start + hp.batch_size]
-            loss, terms, grad = compound_loss_grads(p, x, t, y, twinmap, hp, batch)
+            loss, terms, _ = compound_loss_grads(p, x, t, y, twinmap, hp, batch, out=grad)
             if not np.isfinite(loss):
                 bad = [k for k, v in terms.items() if not np.isfinite(v)]
                 raise TrainingError(f"non-finite loss at epoch {epoch}; offending terms: {bad}")
@@ -330,7 +357,7 @@ def train_pipeline(dataset: Dataset, split_idx: SplitIndices, role: str,
         if val_mse < best_mse:
             best_mse = val_mse
             best_epoch = epoch + 1
-            best_theta = p.theta.copy()
+            best_theta[:] = p.theta
 
     p.theta[:] = best_theta
     return p, TrainReport(breakdowns, val_mses, best_epoch)

@@ -34,12 +34,20 @@ class KernelRidge:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Predictions at each row of the (n, d) batch x."""
-        out = np.empty(len(x))
-        ref_sq = np.sum(self.x_train * self.x_train, axis=1)
-        for rows in row_blocks(len(x), len(self.x_train)):
-            out[rows] = self.y_mean + _rbf_kernel(x[rows], self.x_train, self.bandwidth,
-                                                  ref_sq) @ self.alpha
-        return out
+        return _rbf_predictions(x, self.x_train, self.bandwidth, [self.alpha], self.y_mean)[0]
+
+
+def _rbf_predictions(x: np.ndarray, x_train: np.ndarray, bandwidth: float, alphas,
+                     y_mean: float) -> list[np.ndarray]:
+    """y_mean + k(x, x_train) @ alpha for each alpha, the kernel of each row
+    block built once for all of them."""
+    outs = [np.empty(len(x)) for _ in alphas]
+    ref_sq = np.sum(x_train * x_train, axis=1)
+    for rows in row_blocks(len(x), len(x_train)):
+        kb = _rbf_kernel(x[rows], x_train, bandwidth, ref_sq)
+        for out, alpha in zip(outs, alphas):
+            out[rows] = y_mean + kb @ alpha
+    return outs
 
 
 def _rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float,
@@ -51,12 +59,27 @@ def _rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float,
     return np.exp(k, out=k)
 
 
-def _fit_kernel_ridge(x: np.ndarray, y: np.ndarray, bandwidth: float,
-                      ridge: float) -> KernelRidge:
+def _solve_ridges(x: np.ndarray, y: np.ndarray, bandwidth: float,
+                  ridges) -> tuple[float, list[np.ndarray]]:
+    """y's mean and, per ridge, the alpha solving (k + ridge * I) alpha = y -
+    mean, with one kernel k for every ridge: the ridge is added to its
+    diagonal in place, the same bits as k + ridge * I, and the saved diagonal
+    put back after the solve, so no second n x n array is held."""
     y_mean = float(np.mean(y))
     k = _rbf_kernel(x, x, bandwidth)
-    k.flat[:: len(x) + 1] += ridge  # k + ridge * I in place, the same bits
-    alpha = np.linalg.solve(k, y - y_mean)
+    diagonal = k.diagonal().copy()
+    centred = y - y_mean
+    alphas = []
+    for ridge in ridges:
+        k.flat[:: len(x) + 1] += ridge
+        alphas.append(np.linalg.solve(k, centred))
+        k.flat[:: len(x) + 1] = diagonal
+    return y_mean, alphas
+
+
+def _fit_kernel_ridge(x: np.ndarray, y: np.ndarray, bandwidth: float,
+                      ridge: float) -> KernelRidge:
+    y_mean, (alpha,) = _solve_ridges(x, y, bandwidth, (ridge,))
     return KernelRidge(x.copy(), alpha, bandwidth, ridge, y_mean)
 
 
@@ -75,7 +98,10 @@ def fit_kernel_ridge_cv(x: np.ndarray, y: np.ndarray, seed: int, folds: int = 5,
                         bandwidth_factors=(0.5, 1.0, 2.0),
                         ridges=(1e-6, 1e-3, 1e-1)) -> KernelRidge:
     """5-fold CV over bandwidth (median-distance multiples) and ridge
-    strength; ties keep the first grid point; the winner refits on all data."""
+    strength; ties keep the first grid point; the winner refits on all data.
+    Each (fold, bandwidth) builds its training kernel once for every ridge,
+    and each validation row block's kernel once for every ridge's
+    prediction."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < 2:
@@ -85,16 +111,18 @@ def fit_kernel_ridge_cv(x: np.ndarray, y: np.ndarray, seed: int, folds: int = 5,
     folds = min(folds, len(x))
     assignment = rng.permutation(len(x)) % folds
     grid = [(base * f, r) for f in bandwidth_factors for r in ridges]
-    scores = []
-    for bandwidth, ridge in grid:
-        errs = []
+    errs = [[] for _ in grid]  # per grid point, each fold's validation MSE
+    for b, factor in enumerate(bandwidth_factors):
         for f in range(folds):
             val = assignment == f
             if val.all() or not val.any():
                 continue
-            model = _fit_kernel_ridge(x[~val], y[~val], bandwidth, ridge)
-            errs.append(float(np.mean((model.predict(x[val]) - y[val]) ** 2)))
-        scores.append(np.mean(errs) if errs else np.inf)
+            x_fit, bandwidth = x[~val], base * factor
+            y_mean, alphas = _solve_ridges(x_fit, y[~val], bandwidth, ridges)
+            preds = _rbf_predictions(x[val], x_fit, bandwidth, alphas, y_mean)
+            for r, pred in enumerate(preds):
+                errs[b * len(ridges) + r].append(float(np.mean((pred - y[val]) ** 2)))
+    scores = [np.mean(e) if e else np.inf for e in errs]
     bandwidth, ridge = grid[int(np.argmin(scores))]
     return _fit_kernel_ridge(x, y, bandwidth, ridge)
 

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from alrite.nn import (AdamState, adam_step, backward, elu, elu_grad, forward,
-                       forward_cached, lipschitz_upper_bound, mlp_init,
+from alrite.nn import (ADAM_CHUNK, AdamState, adam_step, backward, elu, elu_grad,
+                       forward, forward_cached, lipschitz_upper_bound, mlp_init,
                        spectral_norm)
 
 
@@ -66,6 +66,33 @@ def test_backward_matches_finite_differences(activation, normalize):
         assert rel_err(gx, fd_x) < 1e-5
 
 
+@pytest.mark.parametrize("activation,normalize", [
+    ("elu", False), ("identity", False), ("elu", True),
+])
+def test_backward_into_given_arrays_and_without_input_grad_keeps_the_bits(activation,
+                                                                          normalize):
+    rng = np.random.default_rng(8)
+    mlp = mlp_init([5, 7, 6, 3], rng, activation, normalize)
+    for b in mlp.biases:
+        b += 0.1 * rng.standard_normal(b.shape)
+    x = rng.standard_normal((9, 5))
+    up = rng.standard_normal((9, 3))
+    # backward consumes its cache, so each call gets a fresh one
+    gw, gb, gx = backward(mlp, forward_cached(mlp, x)[1], up)
+    out = [(np.full_like(w, np.nan), np.full_like(b, np.nan))
+           for w, b in zip(mlp.weights, mlp.biases)]
+    ow, ob, ox = backward(mlp, forward_cached(mlp, x)[1], up, out=out)
+    assert ox.tobytes() == gx.tobytes()
+    nw, nb, nx = backward(mlp, forward_cached(mlp, x)[1], up, input_grad=False)
+    assert nx is None
+    for l, (w, b) in enumerate(out):
+        assert ow[l] is w and ob[l] is b
+        for got in (w, nw[l]):
+            assert got.tobytes() == gw[l].tobytes()
+        for got in (b, nb[l]):
+            assert got.tobytes() == gb[l].tobytes()
+
+
 def test_elu_values():
     assert elu(np.array([0.0]))[0] == 0.0
     assert elu(np.array([2.0]))[0] == 2.0
@@ -95,10 +122,11 @@ def test_elu_and_elu_grad_equal_the_where_form(copies):
         assert not np.signbit(got[neg_zero]).any()
         keep = same & ~neg_zero
         assert got[keep].tobytes() == ref_elu[keep].tobytes()
-    grad = elu_grad(u)
-    assert np.array_equal(np.isnan(grad), np.isnan(u))
-    same = ~np.isnan(u)
-    assert grad[same].tobytes() == ref_grad[same].tobytes()
+    in_place = u.copy()
+    for grad in (elu_grad(u), elu_grad(in_place, out=in_place)):
+        assert np.array_equal(np.isnan(grad), np.isnan(u))
+        same = ~np.isnan(u)
+        assert grad[same].tobytes() == ref_grad[same].tobytes()
 
 
 @pytest.mark.parametrize("rows", (1, 37))
@@ -195,16 +223,16 @@ def test_adam_lr_decay_uses_pre_increment_step():
     assert np.isclose(p[0], -1.0 / (1.0 + 1e-8))
 
 
-def test_adam_step_bit_identical_to_expression_form():
+def adam_against_expression_form(n):
     # the buffered step against the plain array expressions it replaces,
     # with decay, over gradients spanning many magnitudes
     rng = np.random.default_rng(3)
-    theta = rng.standard_normal(1000)
+    theta = rng.standard_normal(n)
     ref = theta.copy()
     state = AdamState.for_params(theta, base_lr=0.01, decay_rate=0.97, decay_period=7)
     m, v = np.zeros_like(ref), np.zeros_like(ref)
     for step in range(40):
-        grad = rng.standard_normal(1000) * 10.0 ** rng.integers(-8, 4, size=1000)
+        grad = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 4, size=n)
         lr = 0.01 * 0.97 ** (step / 7)
         t = step + 1
         m *= 0.9
@@ -216,7 +244,18 @@ def test_adam_step_bit_identical_to_expression_form():
         ref -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
         adam_step(theta, grad, state)
         assert theta.tobytes() == ref.tobytes(), step
+    assert state.scratch.shape == (2, min(n, ADAM_CHUNK))
     assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
+
+def test_adam_step_bit_identical_to_expression_form():
+    adam_against_expression_form(1000)  # below one chunk
+
+
+def test_chunked_adam_step_bit_identical_to_expression_form():
+    # three whole chunks and a ragged tail: a boundary that skipped or
+    # repeated an entry would leave it unchanged or step it twice
+    adam_against_expression_form(3 * ADAM_CHUNK + 123)
 
 
 def test_spectral_norm_matches_svd():

@@ -9,22 +9,23 @@ import numpy as np
 import pytest
 
 from alrite.data import SplitIndices, generate_ihdp_like, identity_scaler, split
-from alrite.nn import forward
-from alrite.pipeline import (Pipeline, PipelineHyperparams, build_pipeline,
+from alrite.nn import ADAM_CHUNK, backward, forward, forward_cached
+from alrite.pipeline import (ROLES, Pipeline, PipelineHyperparams, build_pipeline,
                              compound_loss, compound_loss_grads, predict_mu,
                              predict_tau, train_pipeline)
 from alrite.propensity import fit_knn, predict_eta, train_propensity_lr
 from alrite.twin import mirror_twins
 
 
-def tiny_instance(seed, n=14, d=3, normalize=False, role="control_driven"):
+def tiny_instance(seed, n=14, d=3, normalize=False, role="control_driven", layers=1,
+                  width=4):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     t = rng.integers(0, 2, size=n)
     t[0], t[1] = 0, 1
     y = rng.standard_normal(n)
-    hp = PipelineHyperparams(alpha=0.7, beta=0.4, gamma=0.01, embed_layers=1,
-                             head_layers=1, embed_width=4, head_width=4,
+    hp = PipelineHyperparams(alpha=0.7, beta=0.4, gamma=0.01, embed_layers=layers,
+                             head_layers=layers, embed_width=width, head_width=width,
                              batch_size=n, epochs=3, normalize_embedding=normalize)
     p = build_pipeline(d, role, hp, rng)
     for net in p.networks():
@@ -79,6 +80,55 @@ def test_compound_loss_gradients_finite_differences(normalize):
                 fd = (up - down) / (2 * h)
                 worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6))
             assert worst < 1e-4, (role, rows, worst)
+
+
+def concatenated_grads(p, x, t, y, tm, hp, batch):
+    """The gradient as concatenated per-network `backward` results plus the
+    L2 term: the form that `compound_loss_grads` writes in place."""
+    focus = p.focus_arm
+    n_focus = int(np.sum(t == focus))
+    denom = len(t) - n_focus + hp.beta * n_focus
+    bf, bo = batch[t[batch] == focus], batch[t[batch] == 1 - focus]
+    twins = tm.twin_index[bf]
+    union = np.unique(np.concatenate([bf, bo, twins]))
+    z, cache_phi = forward_cached(p.phi, x[union])
+    rf, ro, rm = (np.searchsorted(union, rows) for rows in (bf, bo, twins))
+    heads, head_grads = (p.h0, p.h1), [None, None]
+    gz = np.zeros_like(z)
+    # the own head's rows weigh 1.0, an exact factor
+    for arm, rows, b, weight, norm in ((focus, rf, bf, 1.0, n_focus),
+                                       (1 - focus, ro, bo, 1.0 + hp.beta * tm.weight[bo], denom)):
+        pred, cache = forward_cached(heads[arm], z[rows])
+        up = (2.0 / norm) * (weight * (pred[:, 0] - y[b]))[:, None]
+        gw, gb, gin = backward(heads[arm], cache, up)
+        head_grads[arm] = gw + gb
+        gz[rows] += gin
+    diff = z[rf] - z[rm]
+    coef = 2.0 * hp.alpha / n_focus
+    gz[rf] += coef * diff
+    np.add.at(gz, rm, -coef * diff)
+    gw, gb, _ = backward(p.phi, cache_phi, gz)
+    grad = np.concatenate([g.ravel() for g in gw + gb + head_grads[0] + head_grads[1]])
+    return grad + 2.0 * hp.gamma * p.theta
+
+
+@pytest.mark.parametrize("width", (4, 130))  # 130: theta spans several L2-term chunks
+@pytest.mark.parametrize("normalize", (False, True))
+def test_gradient_written_in_place_equals_concatenated_backward_results(normalize, width):
+    for role in ROLES:
+        x, t, y, p, tm, hp = tiny_instance(3, normalize=normalize, role=role, layers=2,
+                                           width=width)
+        assert p.theta.size > 3 * ADAM_CHUNK or width == 4
+        focus_twins = tm.twin_index[t == p.focus_arm]
+        assert len(np.unique(focus_twins)) < len(focus_twins)  # repeated twins
+        out = np.full_like(p.theta, np.nan)  # every entry must be written
+        for batch in (np.arange(len(t)), np.arange(0, 9), np.flatnonzero(t == 0),
+                      np.flatnonzero(t == 1)):
+            expect = concatenated_grads(p, x, t, y, tm, hp, batch)
+            _, _, grad = compound_loss_grads(p, x, t, y, tm, hp, batch)
+            assert grad.tobytes() == expect.tobytes(), (role, batch)
+            _, _, reused = compound_loss_grads(p, x, t, y, tm, hp, batch, out=out)
+            assert reused is out and out.tobytes() == expect.tobytes(), (role, batch)
 
 
 def test_networks_are_views_into_theta_at_layout_offsets():

@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import alrite.twin
 from alrite.data import Dataset, GroundTruth
 from alrite.propensity import DEFAULT_CLIP, PropensityModel, predict_eta
-from alrite.selection import (PROXY_KINDS, Auxiliaries, _fit_kernel_ridge,
-                              _rbf_kernel, fit_auxiliaries, fit_kernel_ridge_cv,
+from alrite.selection import (PROXY_KINDS, Auxiliaries, KernelRidge, _fit_kernel_ridge,
+                              _median_pairwise_distance, _rbf_kernel, _rbf_predictions,
+                              _solve_ridges, fit_auxiliaries, fit_kernel_ridge_cv,
                               nn_imputed_outcome, proxy_score, proxy_terms,
                               rank_agreement, score_candidate, _average_ranks,
                               _inverse_propensity)
@@ -196,6 +198,21 @@ def test_kernel_ridge_in_place_ridge_keeps_bytes(n, d, bandwidth, ridge):
     assert _fit_kernel_ridge(x, y, bandwidth, ridge).alpha.tobytes() == expect.tobytes()
 
 
+def test_ridges_sharing_one_kernel_keep_the_bytes_of_separate_fits():
+    # each ridge's solve sees k + ridge * I, never an earlier ridge's diagonal
+    rng = np.random.default_rng(4)
+    x, y, q = rng.standard_normal((90, 4)), rng.standard_normal(90), rng.standard_normal((30, 4))
+    ridges = (1e-6, 1e-3, 1e-1)
+    y_mean, alphas = _solve_ridges(x, y, 1.5, ridges)
+    k = _rbf_kernel(x, x, 1.5)
+    preds = _rbf_predictions(q, x, 1.5, alphas, y_mean)
+    for ridge, alpha, pred in zip(ridges, alphas, preds):
+        expect = np.linalg.solve(k + ridge * np.eye(90), y - float(np.mean(y)))
+        assert alpha.tobytes() == expect.tobytes()
+        model = KernelRidge(x, expect, 1.5, ridge, y_mean)
+        assert pred.tobytes() == model.predict(q).tobytes()
+
+
 def test_kernel_ridge_fit_holds_one_kernel_matrix():
     # building k + ridge * I next to the kernel k would hold a second n x n array
     n = 1500
@@ -208,6 +225,42 @@ def test_kernel_ridge_fit_holds_one_kernel_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * n * n * 8
+
+
+def fit_each_grid_point(x, y, seed, factors=(0.5, 1.0, 2.0), ridges=(1e-6, 1e-3, 1e-1)):
+    """`fit_kernel_ridge_cv` as one fit and `predict` per (bandwidth, ridge,
+    fold), each building its own kernels."""
+    rng = np.random.default_rng(seed)
+    base = _median_pairwise_distance(x, rng)
+    folds = min(5, len(x))
+    assignment = rng.permutation(len(x)) % folds
+    grid = [(base * f, r) for f in factors for r in ridges]
+    scores = []
+    for bandwidth, ridge in grid:
+        errs = []
+        for f in range(folds):
+            val = assignment == f
+            model = _fit_kernel_ridge(x[~val], y[~val], bandwidth, ridge)
+            errs.append(float(np.mean((model.predict(x[val]) - y[val]) ** 2)))
+        scores.append(np.mean(errs))
+    return _fit_kernel_ridge(x, y, *grid[int(np.argmin(scores))])
+
+
+@pytest.mark.parametrize("budget", (None, 12_000))  # 12_000: validation rows in 2 blocks
+@pytest.mark.parametrize("n, d, ties", [(7, 1, False), (60, 3, True), (500, 25, False)])
+def test_kernel_ridge_cv_equals_a_fit_per_grid_point(monkeypatch, n, d, ties, budget):
+    if budget is not None:
+        monkeypatch.setattr(alrite.twin, "BLOCK_ENTRIES", budget)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, d))
+    if ties:
+        x = np.round(x)
+    y = np.sin(x.sum(axis=1)) + 0.1 * rng.standard_normal(n)
+    got, expect = fit_kernel_ridge_cv(x, y, seed=n), fit_each_grid_point(x, y, seed=n)
+    assert (got.bandwidth, got.ridge, got.y_mean) == (expect.bandwidth, expect.ridge,
+                                                     expect.y_mean)
+    assert got.alpha.tobytes() == expect.alpha.tobytes()
+    assert got.x_train.tobytes() == expect.x_train.tobytes()
 
 
 def test_fit_auxiliaries_deterministic():
