@@ -274,20 +274,31 @@ class CsvFormatError(ValueError):
     pass
 
 
+# rows per `save_csv` block. A block's values live as Python objects until
+# written, and part of that memory stays resident for the commands that
+# follow and for the processes they fork. On an acic_like n=10000 file (62
+# columns), the write took 0.22-0.23 s at 8 to 128 rows per block (0.40 s
+# through `csv.writer`) and left 28 KB more resident at 16 rows, 320 KB at 128
+CSV_BLOCK_ROWS = 16
+
+
 def save_csv(path, dataset: Dataset, truth: GroundTruth | None = None) -> None:
-    """Header x0..x{d-1},t,y[,mu0,mu1]; reals at 17 significant digits."""
+    """Header x0..x{d-1},t,y[,mu0,mu1]; reals at 17 significant digits
+    (`repr`), rows ended by \\r\\n, the bytes `csv.writer` writes for them."""
     header = [f"x{j}" for j in range(dataset.d)] + ["t", "y"]
+    reals = [dataset.y]
     if truth is not None:
         header += ["mu0", "mu1"]
+        reals += [truth.mu0, truth.mu1]
+    reals = np.column_stack(reals)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = [repr(float(v)) for v in dataset.x[i]]
-            row += [str(int(dataset.t[i])), repr(float(dataset.y[i]))]
-            if truth is not None:
-                row += [repr(float(truth.mu0[i])), repr(float(truth.mu1[i]))]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, dataset.n, CSV_BLOCK_ROWS):
+            rows = slice(start, start + CSV_BLOCK_ROWS)
+            fh.writelines(",".join(map(repr, xi + [ti] + ri)) + "\r\n"
+                          for xi, ti, ri in zip(dataset.x[rows].tolist(),
+                                                dataset.t[rows].tolist(),
+                                                reals[rows].tolist()))
 
 
 def _bad_line(path, width: int) -> str | None:

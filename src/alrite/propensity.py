@@ -18,10 +18,15 @@ Shared work, done once, with the same bits as doing it per member:
   distance block per row block: the largest k's neighbours are picked from
   the whole row, each smaller k's from those (they hold the row's k smallest
   distances), and the tie check still counts over the whole row. The mean
-  of 0/1 labels is exact in any order. Each block is freed before the next.
-- A tree sorts every feature once per fit. A child's order is its parent's,
-  filtered to the child's rows, which is the child's own stable argsort; it
-  is computed only for a node that may split, never for a leaf.
+  of 0/1 labels is exact in any order. Each block is freed before the next,
+  and each fold's row copies and models before the next fold and the refit.
+- A tree sorts every feature once per fit, into an (n, d) int32 order filled
+  one feature at a time (so a tree fits at most 2**31 - 1 rows). A child's
+  order is its parent's, filtered to the child's rows, which is the child's
+  own stable argsort; it is computed only for a node that may split, never
+  for a leaf. A node's split search scans one feature at a time: that
+  feature's sorted values, admissible mask and int32 label counts are its
+  only O(n) arrays, none of them n×d.
 - A logistic fit finds its arms' rows once, and each objective evaluation
   gathers the arms' propensities by those indices instead of masking
   full-length arrays.
@@ -226,23 +231,24 @@ def _best_split(x, t, order, min_leaf):
     parent_impurity = _gini(n1, n)
     # a split after the first `size` sorted samples leaves at least min_leaf
     # on each side; size - 1 and size are contiguous, so both are slices
-    xv = np.take_along_axis(x, order, axis=0)
     size = np.arange(min_leaf, n - min_leaf + 1)
     below, at = slice(min_leaf - 1, n - min_leaf), slice(min_leaf, n - min_leaf + 1)
-    left1 = np.cumsum(t.astype(np.int32)[order], axis=0, dtype=np.int32)[below]
-    admissible = xv[below] != xv[at]  # cannot split between equal values
+    t32 = t.astype(np.int32)
     best = None
     for j in range(x.shape[1]):
-        ok = admissible[:, j]
-        i, l1 = size[ok], left1[ok, j]
+        o = order[:, j]
+        xv = x[:, j].take(o)
+        ok = xv[below] != xv[at]  # cannot split between equal values
+        i = size[ok]
         if i.size == 0:
             continue
+        l1 = t32.take(o).cumsum(dtype=np.int32)[below][ok]
         impurity = (i * _gini(l1, i) + (n - i) * _gini(n1 - l1, n - i)) / n
         pos, gain = _scan_first_best(parent_impurity - impurity,
                                      None if best is None else best[0])
         if pos is not None:
             k = i[pos]
-            best = (gain, j, 0.5 * (xv[k - 1, j] + xv[k, j]))
+            best = (gain, j, 0.5 * (xv[k - 1] + xv[k]))
     return best
 
 
@@ -269,20 +275,31 @@ def _build_tree(x, t, sort, depth, max_depth, min_leaf):
 def _child_order(order: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The stable argsort of x[keep] along axis 0, given x's: each column of
     `order` with the dropped rows filtered out (which keeps the relative
-    order, ties included) and the kept rows renumbered."""
-    renumber = np.cumsum(keep) - 1
+    order, ties included) and the kept rows renumbered, in int32."""
+    renumber = np.cumsum(keep, dtype=np.int32) - 1
     kept = keep[order.T]  # per feature, row by row: (d, n)
     return renumber[order.T[kept]].reshape(len(kept), -1).T
 
 
+def _sort_columns(x: np.ndarray) -> np.ndarray:
+    """x's stable argsort along axis 0 as an (n, d) int32 array, filled one
+    feature at a time; each column is contiguous, as `_child_order`'s are."""
+    order = np.empty(x.shape[::-1], dtype=np.int32)
+    for j in range(x.shape[1]):
+        order[j] = np.argsort(x[:, j], kind="stable")
+    return order.T
+
+
 def fit_tree(x: np.ndarray, t: np.ndarray, max_depth: int, min_leaf: int = 10) -> PropensityModel:
-    """Greedy CART on Gini impurity; leaves predict the treated rate."""
+    """Greedy CART on Gini impurity; leaves predict the treated rate. Row
+    orders and label counts are int32, so at most 2**31 - 1 rows."""
     if min_leaf < 1:
         raise ValueError("min_leaf must be at least 1")
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=int)
-    root = _build_tree(x, t, partial(np.argsort, x, axis=0, kind="stable"), 0, max_depth,
-                       min_leaf)
+    if len(t) > np.iinfo(np.int32).max:
+        raise ValueError(f"a tree fits at most {np.iinfo(np.int32).max} rows, got {len(t)}")
+    root = _build_tree(x, t, partial(_sort_columns, x), 0, max_depth, min_leaf)
     return PropensityModel("decision_tree", {"max_depth": int(max_depth),
                                              "min_leaf": int(min_leaf), "root": root})
 
@@ -380,6 +397,26 @@ DEFAULT_PROPENSITY_GRID = (
 )
 
 
+def _fold_losses(grid, x, t, fold_idx, f) -> list[float]:
+    """Each grid member's balanced cross-entropy on fold f, fit on the other
+    folds; [] if fold f is empty or its training rows hold one arm. The
+    fold's row copies and models are freed on return."""
+    val = fold_idx[f]
+    trn = np.concatenate([rows for g, rows in enumerate(fold_idx) if g != f])
+    if len(val) == 0 or t[trn].sum() in (0, len(trn)):
+        return []
+    x_trn, t_trn, x_val, t_val = x[trn], t[trn], x[val], t[val]
+    models = [_fit_grid_member(spec, x_trn, t_trn) for spec in grid]
+    knn = [i for i, m in enumerate(models) if m.variant == "knn_classifier"]
+    etas = [None if i in knn else predict_eta(m, x_val) for i, m in enumerate(models)]
+    if knn:  # the kNN members share their references: one search serves every k
+        ref = models[knn[0]].params
+        ks = [models[i].params["k"] for i in knn]
+        for i, eta in zip(knn, _knn_etas(x_val, ref["ref_x"], ref["ref_t"], ks)):
+            etas[i] = np.clip(eta, DEFAULT_CLIP, 1 - DEFAULT_CLIP)
+    return [balanced_cross_entropy(eta, t_val) for eta in etas]
+
+
 def select_propensity(x: np.ndarray, t: np.ndarray, grid, folds: int,
                       seed: int) -> PropensityModel:
     """Grid search by mean cross-validated balanced cross-entropy; the winner
@@ -395,21 +432,8 @@ def select_propensity(x: np.ndarray, t: np.ndarray, grid, folds: int,
     fold_idx = _stratified_folds(t, folds, rng)
     losses = [[] for _ in grid]  # per member, in fold order
     for f in range(folds):
-        val = fold_idx[f]
-        trn = np.concatenate([fold_idx[g] for g in range(folds) if g != f])
-        if len(val) == 0 or t[trn].sum() in (0, len(trn)):
-            continue
-        x_trn, t_trn, x_val, t_val = x[trn], t[trn], x[val], t[val]
-        models = [_fit_grid_member(spec, x_trn, t_trn) for spec in grid]
-        knn = [i for i, m in enumerate(models) if m.variant == "knn_classifier"]
-        etas = [None if i in knn else predict_eta(m, x_val) for i, m in enumerate(models)]
-        if knn:  # the kNN members share their references: one search serves every k
-            ref = models[knn[0]].params
-            ks = [models[i].params["k"] for i in knn]
-            for i, eta in zip(knn, _knn_etas(x_val, ref["ref_x"], ref["ref_t"], ks)):
-                etas[i] = np.clip(eta, DEFAULT_CLIP, 1 - DEFAULT_CLIP)
-        for member, eta in zip(losses, etas):
-            member.append(balanced_cross_entropy(eta, t_val))
+        for member, loss in zip(losses, _fold_losses(grid, x, t, fold_idx, f)):
+            member.append(loss)
     scores = [np.mean(member) if member else np.inf for member in losses]
     winner = int(np.argmin(scores))  # argmin keeps the first of tied members
     return _fit_grid_member(grid[winner], x, t)

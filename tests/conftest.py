@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import tracemalloc
+
 import pytest
 
 import alrite.cli
@@ -58,3 +60,18 @@ def written():
         return files
 
     return read
+
+
+@pytest.fixture
+def peak_bytes():
+    """`peak_bytes(fn, *args, **kwargs)` calls fn(*args, **kwargs) and returns
+    the largest number of bytes tracemalloc saw allocated during the call."""
+    def run(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run

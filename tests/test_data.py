@@ -1,9 +1,11 @@
 """Dataset generators, CSV round-trips, splitting and standardization."""
 
+import csv
+
 import numpy as np
 import pytest
 
-from alrite.data import (AcicProtocol, CsvFormatError, Dataset, GenerationError,
+from alrite.data import (CSV_BLOCK_ROWS, AcicProtocol, CsvFormatError, Dataset, GenerationError,
                          GroundTruth, fit_scaler, generate_acic_like, generate_ihdp_like,
                          generate_two_cluster_toy, identity_scaler, load_csv,
                          save_csv, split)
@@ -100,6 +102,35 @@ def test_csv_without_truth(tmp_path):
     loaded, truth = load_csv(path)
     assert truth is None
     assert np.array_equal(loaded.y, ds.y)
+
+
+def csv_writer_reference(path, dataset, truth=None):
+    """`save_csv` as one `csv.writer` row per sample."""
+    header = [f"x{j}" for j in range(dataset.d)] + ["t", "y"]
+    if truth is not None:
+        header += ["mu0", "mu1"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(dataset.n):
+            row = [repr(float(v)) for v in dataset.x[i]]
+            row += [str(int(dataset.t[i])), repr(float(dataset.y[i]))]
+            if truth is not None:
+                row += [repr(float(truth.mu0[i])), repr(float(truth.mu1[i]))]
+            writer.writerow(row)
+
+
+@pytest.mark.parametrize("n", [1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 5])
+def test_csv_bytes_match_a_csv_writer(tmp_path, n):
+    rng = np.random.default_rng(n)
+    edge = [-0.0, 5e-324, 1e-300, 1e16, 1.2345678901234568e17, 3.0, -2.0, 1e-5]
+    x = np.column_stack([np.resize(edge, n), rng.standard_normal(n), rng.integers(-3, 4, n)])
+    ds = Dataset(x, np.arange(n) % 2, rng.standard_normal(n) * 1e8, ["continuous"] * 3)
+    truth = GroundTruth(np.resize(edge[::-1], n), np.round(rng.standard_normal(n), 2))
+    for with_truth in (truth, None):
+        save_csv(tmp_path / "got.csv", ds, with_truth)
+        csv_writer_reference(tmp_path / "want.csv", ds, with_truth)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_csv_errors_name_the_line(tmp_path):

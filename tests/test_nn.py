@@ -1,8 +1,6 @@
 """Network engine tests: finite-difference gradients, optimizer oracle,
 spectral norms against numpy's SVD."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -144,7 +142,7 @@ def test_forward_has_the_bits_of_forward_cached(activation, normalize, rows):
     assert x.tobytes() == x_before.tobytes()  # the input is never written
 
 
-def test_forward_keeps_no_per_layer_activations():
+def test_forward_keeps_no_per_layer_activations(peak_bytes):
     # 6 layers of width 200 over 5000 rows: each activation takes n*w*8 = 8 MB.
     # Keeping every layer's input and pre-activation, as forward_cached does,
     # peaks above 10 of them; forward holds about two at a time.
@@ -152,12 +150,7 @@ def test_forward_keeps_no_per_layer_activations():
     n, w = 5000, 200
     mlp = mlp_init([w] * 7, rng)
     x = rng.standard_normal((n, w))
-    tracemalloc.start()
-    try:
-        forward(mlp, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(forward, mlp, x)
     assert peak < 4 * n * w * 8
 
 

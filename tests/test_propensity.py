@@ -1,8 +1,6 @@
 """Propensity models: logistic-regression gradient and convergence, kNN and
 tree oracles, clipping, cross-validated selection and calibration."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -392,20 +390,27 @@ def test_split_scan_keeps_first_of_near_ties():
         assert _scan_first_best(gain, best) == sequential(gain, best)
 
 
-def test_tree_peak_memory_is_one_node_search_plus_the_ancestors_orders():
-    # the root's split search (argsort, sorted copy, label counts) takes about
-    # 3 times x's bytes; below it a node holds only its ancestors' argsorts.
-    # A recursion that keeps each node's search arrays peaks at 9 times.
+def test_tree_peak_memory_is_one_node_search_plus_the_ancestors_orders(peak_bytes):
+    # a node holds its ancestors' row copies and int32 orders (each order half
+    # its rows' bytes), and its split search adds one feature's sorted values,
+    # admissible mask and label counts at a time: the fit peaks at 2.7 times
+    # x's bytes. A search that builds the sorted copy, the int64 argsort and
+    # the label counts of every feature at once peaks at 4 times, and a
+    # recursion that keeps each node's search arrays at 9 times.
     rng = np.random.default_rng(2)
     x = rng.standard_normal((5000, 50))
     t = (rng.random(5000) < 1 / (1 + np.exp(-x[:, 0] - x[:, 1]))).astype(int)
-    tracemalloc.start()
-    try:
-        fit_tree(x, t, max_depth=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * x.nbytes
+    peak = peak_bytes(fit_tree, x, t, max_depth=5)
+    assert peak < 3 * x.nbytes
+
+
+def test_tree_refuses_more_rows_than_int32_counts():
+    # zero-copy rows; at depth 0 a fit without the check returns a leaf
+    rows = np.iinfo(np.int32).max + 1
+    x = np.broadcast_to(np.zeros(1), (rows, 1))
+    t = np.broadcast_to(np.zeros(1, dtype=int), (rows,))
+    with pytest.raises(ValueError, match="at most 2147483647 rows"):
+        fit_tree(x, t, max_depth=0)
 
 
 def test_tree_rejects_min_leaf_below_one():
@@ -526,7 +531,7 @@ def test_select_propensity_unpenalized_lr_on_a_separable_fold(monkeypatch):
     assert np.all(np.isfinite(predict_eta(model, x)))
 
 
-def test_select_propensity_knn_peak_memory_is_one_block_search():
+def test_select_propensity_knn_peak_memory_is_one_block_search(peak_bytes):
     # about 6000 references per fold. The bound is the largest row block's
     # float64 distances plus its int64 partition indices (5.9 MB here), times
     # a margin of 1.3 for the fold copies and the k-nearest temporaries (the
@@ -538,14 +543,22 @@ def test_select_propensity_knn_peak_memory_is_one_block_search():
     folds = _stratified_folds(t, 5, np.random.default_rng(0))  # select_propensity's, seed 0
     block_entries = max((rows.stop - rows.start) * (len(t) - len(val))
                      for val in folds for rows in row_blocks(len(val), len(t) - len(val)))
-    tracemalloc.start()
-    try:
-        select_propensity(x, t, grid, folds=5, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(select_propensity, x, t, grid, folds=5, seed=0)
     assert peak < 1.3 * block_entries * (8 + 8)
     assert 1.3 * block_entries * (8 + 8) < 2.8 * (1 << 20) * 8  # the bound at 8 MB blocks
+
+
+def test_select_propensity_tree_peak_memory_frees_each_fold(peak_bytes):
+    # two folds: a fold's row copies (x's bytes) and its tree on half the rows,
+    # then the refit's tree on all rows, each peak at about 2.2 times x's
+    # bytes. Keeping the last fold's copies and models through the refit
+    # peaks at 3.2 times.
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((5000, 50))
+    t = (rng.random(5000) < 1 / (1 + np.exp(-x[:, 0] - x[:, 1]))).astype(int)
+    grid = [{"kind": "tree", "max_depth": 3, "min_leaf": 10}]
+    peak = peak_bytes(select_propensity, x, t, grid, folds=2, seed=0)
+    assert peak < 2.6 * x.nbytes
 
 
 def test_calibration_table_counts_and_rates():
@@ -608,15 +621,10 @@ def test_knn_predicts_zero_rows():
     assert eta.shape == (0,)
 
 
-def test_knn_peak_memory_is_bounded_by_the_block():
+def test_knn_peak_memory_is_bounded_by_the_block(peak_bytes):
     # unblocked: 72 MB of distances plus 72 MB of argpartition indices
     rng = np.random.default_rng(5)
     model = fit_knn(rng.standard_normal((6000, 10)), rng.integers(0, 2, size=6000), 30)
     q = rng.standard_normal((1500, 10))
-    tracemalloc.start()
-    try:
-        predict_eta(model, q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(predict_eta, model, q)
     assert peak < 4 * BLOCK_ENTRIES * 8

@@ -1,8 +1,6 @@
 """Auxiliary regressors, the eight proxy risks against a hand-evaluated
 table, rank statistics against enumeration oracles, and candidate choice."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -213,17 +211,12 @@ def test_ridges_sharing_one_kernel_keep_the_bytes_of_separate_fits():
         assert pred.tobytes() == model.predict(q).tobytes()
 
 
-def test_kernel_ridge_fit_holds_one_kernel_matrix():
+def test_kernel_ridge_fit_holds_one_kernel_matrix(peak_bytes):
     # building k + ridge * I next to the kernel k would hold a second n x n array
     n = 1500
     rng = np.random.default_rng(5)
     x, y = rng.standard_normal((n, 10)), rng.standard_normal(n)
-    tracemalloc.start()
-    try:
-        _fit_kernel_ridge(x, y, 1.0, 1e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(_fit_kernel_ridge, x, y, 1.0, 1e-3)
     assert peak < 1.5 * n * n * 8
 
 

@@ -4,7 +4,6 @@ tie-breaking."""
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -272,17 +271,12 @@ def test_pairwise_kernel_bit_equal_to_three_temporaries():
         assert pairwise_sq_dists(a, a).tobytes() == expect.tobytes()
 
 
-def test_pairwise_kernel_allocates_one_block():
+def test_pairwise_kernel_allocates_one_block(peak_bytes):
     rng = np.random.default_rng(1)
     a, b = rng.standard_normal((1500, 4)), rng.standard_normal((1200, 4))
     block = 1500 * 1200 * 8
-    tracemalloc.start()
-    try:
-        sq = pairwise_sq_dists(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sq.shape == (1500, 1200)
+    peak = peak_bytes(pairwise_sq_dists, a, b)
+    assert pairwise_sq_dists(a, b).shape == (1500, 1200)
     assert peak < 1.2 * block
 
 
@@ -343,15 +337,10 @@ def test_blocked_twin_search_keeps_bytes(blocked, d, ties):
                 assert getattr(got, field).tobytes() == getattr(whole, field).tobytes()
 
 
-def test_twin_search_peak_memory_is_bounded_by_the_block():
+def test_twin_search_peak_memory_is_bounded_by_the_block(peak_bytes):
     # unblocked, each arm's 4000 x 4000 distance block alone takes 128 MB
     rng = np.random.default_rng(4)
     latent = rng.standard_normal((8000, 50))
     t = rng.permutation(np.arange(8000) % 2)
-    tracemalloc.start()
-    try:
-        mirror_twins(latent, t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(mirror_twins, latent, t)
     assert peak < 4 * BLOCK_ENTRIES * 8
