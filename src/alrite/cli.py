@@ -378,7 +378,8 @@ def _run_jobs(jobs: list, workers: int) -> list:
     jobs) processes runs them, taken in order: each worker gets the job list
     once, through the pool's initializer (inherited, not pickled, under the
     fork start method), and is sent only job indices. The first job in order
-    that raises raises here; jobs not yet started are then dropped."""
+    that raises raises here; jobs not yet started are then dropped, and jobs
+    already started run to their end before it does."""
     size = min(workers, len(jobs))
     if size <= 1:
         return [fn(*args) for fn, args in jobs]
@@ -425,30 +426,31 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, workers: int) -> int:
     jobs += [(_train_member, (k, role, dataset, split_idx, hp, member_seed(cfg.seed, 1 + k),
                               out, x_val, t_val, x_test))
              for k, (role, hp) in enumerate(zip(roles, hps))]
-    results = _run_jobs(jobs, workers)
-    (eta, *fits), results = results[:nuisances], results[nuisances:]
-
-    members = []
-    tau, mu, tau_test = {}, {}, {}
-    for (index, role, path, tau_k, mu_k, tau_test_k, error), hp in zip(results, hps):
-        entry = {"index": index, "role": role, "status": "ok" if error is None else "failed",
-                 "error": error, "val_mu_risk": None,
-                 "hyperparams": {k: getattr(hp, k) for k in vars(hp)}}
-        if error is None:
-            entry["path"] = path
-            entry["val_mu_risk"] = float(np.mean((y_val - mu_k) ** 2))
-            tau[index], mu[index], tau_test[index] = tau_k, mu_k, tau_test_k
-        members.append(entry)
-
-    ok0 = [i for i in range(l0) if i in tau]
-    ok1 = [l0 + j for j in range(l1) if l0 + j in tau]
-    staged = [out / f"{m['path']}.part" for m in members if m["status"] == "ok"]
-    if not ok0 or not ok1:  # the members of an earlier sweep stay as they are
-        for part in staged:
+    try:
+        results = _run_jobs(jobs, workers)
+        (eta, *fits), results = results[:nuisances], results[nuisances:]
+        members = []
+        tau, mu, tau_test = {}, {}, {}
+        for (index, role, path, tau_k, mu_k, tau_test_k, error), hp in zip(results, hps):
+            entry = {"index": index, "role": role, "status": "ok" if error is None else "failed",
+                     "error": error, "val_mu_risk": None,
+                     "hyperparams": {k: getattr(hp, k) for k in vars(hp)}}
+            if error is None:
+                entry["path"] = path
+                entry["val_mu_risk"] = float(np.mean((y_val - mu_k) ** 2))
+                tau[index], mu[index], tau_test[index] = tau_k, mu_k, tau_test_k
+            members.append(entry)
+        ok0 = [i for i in range(l0) if i in tau]
+        ok1 = [l0 + j for j in range(l1) if l0 + j in tau]
+        if not ok0 or not ok1:
+            raise RuntimeError("sweep produced no usable member for at least one role")
+    except BaseException:  # the members of an earlier sweep stay as they are
+        for part in (out / "models").glob("member_*.json.part"):
             part.unlink()
-        raise RuntimeError("sweep produced no usable member for at least one role")
-    for part in staged:
-        part.replace(part.with_suffix(""))
+        raise
+    for m in members:
+        if m["status"] == "ok":
+            (out / f"{m['path']}.part").replace(out / m["path"])
 
     _write_json(out / "eta.json", eta.to_dict())
     aux = assemble_auxiliaries(dataset, train, eta, fits)

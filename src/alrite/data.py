@@ -63,10 +63,6 @@ class Dataset:
         return self.x.shape[1]
 
     @property
-    def n0(self) -> int:
-        return int(np.sum(self.t == 0))
-
-    @property
     def n1(self) -> int:
         return int(np.sum(self.t == 1))
 
@@ -106,9 +102,13 @@ class GenerationError(RuntimeError):
     pass
 
 
-def _retry_arms(draw, max_retries: int = 10):
+# draws of a treatment vector, or of a split, before an empty arm raises
+MAX_RETRIES = 10
+
+
+def _retry_arms(draw):
     """Redraw until both treatment arms are non-empty."""
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         t = draw()
         if 0 < t.sum() < len(t):
             return t
@@ -359,11 +359,12 @@ def load_csv(path) -> tuple[Dataset, GroundTruth | None]:
     return dataset, truth
 
 
-def split(dataset: Dataset, test_fraction: float, val_fraction: float, seed: int,
-          max_retries: int = 10) -> SplitIndices:
+def split(dataset: Dataset, test_fraction: float, val_fraction: float,
+          seed: int) -> SplitIndices:
     """Random permutation split. test_fraction applies to n; val_fraction to
     the remaining training part. Sizes are rounded to the nearest integer.
-    Splits leaving an empty treatment arm anywhere are redrawn."""
+    Splits leaving an empty treatment arm anywhere are redrawn, up to
+    MAX_RETRIES draws in all."""
     if not (0 < test_fraction < 1 and 0 < val_fraction < 1):
         raise ValueError("fractions must lie in (0, 1)")
     n = dataset.n
@@ -372,7 +373,7 @@ def split(dataset: Dataset, test_fraction: float, val_fraction: float, seed: int
     if n_test < 2 or n_val < 2 or n - n_test - n_val < 2:
         raise ValueError("split sizes too small")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         perm = rng.permutation(n)
         test = perm[:n_test]
         val = perm[n_test : n_test + n_val]

@@ -67,16 +67,25 @@ def policy_risks(tau_hat: np.ndarray, dataset: Dataset,
 class BoundReport:
     bound: float
     pehe: float
-    slack: float
     terms: dict
     certified: bool
 
+    @property
+    def slack(self) -> float:
+        return self.bound - self.pehe
 
-def _require_unscaled(*pipelines: Pipeline):
+
+def _bound_preamble(truth: GroundTruth | None, L: float | None, *pipelines: Pipeline) -> float:
+    """The true Lipschitz constant a bound uses: L, or 0 when L is unknown
+    (the bound is then report-only). Refuses a missing truth and a pipeline
+    not in raw data units."""
+    if truth is None:
+        raise ValueError("ground truth required")
     for p in pipelines:
         if (p.scaler.y_scale != 1.0 or p.scaler.y_mean != 0.0
                 or np.any(p.scaler.x_scale != 1.0) or np.any(p.scaler.x_mean != 0.0)):
             raise ValueError("bound evaluators require pipelines in raw data units")
+    return 0.0 if L is None else L
 
 
 def _head_bound(*heads) -> float:
@@ -87,9 +96,7 @@ def bound_m1(p: Pipeline, dataset: Dataset, truth: GroundTruth | None,
              L: float | None) -> BoundReport:
     """Single-embedding bound: weighted factual errors plus Lipschitz-scaled
     twin distances (latent-space distances, matching the derivation)."""
-    if truth is None:
-        raise ValueError("ground truth required")
-    _require_unscaled(p)
+    l_true = _bound_preamble(truth, L, p)
     x, t, y = dataset.x, dataset.t, dataset.y
     n = dataset.n
     z = forward(p.phi, x)
@@ -99,18 +106,10 @@ def bound_m1(p: Pipeline, dataset: Dataset, truth: GroundTruth | None,
     factual = float(np.sum((1.0 + tm.weight) * (pred - y) ** 2))
     dist_sq = float(np.sum(tm.twin_distance**2))
     l_hat = _head_bound(p.h0, p.h1)
-    certified = L is not None
-    l_true = L if certified else 0.0
     bound = 4.0 / n * (factual + (l_true**2 + l_hat**2) * dist_sq)
-    pehe_val, _ = pehe(mu1 - mu0, truth)
-    return BoundReport(
-        bound=bound,
-        pehe=pehe_val,
-        slack=bound - pehe_val,
-        terms={"weighted_factual": factual, "twin_dist_sq": dist_sq,
-               "l_true": l_true, "l_hat": l_hat},
-        certified=certified,
-    )
+    return BoundReport(bound, pehe(mu1 - mu0, truth)[0],
+                       {"weighted_factual": factual, "twin_dist_sq": dist_sq,
+                        "l_true": l_true, "l_hat": l_hat}, L is not None)
 
 
 def _cross_quantities(p0: Pipeline, p1: Pipeline, dataset: Dataset):
@@ -136,9 +135,7 @@ def bound_m2(p0: Pipeline, p1: Pipeline, dataset: Dataset,
              truth: GroundTruth | None, L: float | None) -> BoundReport:
     """Two-pipeline bound on the plug-in within-sample PEHE built from the
     cross heads and observed factual outcomes."""
-    if truth is None:
-        raise ValueError("ground truth required")
-    _require_unscaled(p0, p1)
+    l_true = _bound_preamble(truth, L, p0, p1)
     t, y = dataset.t, dataset.y
     n = dataset.n
     _, _, tm, cross0, cross1, tau_bar = _cross_quantities(p0, p1, dataset)
@@ -148,18 +145,10 @@ def bound_m2(p0: Pipeline, p1: Pipeline, dataset: Dataset,
     dist_sq = float(np.sum(tm.twin_distance**2))
     kappa = _kappa_y(w, dataset, truth)
     l_hat = _head_bound(p0.h1, p1.h0)
-    certified = L is not None
-    l_true = L if certified else 0.0
     bound = 5.0 / n * (factual + (l_true**2 + l_hat**2) * dist_sq + kappa)
-    pehe_val = float(np.mean((tau_bar - truth.tau) ** 2))
-    return BoundReport(
-        bound=bound,
-        pehe=pehe_val,
-        slack=bound - pehe_val,
-        terms={"weighted_cross_factual": factual, "twin_dist_sq": dist_sq,
-               "kappa_y": kappa, "l_true": l_true, "l_hat": l_hat},
-        certified=certified,
-    )
+    return BoundReport(bound, float(np.mean((tau_bar - truth.tau) ** 2)),
+                       {"weighted_cross_factual": factual, "twin_dist_sq": dist_sq,
+                        "kappa_y": kappa, "l_true": l_true, "l_hat": l_hat}, L is not None)
 
 
 def bound_m3(p0: Pipeline, p1: Pipeline, dataset: Dataset,
@@ -168,17 +157,13 @@ def bound_m3(p0: Pipeline, p1: Pipeline, dataset: Dataset,
     """Loss-decomposition bound: both compound losses evaluated at the
     canonical hyper-parameter setting (alpha arm-balanced at L^2 + Lhat^2,
     beta = 1), corrected by the regularizers and the factual sums."""
-    if truth is None:
-        raise ValueError("ground truth required")
-    _require_unscaled(p0, p1)
+    l_true = _bound_preamble(truth, L, p0, p1)
     x, t, y = dataset.x, dataset.t, dataset.y
     n, n1 = dataset.n, dataset.n1
     n0 = n - n1
     p_frac = n1 / n
     z0, z1, tm, cross0, cross1, tau_bar = _cross_quantities(p0, p1, dataset)
     l_hat = _head_bound(p0.h1, p1.h0)
-    certified = L is not None
-    l_true = L if certified else 0.0
     lam = l_true**2 + l_hat**2
     hp0 = PipelineHyperparams(alpha=(1 - p_frac) * lam, beta=1.0, gamma=gamma0)
     hp1 = PipelineHyperparams(alpha=p_frac * lam, beta=1.0, gamma=gamma1)
@@ -195,16 +180,11 @@ def bound_m3(p0: Pipeline, p1: Pipeline, dataset: Dataset,
     kappa = _kappa_y(tm.weight, dataset, truth) / n
     reg = gamma0 * float(p0.theta @ p0.theta) + gamma1 * float(p1.theta @ p1.theta)
     bound = 5.0 * (loss0 + loss1 - reg + kappa - own_sum - cross_sum)
-    pehe_val = float(np.mean((tau_bar - truth.tau) ** 2))
-    return BoundReport(
-        bound=bound,
-        pehe=pehe_val,
-        slack=bound - pehe_val,
-        terms={"loss0": loss0, "loss1": loss1, "regularizers": reg,
-               "kappa_y_per_n": kappa, "own_factual": own_sum,
-               "cross_factual": cross_sum, "l_true": l_true, "l_hat": l_hat},
-        certified=certified,
-    )
+    return BoundReport(bound, float(np.mean((tau_bar - truth.tau) ** 2)),
+                       {"loss0": loss0, "loss1": loss1, "regularizers": reg,
+                        "kappa_y_per_n": kappa, "own_factual": own_sum,
+                        "cross_factual": cross_sum, "l_true": l_true, "l_hat": l_hat},
+                       L is not None)
 
 
 def _linear_mlp(weight: np.ndarray) -> Mlp:
@@ -220,8 +200,8 @@ def make_linear_instance(seed: int, n: int = 100, d: int = 2,
 
     Returns (dataset, truth, p0, p1, L). Use noise = 0 for the
     single-pipeline bound, which holds surely only for noiseless outcomes.
-    Raises GenerationError when 10 draws of the treatment leave an arm
-    empty, as every draw does at n = 1.
+    Raises GenerationError when MAX_RETRIES draws of the treatment leave an
+    arm empty, as every draw does at n = 1.
     """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
@@ -259,7 +239,10 @@ class Lemma4Result:
     minimizer: np.ndarray  # optimal tabular predictor, per point
 
 
-def lemma4_sanity(case: Lemma4Case, atol: float = 1e-12) -> Lemma4Result:
+CELL_SPREAD_ATOL = 1e-12  # the largest spread of mu0 in a cell that counts as constant
+
+
+def lemma4_sanity(case: Lemma4Case) -> Lemma4Result:
     """Exhaustively minimize the control factual risk over tabular candidates
     on the latent cells; the minimizer is the cell-wise weighted mean. When
     the true response is expressible through the cells, it must coincide
@@ -277,7 +260,7 @@ def lemma4_sanity(case: Lemma4Case, atol: float = 1e-12) -> Lemma4Result:
         value = float(np.sum(weights[mask] * mu0[mask]) / wsum) if wsum > 0 \
             else float(np.mean(mu0[mask]))
         minimizer[mask] = value
-        if np.ptp(mu0[mask]) > atol:
+        if np.ptp(mu0[mask]) > CELL_SPREAD_ATOL:
             expressible = False
     if not expressible:
         return Lemma4Result("hypothesis_violation", minimizer)

@@ -62,15 +62,6 @@ class Mlp:
     def out_dim(self) -> int:
         return self.layer_dims[-1]
 
-    def copy(self) -> "Mlp":
-        return Mlp(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activation,
-            self.output_normalization,
-        )
-
 
 def mlp_init(
     layer_dims: list[int],
@@ -204,6 +195,8 @@ def backward(mlp: Mlp, cache, upstream: np.ndarray, out=None, input_grad: bool =
 # steps): one whole-vector chunk 3.3-3.9 ms per step, 2^14 entries 2.4-3.3 ms,
 # 2^10 5.5-7.0 ms; 2^13 to 2^16 were within the machine's drift of each other.
 ADAM_CHUNK = 1 << 14
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -216,27 +209,18 @@ class AdamState:
     v: np.ndarray
     step: int
     base_lr: float
-    decay_rate: float = 0.97
-    decay_period: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    decay_rate: float
+    decay_period: int
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.scratch = np.empty((2, min(np.size(self.m), ADAM_CHUNK)))
 
     @classmethod
-    def for_params(cls, theta: np.ndarray, base_lr: float,
-                   decay_rate: float = 0.97, decay_period: int = 100) -> "AdamState":
-        return cls(
-            m=np.zeros_like(theta),
-            v=np.zeros_like(theta),
-            step=0,
-            base_lr=base_lr,
-            decay_rate=decay_rate,
-            decay_period=decay_period,
-        )
+    def for_params(cls, theta: np.ndarray, base_lr: float, decay_rate: float,
+                   decay_period: int) -> "AdamState":
+        return cls(np.zeros_like(theta), np.zeros_like(theta), 0, base_lr, decay_rate,
+                   decay_period)
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
@@ -246,7 +230,7 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
         raise ValueError("theta/grad/state shape mismatch")
     lr = state.base_lr * state.decay_rate ** (state.step / state.decay_period)
     t = state.step + 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     for start in range(0, theta.size, ADAM_CHUNK):
         c = slice(start, start + ADAM_CHUNK)
         th, g, m, v = theta[c], grad[c], state.m[c], state.v[c]
@@ -268,14 +252,19 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     state.step = t
 
 
-def spectral_norm(w: np.ndarray, iters: int = 50, tol: float = 1e-7) -> float:
+# power iterations of `spectral_norm`, which stops early once sigma moves
+# by less than SPECTRAL_TOL
+SPECTRAL_ITERS, SPECTRAL_TOL = 50, 1e-7
+
+
+def spectral_norm(w: np.ndarray) -> float:
     """Largest singular value via power iteration on w^T w."""
     w = np.asarray(w, dtype=float)
     if w.size == 0:
         return 0.0
     v = np.ones(w.shape[1]) / np.sqrt(w.shape[1])
     sigma = 0.0
-    for _ in range(iters):
+    for _ in range(SPECTRAL_ITERS):
         u = w @ v
         nu = np.linalg.norm(u)
         if nu == 0:
@@ -286,7 +275,7 @@ def spectral_norm(w: np.ndarray, iters: int = 50, tol: float = 1e-7) -> float:
         if new_sigma == 0:
             return 0.0
         v /= new_sigma
-        if abs(new_sigma - sigma) < tol:
+        if abs(new_sigma - sigma) < SPECTRAL_TOL:
             sigma = new_sigma
             break
         sigma = new_sigma

@@ -93,9 +93,6 @@ class Pipeline:
             views.append(list(zip(weights, biases)))
         return views
 
-    def copy(self) -> "Pipeline":
-        return Pipeline(self.phi.copy(), self.h0.copy(), self.h1.copy(), self.role, self.scaler)
-
     def to_dict(self) -> dict:
         d = {"role": self.role,
              "theta": base64.b64encode(self.theta.astype("<f8").tobytes()).decode("ascii"),

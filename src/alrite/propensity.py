@@ -44,7 +44,7 @@ features:
 - Armijo backtracking halves the step, at most LINE_SEARCH_HALVINGS times,
   until the loss falls by at least 1e-4·|gᵀp| times the step length. So the
   loss never rises, and the last iterate is the best.
-- It stops when the gradient norm drops below 1e-6, after NEWTON_MAX_ITER
+- It stops when the gradient norm drops below GRAD_TOL, after NEWTON_MAX_ITER
   iterations, or when no step length lowers the loss.
 - Separation: at l2 = 0, rows that a hyperplane separates have no finite
   optimum, and the gradient vanishes only as the weights diverge. The fit
@@ -63,9 +63,11 @@ import numpy as np
 from .twin import pairwise_sq_dists, row_blocks
 
 DEFAULT_CLIP = 0.01
+ETA_FLOOR = 1e-12  # the cross-entropy's clip, so an eta of 0 or 1 costs a finite loss
 # Newton iterations a logistic fit may take: a fit on the default grid meets
 # the gradient tolerance in a handful
 NEWTON_MAX_ITER = 100
+GRAD_TOL = 1e-6  # gradient norm at which a logistic fit stops
 LINE_SEARCH_HALVINGS = 40
 SEPARATION_WARNING = "gradient tolerance not reached (possible separation)"
 
@@ -77,17 +79,18 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _arm_cross_entropy(eta1: np.ndarray, eta0: np.ndarray, floor: float = 1e-12) -> float:
+def _arm_cross_entropy(eta1: np.ndarray, eta0: np.ndarray) -> float:
     """Balanced cross-entropy of the treated rows' propensities eta1 and the
-    control rows' eta0."""
-    return float(-np.sum(np.log(np.clip(eta1, floor, 1 - floor))) / max(len(eta1), 1)
-                 - np.sum(np.log(1 - np.clip(eta0, floor, 1 - floor))) / max(len(eta0), 1))
+    control rows' eta0, each clipped to [ETA_FLOOR, 1 - ETA_FLOOR]."""
+    lo, hi = ETA_FLOOR, 1 - ETA_FLOOR
+    return float(-np.sum(np.log(np.clip(eta1, lo, hi))) / max(len(eta1), 1)
+                 - np.sum(np.log(1 - np.clip(eta0, lo, hi))) / max(len(eta0), 1))
 
 
-def balanced_cross_entropy(eta: np.ndarray, t: np.ndarray, floor: float = 1e-12) -> float:
+def balanced_cross_entropy(eta: np.ndarray, t: np.ndarray) -> float:
     """Arm-averaged negative log-likelihood (each arm weighted equally)."""
     eta = np.asarray(eta)
-    return _arm_cross_entropy(eta[t == 1], eta[t == 0], floor)
+    return _arm_cross_entropy(eta[t == 1], eta[t == 0])
 
 
 @dataclass
@@ -113,8 +116,8 @@ class PropensityModel:
         return cls(d["variant"], params, d.get("warning"))
 
 
-def train_propensity_lr(dataset_x: np.ndarray, t: np.ndarray, l2_strength: float,
-                        grad_tol: float = 1e-6) -> PropensityModel:
+def train_propensity_lr(dataset_x: np.ndarray, t: np.ndarray,
+                        l2_strength: float) -> PropensityModel:
     """Damped Newton with Armijo backtracking (see the module docstring) on
     the class-balanced cross-entropy with an L2 penalty on the weights (bias
     excluded). Features are standardized internally."""
@@ -134,7 +137,7 @@ def train_propensity_lr(dataset_x: np.ndarray, t: np.ndarray, l2_strength: float
     loss, grad, eta = objective(theta)
     hess = np.empty((d + 1, d + 1))
     for _ in range(NEWTON_MAX_ITER):
-        if np.linalg.norm(grad) < grad_tol:
+        if np.linalg.norm(grad) < GRAD_TOL:
             break
         s = arm_weight * eta * (1 - eta)
         hess[:d, :d] = xs.T @ (s[:, None] * xs)
@@ -159,7 +162,7 @@ def train_propensity_lr(dataset_x: np.ndarray, t: np.ndarray, l2_strength: float
         {"weights": w, "bias": b, "l2_strength": l2_strength, "x_mean": mean, "x_scale": sd},
     )
     score = xs @ w + b
-    if (np.linalg.norm(grad) >= grad_tol
+    if (np.linalg.norm(grad) >= GRAD_TOL
             or l2_strength == 0 and score[t == 1].min() > score[t == 0].max()):
         model.warning = SEPARATION_WARNING
     return model
@@ -290,7 +293,7 @@ def _sort_columns(x: np.ndarray) -> np.ndarray:
     return order.T
 
 
-def fit_tree(x: np.ndarray, t: np.ndarray, max_depth: int, min_leaf: int = 10) -> PropensityModel:
+def fit_tree(x: np.ndarray, t: np.ndarray, max_depth: int, min_leaf: int) -> PropensityModel:
     """Greedy CART on Gini impurity; leaves predict the treated rate. Row
     orders and label counts are int32, so at most 2**31 - 1 rows."""
     if min_leaf < 1:

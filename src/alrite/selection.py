@@ -94,11 +94,16 @@ def _median_pairwise_distance(x: np.ndarray, rng: np.random.Generator) -> float:
     return med if med > 0 else 1.0
 
 
-def fit_kernel_ridge_cv(x: np.ndarray, y: np.ndarray, seed: int, folds: int = 5,
-                        bandwidth_factors=(0.5, 1.0, 2.0),
-                        ridges=(1e-6, 1e-3, 1e-1)) -> KernelRidge:
-    """5-fold CV over bandwidth (median-distance multiples) and ridge
-    strength; ties keep the first grid point; the winner refits on all data.
+# the kernel-ridge CV's folds and grid: bandwidths as multiples of the
+# median pairwise distance, and ridge strengths
+KR_FOLDS = 5
+KR_BANDWIDTH_FACTORS = (0.5, 1.0, 2.0)
+KR_RIDGES = (1e-6, 1e-3, 1e-1)
+
+
+def fit_kernel_ridge_cv(x: np.ndarray, y: np.ndarray, seed: int) -> KernelRidge:
+    """KR_FOLDS-fold CV over the KR_BANDWIDTH_FACTORS x KR_RIDGES grid; ties
+    keep the first grid point; the winner refits on all data.
     Each (fold, bandwidth) builds its training kernel once for every ridge,
     and each validation row block's kernel once for every ridge's
     prediction."""
@@ -108,20 +113,20 @@ def fit_kernel_ridge_cv(x: np.ndarray, y: np.ndarray, seed: int, folds: int = 5,
         raise ValueError("need at least two samples")
     rng = np.random.default_rng(seed)
     base = _median_pairwise_distance(x, rng)
-    folds = min(folds, len(x))
+    folds = min(KR_FOLDS, len(x))
     assignment = rng.permutation(len(x)) % folds
-    grid = [(base * f, r) for f in bandwidth_factors for r in ridges]
+    grid = [(base * f, r) for f in KR_BANDWIDTH_FACTORS for r in KR_RIDGES]
     errs = [[] for _ in grid]  # per grid point, each fold's validation MSE
-    for b, factor in enumerate(bandwidth_factors):
+    for b, factor in enumerate(KR_BANDWIDTH_FACTORS):
         for f in range(folds):
             val = assignment == f
             if val.all() or not val.any():
                 continue
             x_fit, bandwidth = x[~val], base * factor
-            y_mean, alphas = _solve_ridges(x_fit, y[~val], bandwidth, ridges)
+            y_mean, alphas = _solve_ridges(x_fit, y[~val], bandwidth, KR_RIDGES)
             preds = _rbf_predictions(x[val], x_fit, bandwidth, alphas, y_mean)
             for r, pred in enumerate(preds):
-                errs[b * len(ridges) + r].append(float(np.mean((pred - y[val]) ** 2)))
+                errs[b * len(KR_RIDGES) + r].append(float(np.mean((pred - y[val]) ** 2)))
     scores = [np.mean(e) if e else np.inf for e in errs]
     bandwidth, ridge = grid[int(np.argmin(scores))]
     return _fit_kernel_ridge(x, y, bandwidth, ridge)
@@ -265,11 +270,12 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def rank_agreement(u, v, p: int | None = None) -> dict:
+def rank_agreement(u, v) -> dict:
     """Agreement between a true-error list u and a proxy list v: Spearman
     correlation (Pearson on average ranks), Kendall tau-a (tied pairs count
-    in the denominator only), and a discounted cumulative gain over models
-    ordered by increasing u, with exponent the normalized proxy rank."""
+    in the denominator only), and a discounted cumulative gain over all
+    models ordered by increasing u, with exponent the normalized proxy
+    rank."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if len(u) != len(v):
@@ -289,11 +295,7 @@ def rank_agreement(u, v, p: int | None = None) -> dict:
         concordant += int(np.sum(su * sv))
     kendall = concordant / (c * (c - 1) / 2)
 
-    if p is None:
-        p = c
-    if not 1 <= p <= c:
-        raise ValueError("p out of range")
     norm_rank = (rv - 1.0) / (c - 1.0)
     by_pehe = np.argsort(u, kind="stable")
-    dcg = float(sum(2.0 ** norm_rank[by_pehe[j]] / np.log(j + 2) for j in range(p)))
+    dcg = float(sum(2.0 ** norm_rank[k] / np.log(j + 2) for j, k in enumerate(by_pehe)))
     return {"spearman": spearman, "kendall": kendall, "dcg": dcg}

@@ -18,7 +18,7 @@ from alrite.learner import (AlriteModel, EnsembleModel, alrite_fit, ensemble_pre
 from alrite.metrics import (Lemma4Case, bound_m1, bound_m2, bound_m3,
                             lemma4_sanity, make_linear_instance, pehe)
 from alrite.nn import forward
-from alrite.pipeline import (PipelineHyperparams, compound_loss,
+from alrite.pipeline import (Pipeline, PipelineHyperparams, compound_loss,
                              compound_loss_grads, predict_mu, predict_tau,
                              train_pipeline)
 from alrite.propensity import (DEFAULT_PROPENSITY_GRID, predict_eta, select_propensity)
@@ -161,7 +161,7 @@ def linear_fleet(seed, count=4):
     rng = np.random.default_rng(seed + 500)
     members0, members1 = [], []
     for k in range(count):
-        q0, q1 = p0.copy(), p1.copy()
+        q0, q1 = Pipeline.from_dict(p0.to_dict()), Pipeline.from_dict(p1.to_dict())
         for q in (q0, q1):
             for w in q.h0.weights + q.h1.weights:
                 w += 0.05 * (k + 1) * rng.standard_normal(w.shape)

@@ -727,6 +727,57 @@ def test_a_sweep_without_a_usable_role_leaves_the_earlier_members(swept, tmp_pat
     assert {p.name: p.read_bytes() for p in (out / "models").iterdir()} == before
 
 
+class FinishingPool:
+    """A pool whose started jobs all run to their end before the first
+    failure in job order raises, as `ProcessPoolExecutor.map` does for jobs a
+    worker has already taken."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, indices):
+        results, failures = [], []
+        for i in indices:
+            try:
+                results.append(fn(i))
+            except Exception as exc:
+                failures.append(exc)
+        if failures:
+            raise failures[0]
+        return results
+
+
+def test_a_sweep_failing_in_the_pool_leaves_no_staged_member(swept, tmp_path, monkeypatch,
+                                                              capsys):
+    out = tmp_path / "run"
+    shutil.copytree(swept[1], out)
+    before = {p.name: p.read_bytes() for p in (out / "models").iterdir()}
+    real, calls = cli.fit_kernel_ridge_cv, []
+
+    def failing_mu1(x, y, seed):
+        calls.append(seed)
+        if len(calls) == 3:  # m_hat's job, mu0_hat's, then mu1_hat's
+            raise RuntimeError("synthetic nuisance failure")
+        return real(x, y, seed)
+
+    monkeypatch.setattr(cli, "_jobs", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FinishingPool)
+    monkeypatch.setattr(cli, "fit_kernel_ridge_cv", failing_mu1)
+    # fewer epochs than the earlier sweep, so its members differ
+    cfg = write_config(tmp_path, {"search": {**SMALL_CONFIG["search"], "epochs": 3}})
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--workers", "2"]) == 2
+    assert "synthetic nuisance failure" in capsys.readouterr().err
+    assert len(calls) == 3
+    assert not list(out.rglob("*.part"))
+    assert {p.name: p.read_bytes() for p in (out / "models").iterdir()} == before
+
+
 def test_each_command_writes_exactly_its_artifacts(tmp_path):
     assert cli.ARTIFACTS.keys() == cli.COMMANDS.keys()
     cfg, out = write_config(tmp_path), tmp_path / "run"

@@ -179,7 +179,7 @@ def test_split_impossible_raises():
     t[0] = 1
     ds = Dataset(x, t, np.zeros(30), ["continuous"])
     with pytest.raises(GenerationError):
-        split(ds, 0.3, 0.3, 0, max_retries=3)
+        split(ds, 0.3, 0.3, 0)
 
 
 def test_standardize_fit_indices_only_and_binary_passthrough():

@@ -147,7 +147,7 @@ def test_networks_are_views_into_theta_at_layout_offsets():
 
 def test_pipeline_copy_owns_its_theta():
     _, _, _, p, _, _ = tiny_instance(8)
-    q = p.copy()
+    q = Pipeline.from_dict(p.to_dict())
     assert np.array_equal(q.theta, p.theta)
     q_arrays = [q.theta] + [a for net in q.networks() for a in net.weights + net.biases]
     p_arrays = [p.theta] + [a for net in p.networks() for a in net.weights + net.biases]
@@ -253,7 +253,7 @@ def test_focus_arm_orientation():
     assert p.focus_arm == 0
     # zeroing the treated arm's head must not change the own-factual term
     _, terms = compound_loss(p, x, t, y, tm, hp)
-    p2 = p.copy()
+    p2 = Pipeline.from_dict(p.to_dict())
     for w in p2.h1.weights:
         w[...] = 0.0
     _, terms2 = compound_loss(p2, x, t, y, tm, hp)

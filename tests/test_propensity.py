@@ -90,7 +90,7 @@ def reference_lr_fit(x, t, l2_strength, max_steps=5000, grad_tol=1e-6, base_lr=0
     xs = (x - mean) / sd
     theta = np.zeros(x.shape[1] + 1)
     w, b = theta[:-1], theta[-1:]
-    state = AdamState.for_params(theta, base_lr=base_lr, decay_rate=1.0)
+    state = AdamState.for_params(theta, base_lr=base_lr, decay_rate=1.0, decay_period=100)
     best = (np.inf, theta.copy())
     converged = False
     for _ in range(max_steps):
@@ -400,7 +400,7 @@ def test_tree_peak_memory_is_one_node_search_plus_the_ancestors_orders(peak_byte
     rng = np.random.default_rng(2)
     x = rng.standard_normal((5000, 50))
     t = (rng.random(5000) < 1 / (1 + np.exp(-x[:, 0] - x[:, 1]))).astype(int)
-    peak = peak_bytes(fit_tree, x, t, max_depth=5)
+    peak = peak_bytes(fit_tree, x, t, max_depth=5, min_leaf=10)
     assert peak < 3 * x.nbytes
 
 
@@ -410,7 +410,7 @@ def test_tree_refuses_more_rows_than_int32_counts():
     x = np.broadcast_to(np.zeros(1), (rows, 1))
     t = np.broadcast_to(np.zeros(1, dtype=int), (rows,))
     with pytest.raises(ValueError, match="at most 2147483647 rows"):
-        fit_tree(x, t, max_depth=0)
+        fit_tree(x, t, max_depth=0, min_leaf=10)
 
 
 def test_tree_rejects_min_leaf_below_one():
@@ -584,7 +584,7 @@ def test_serialization_round_trip():
     t = rng.integers(0, 2, size=50)
     t[0], t[1] = 0, 1
     for model in (train_propensity_lr(x, t, 0.01), fit_knn(x, t, 5),
-                  fit_tree(x, t, 2)):
+                  fit_tree(x, t, 2, 10)):
         clone = PropensityModel.from_dict(model.to_dict())
         assert np.allclose(predict_eta(clone, x), predict_eta(model, x))
 
