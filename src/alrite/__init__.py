@@ -7,9 +7,9 @@ risk metrics and optionally ensembled. Empirical verifiers check the
 package's computable upper bounds on the heterogeneous-effect error.
 """
 
-from .data import (AcicProtocol, Dataset, GroundTruth, SplitIndices,
-                   generate_acic_like, generate_ihdp_like,
-                   generate_two_cluster_toy, load_csv, save_csv, split)
+from .data import (Dataset, GroundTruth, SplitIndices, generate_acic_like,
+                   generate_ihdp_like, generate_two_cluster_toy, load_csv,
+                   save_csv, split)
 from .learner import (AlriteModel, EnsembleModel, alrite_fit, alrite_predict,
                       ensemble_predict, eta_sensitivity_check,
                       select_ensemble_hyperparam)

@@ -30,7 +30,6 @@ import json
 import sys
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
@@ -38,9 +37,8 @@ from typing import Callable
 import numpy as np
 
 from .blas import one_blas_thread
-from .data import (AcicProtocol, Dataset, GroundTruth, SplitIndices, generate_acic_like,
-                   generate_ihdp_like, generate_two_cluster_toy, load_csv,
-                   save_csv, split)
+from .data import (Dataset, GroundTruth, SplitIndices, generate_acic_like, generate_ihdp_like,
+                   generate_two_cluster_toy, load_csv, save_csv, split)
 from .learner import (AlriteModel, _blend, alrite_fit_jobs, alrite_predict,
                       combine_ensemble_grid, rank_members, select_ensemble_hyperparam,
                       select_eta)
@@ -100,7 +98,7 @@ def _integer(low: int) -> Callable:
 _fraction = _check(lambda v: _is_number(v) and 0 < v < 1, "a number strictly in (0, 1)")
 _scale = _check(lambda v: _is_number(v) and 0 <= v < np.inf, "a finite number >= 0")
 _object = _check(lambda v: isinstance(v, dict), "a JSON object")
-_any = lambda name, val: val  # checked with its section
+_any = lambda name, val: val  # a variant's key, which `_fill` checks
 
 
 def _each(check_member) -> Callable:
@@ -143,13 +141,8 @@ CONFIG = {
         "ihdp_like": {"seed": _SEED, "n": Key(_integer(20), _ihdp["n"]),
                       "d": Key(_integer(1), _ihdp["d"]),
                       "p_treat": Key(_fraction, _ihdp["p_treat"]),
-                      "confounded": Key(_check(lambda v: isinstance(v, bool), "true or false"),
-                                        _ihdp["confounded"]),
                       "noise_scale": Key(_scale, _ihdp["noise_scale"])},
-        # AcicProtocol checks its fields, together (`validate_config`)
-        "acic_like": {"seed": _SEED, "n": Key(_integer(20), 1000),
-                      **{f.name: Key(_any, list(f.default) if isinstance(f.default, tuple)
-                                     else f.default) for f in fields(AcicProtocol)}},
+        "acic_like": {"seed": _SEED, "n": Key(_integer(20), 1000)},
         "toy": {"seed": _SEED, "n": Key(_integer(40), _toy["n"])},
         "csv": {"seed": _SEED, "path": Key(_check(lambda v: isinstance(v, str), "a file path"))},
     }),
@@ -206,16 +199,10 @@ def _fill(name: str, table, given, /, **inherited) -> dict:
     return out
 
 
-def _protocol(dataset: dict) -> AcicProtocol:
-    return _build("dataset", AcicProtocol, {f.name: dataset[f.name] for f in fields(AcicProtocol)})
-
-
 def validate_config(raw) -> ExperimentConfig:
     """The config `raw` checked against CONFIG, with every default filled in
     and `fit` turned into the "hp0" and "hp1" PipelineHyperparams."""
     cfg = ExperimentConfig(**_fill("", CONFIG, raw))
-    if cfg.dataset["kind"] == "acic_like":
-        _protocol(cfg.dataset)
     # fit takes the search's epochs and base_lr (not its gamma) unless hp0/hp1 set them
     shared = {k: cfg.search[k] for k in ("epochs", "base_lr")}
     cfg.fit = {hp: _build(f"fit.{hp}", PipelineHyperparams, {**shared, **values})
@@ -268,27 +255,28 @@ def _generate_dataset(cfg: ExperimentConfig) -> tuple[Dataset, GroundTruth | Non
         return generate_ihdp_like(**args)
     if ds["kind"] == "toy":
         return generate_two_cluster_toy(**args), None
-    return generate_acic_like(ds["seed"], ds["n"], _protocol(ds))
+    return generate_acic_like(**args)
 
 
 def _resolve_dataset(cfg: ExperimentConfig, out: Path) -> tuple[Dataset, GroundTruth | None]:
     """The `dataset.csv` in `out`, else a freshly generated dataset. A file
-    whose `manifest.json` records another dataset section, once filled in, is
-    refused rather than reused."""
+    whose `manifest.json` records another dataset section, once filled in, or
+    a key the section no longer has, is refused rather than reused."""
     path = out / "dataset.csv"
     if not path.exists():
         return _generate_dataset(cfg)
     if m := _read(out, "manifest.json", []):
+        recover = "; rerun `generate`, or use another --out"
         # older manifests record the section as given, without its defaults
         try:
             made = _fill("dataset", CONFIG["dataset"], m["dataset"], seed=m["seed"])
         except ConfigError as exc:
-            raise ConfigError(f"{out / 'manifest.json'}: {exc}") from None
+            raise ConfigError(f"{out / 'manifest.json'}: {exc}{recover}") from None
         if made != cfg.dataset:
             raise ConfigError(
-                f"{path} was generated from dataset {made} with seed {made['seed']}, "
-                f"but the config asks for dataset {cfg.dataset} with seed "
-                f"{cfg.dataset['seed']}; use another --out or regenerate")
+                f"{path} was generated from dataset {made} with seed {made['seed']} "
+                f"({out / 'manifest.json'}), but the config asks for dataset "
+                f"{cfg.dataset} with seed {cfg.dataset['seed']}{recover}")
     return load_csv(path)
 
 

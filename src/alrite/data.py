@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-FEATURE_KINDS = ("continuous", "binary", "count")
+FEATURE_KINDS = ("continuous", "binary")
 
 
 def check_field_types(obj) -> None:
@@ -120,8 +120,6 @@ def generate_ihdp_like(
     n: int = 747,
     d: int = 25,
     p_treat: float = 139 / 747,
-    n_continuous: int | None = None,
-    confounded: bool = False,
     beta_grid: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4),
     noise_scale: float = 1.0,
 ) -> tuple[Dataset, GroundTruth]:
@@ -129,29 +127,20 @@ def generate_ihdp_like(
 
     mu0(x) = exp(<x + 0.5, beta>), mu1(x) = <x + 0.5, beta> + omega, with
     omega anchored so the treated-sample mean of mu1 - mu0 equals 4 (ATT).
-    Covariates are standard normal (continuous) or Bernoulli(0.5) (binary);
-    the default 25-feature layout uses 6 continuous + 19 binary columns.
+    Treatment is Bernoulli(p_treat), independent of x. The first min(6, d)
+    covariates are standard normal (continuous), the rest Bernoulli(0.5)
+    (binary): the default 25-feature layout has 6 continuous + 19 binary.
     """
     if n < 20 or d < 1 or not 0 < p_treat < 1:
         raise ValueError("need n >= 20, d >= 1, p_treat in (0, 1)")
     rng = np.random.default_rng(seed)
-    if n_continuous is None:
-        n_continuous = 6 if d >= 6 else d
-    n_continuous = min(n_continuous, d)
+    n_continuous = min(6, d)
     kinds = ["continuous"] * n_continuous + ["binary"] * (d - n_continuous)
     x = np.empty((n, d))
     x[:, :n_continuous] = rng.standard_normal((n, n_continuous))
     x[:, n_continuous:] = rng.binomial(1, 0.5, size=(n, d - n_continuous))
     beta = rng.choice(np.asarray(beta_grid, dtype=float), size=d)
-
-    if confounded:
-        proj = x @ rng.standard_normal(d) / max(1.0, np.sqrt(d))
-        # shift the logistic intercept so the average propensity matches p_treat
-        bias = np.log(p_treat / (1 - p_treat))
-        prob = 1.0 / (1.0 + np.exp(-(proj + bias)))
-        t = _retry_arms(lambda: rng.binomial(1, prob))
-    else:
-        t = _retry_arms(lambda: rng.binomial(1, p_treat, size=n))
+    t = _retry_arms(lambda: rng.binomial(1, p_treat, size=n))
 
     lin = (x + 0.5) @ beta
     mu0 = np.exp(lin)
@@ -164,34 +153,13 @@ def generate_ihdp_like(
 
 TERM_KINDS = ("polynomial", "step", "indicator")
 
-
-@dataclass
-class AcicProtocol:
-    """Configuration of one step/polynomial/indicator generation protocol."""
-
-    d: int = 58
-    n_continuous: int = 23
-    n_count: int = 27
-    n_binary: int = 8
-    term_kinds: tuple[str, str, str, str] = ("polynomial", "step", "polynomial", "indicator")
-    link: str = "sigmoid"  # identity | sigmoid | clip
-    noise_scale: float = 1.0
-    outcome_terms: int = 3
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.n_continuous + self.n_count + self.n_binary != self.d:
-            raise ValueError("feature-kind counts must sum to d")
-        # the propensity reads two covariates, each surface outcome_terms of them
-        if min(self.n_continuous, self.n_count, self.n_binary) < 0 or self.d < 2 or not (
-                0 <= self.outcome_terms <= self.d):
-            raise ValueError("need counts >= 0, d >= 2 and outcome_terms in [0, d]")
-        if len(self.term_kinds) != 4 or any(k not in TERM_KINDS for k in self.term_kinds):
-            raise ValueError(f"term_kinds must be 4 of {TERM_KINDS}, got {self.term_kinds!r}")
-        if self.link not in ("identity", "sigmoid", "clip"):
-            raise ValueError(f"unknown link {self.link!r}")
-        if self.noise_scale <= 0:
-            raise ValueError("noise scale must be > 0")
+# acic_like's fixed layout: 23 standard normal, 27 Poisson(3) count and 8
+# Bernoulli(0.5) columns; the propensity's four term kinds; the covariates
+# each outcome surface reads
+ACIC_CONTINUOUS, ACIC_COUNT, ACIC_BINARY = 23, 27, 8
+ACIC_D = ACIC_CONTINUOUS + ACIC_COUNT + ACIC_BINARY
+ACIC_TERM_KINDS = ("polynomial", "step", "polynomial", "indicator")
+ACIC_OUTCOME_TERMS = 3
 
 
 def _random_term(kind: str, rng: np.random.Generator):
@@ -207,37 +175,30 @@ def _random_term(kind: str, rng: np.random.Generator):
     return lambda v: (v > theta).astype(float)
 
 
-def _apply_link(u: np.ndarray, link: str) -> np.ndarray:
-    if link == "identity":
-        return u
-    if link == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-u))
-    return np.clip(u, 0.0, 1.0)
-
-
-def generate_acic_like(seed: int, n: int, protocol: AcicProtocol) -> tuple[Dataset, GroundTruth]:
-    """Generator with composite f(x) = g(f1(x_a) + f2(x_b) + f3(x_a) f4(x_b))
-    propensity and per-arm surfaces of the same family. The propensity is
-    clipped to [0.05, 0.95] so positivity holds by construction."""
+def generate_acic_like(seed: int, n: int) -> tuple[Dataset, GroundTruth]:
+    """Generator with composite f(x) = sigmoid(f1(x_a) + f2(x_b) + f3(x_a) f4(x_b))
+    propensity and per-arm surfaces of the same family, on the fixed ACIC_*
+    layout. The count columns hold integers but are continuous to the model,
+    as `load_csv` tags them. The propensity is clipped to [0.05, 0.95] so
+    positivity holds by construction."""
     rng = np.random.default_rng(seed)
-    p = protocol
-    kinds = (["continuous"] * p.n_continuous + ["count"] * p.n_count + ["binary"] * p.n_binary)
-    x = np.empty((n, p.d))
-    x[:, : p.n_continuous] = rng.standard_normal((n, p.n_continuous))
-    x[:, p.n_continuous : p.n_continuous + p.n_count] = rng.poisson(3.0, size=(n, p.n_count))
-    x[:, p.n_continuous + p.n_count :] = rng.binomial(1, 0.5, size=(n, p.n_binary))
+    kinds = ["continuous"] * (ACIC_CONTINUOUS + ACIC_COUNT) + ["binary"] * ACIC_BINARY
+    x = np.empty((n, ACIC_D))
+    x[:, :ACIC_CONTINUOUS] = rng.standard_normal((n, ACIC_CONTINUOUS))
+    x[:, ACIC_CONTINUOUS : ACIC_CONTINUOUS + ACIC_COUNT] = rng.poisson(3.0, size=(n, ACIC_COUNT))
+    x[:, ACIC_CONTINUOUS + ACIC_COUNT :] = rng.binomial(1, 0.5, size=(n, ACIC_BINARY))
 
-    col_a, col_b = rng.choice(p.d, size=2, replace=False)
-    f1, f2, f3, f4 = (_random_term(k, rng) for k in p.term_kinds)
+    col_a, col_b = rng.choice(ACIC_D, size=2, replace=False)
+    f1, f2, f3, f4 = (_random_term(k, rng) for k in ACIC_TERM_KINDS)
     xa, xb = x[:, col_a], x[:, col_b]
     raw = f1(xa) + f2(xb) + f3(xa) * f4(xb)
-    propensity = np.clip(_apply_link(raw, p.link), 0.05, 0.95)
+    propensity = np.clip(1.0 / (1.0 + np.exp(-raw)), 0.05, 0.95)
     t = _retry_arms(lambda: rng.binomial(1, propensity))
 
     def surface():
-        cols = rng.choice(p.d, size=p.outcome_terms, replace=False)
+        cols = rng.choice(ACIC_D, size=ACIC_OUTCOME_TERMS, replace=False)
         terms = [_random_term(rng.choice(TERM_KINDS), rng) for _ in cols]
-        ci, cj = rng.choice(p.d, size=2, replace=False)
+        ci, cj = rng.choice(ACIC_D, size=2, replace=False)
         inter = _random_term("polynomial", rng)
         scale = rng.uniform(0.5, 2.0)
 
@@ -249,7 +210,7 @@ def generate_acic_like(seed: int, n: int, protocol: AcicProtocol) -> tuple[Datas
 
     g0, g1 = surface(), surface()
     mu0, mu1 = g0(x), g1(x)
-    y = np.where(t == 1, mu1, mu0) + p.noise_scale * rng.standard_normal(n)
+    y = np.where(t == 1, mu1, mu0) + rng.standard_normal(n)
     return Dataset(x, t, y, kinds), GroundTruth(mu0, mu1)
 
 

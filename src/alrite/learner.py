@@ -65,7 +65,7 @@ def select_eta(dataset: Dataset, split: SplitIndices, propensity_grid,
 
 def alrite_fit_jobs(dataset: Dataset, split: SplitIndices,
                     hp0: PipelineHyperparams, hp1: PipelineHyperparams,
-                    propensity_grid=DEFAULT_PROPENSITY_GRID, seed: int = 0) -> list[tuple]:
+                    propensity_grid, seed: int) -> list[tuple]:
     """`alrite_fit`'s three independent trainings as (function, args) jobs:
     p0, p1, then eta_hat, each with its own seed stream derived from the
     master seed."""

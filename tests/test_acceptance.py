@@ -338,8 +338,7 @@ def test_criterion_8_twin_distance_shrinks_with_n():
     for seed in range(20):
         medians = {}
         for n in (200, 2000):
-            ds, _ = generate_ihdp_like(seed, n=n, d=6, n_continuous=6,
-                                       p_treat=0.4, noise_scale=0.5)
+            ds, _ = generate_ihdp_like(seed, n=n, d=6, p_treat=0.4, noise_scale=0.5)
             tm = mirror_twins(ds.x, ds.t)  # fixed identity embedding
             medians[n] = float(np.median(tm.twin_distance))
         hits += medians[2000] < medians[200]

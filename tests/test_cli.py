@@ -129,15 +129,21 @@ def test_grid_constants_match_documented_domains():
     ({"dataset": {"kind": "ihdp_like", "n": True}}, "dataset.n"),
     ({"dataset": {"kind": "ihdp_like", "n": 50.5}}, "dataset.n"),
     ({"dataset": {"kind": "ihdp_like", "p_treat": 1.5}}, "dataset.p_treat"),
-    ({"dataset": {"kind": "ihdp_like", "confounded": 1}}, "dataset.confounded"),
+    # false was a valid value: the key is gone
+    ({"dataset": {"kind": "ihdp_like", "confounded": False}}, "dataset.confounded"),
     ({"dataset": {"kind": "ihdp_like", "seed": -1}}, "dataset.seed"),
     ({"dataset": {"kind": "toy", "n": "abc"}}, "dataset.n"),
     ({"dataset": {"kind": "toy", "d": 5}}, "dataset.d"),
     ({"dataset": {"kind": "acic_like", "nn": 5}}, "dataset.nn"),
-    ({"dataset": {"kind": "acic_like", "d": 10}}, "dataset: feature-kind counts must sum to d"),
-    ({"dataset": {"kind": "acic_like", "term_kinds": ["step"] * 3}}, "dataset: term_kinds"),
-    ({"dataset": {"kind": "acic_like", "outcome_terms": 59}}, "dataset: need"),
-    ({"dataset": {"kind": "acic_like", "noise_scale": True}}, "dataset: noise_scale"),
+    # the fixed acic_like layout's former keys are refused, even at their old defaults
+    ({"dataset": {"kind": "acic_like", "d": 58}}, "unknown fields ['dataset.d']"),
+    ({"dataset": {"kind": "acic_like", "term_kinds": ["polynomial", "step", "polynomial",
+                                                      "indicator"]}},
+     "unknown fields ['dataset.term_kinds']"),
+    ({"dataset": {"kind": "acic_like", "outcome_terms": 3}},
+     "unknown fields ['dataset.outcome_terms']"),
+    ({"dataset": {"kind": "acic_like", "noise_scale": 1.0}},
+     "unknown fields ['dataset.noise_scale']"),
     ({"output_dir": 5}, "output_dir"),
     ({"bounds": {"n": 1}}, "bounds.n"),
 ])
@@ -214,9 +220,10 @@ def test_validate_config_fills_propensity_grid_member_defaults():
     ("generate", "dataset", {"kind": "ihdp_like", "p_treat": 1.5}),
     ("generate", "dataset", {"kind": "toy", "n": "abc"}),
     ("generate", "dataset", {"kind": "acic_like", "nn": 5}),
-    ("generate", "dataset", {"kind": "acic_like", "d": 10}),
-    ("generate", "dataset", {"kind": "acic_like", "term_kinds": ["step"] * 3}),
-    ("generate", "dataset", {"kind": "acic_like", "outcome_terms": 59}),
+    # removed keys, at their old defaults
+    ("generate", "dataset", {"kind": "acic_like", "d": 58}),
+    ("generate", "dataset", {"kind": "acic_like", "link": "sigmoid"}),
+    ("generate", "dataset", {"kind": "acic_like", "n_count": 27}),
 ])
 def test_hyperparameter_mistakes_exit_1(tmp_path, capsys, command, section, value):
     cfg = write_config(tmp_path, {section: value})
@@ -231,11 +238,12 @@ def test_readme_config_matches_the_schema():
     assert len(blocks) >= 2
     for block in blocks:
         validate_config(json.loads(block))
-    # the README lists each dataset kind's keys
-    bullets = {b.split("`")[1]: b for b in readme.split("\n  - ")[1:]}
+    # each dataset kind's bullet names exactly its keys; the parent bullet names `seed`
+    bullets = {b.split("`")[1]: b.split("\n- ")[0] for b in readme.split("\n  - ")[1:]}
     _, kinds = cli.CONFIG["dataset"]
     for kind, keys in kinds.items():
-        assert all(f"`{key}`" in bullets[kind] or key == "seed" for key in keys), kind
+        named = set(re.findall(r"`(\w+)`", bullets[kind])) - {kind}
+        assert named == set(keys) - {"seed"}, kind
 
 
 def test_readme_lists_the_files_each_command_writes():
@@ -885,6 +893,10 @@ def test_dataset_equal_to_the_one_on_disk_is_reused(tmp_path):
     assert main(["fit", "--config", config({"kind": "toy", "n": 201}), "--out", str(out)]) == 1
 
 
+# how each refused run directory's message ends
+RECOVER = "rerun `generate`, or use another --out"
+
+
 def test_dataset_from_another_config_is_refused(tmp_path, capsys):
     out = tmp_path / "run"
     small = write_config(tmp_path)
@@ -896,6 +908,7 @@ def test_dataset_from_another_config_is_refused(tmp_path, capsys):
     assert main(["fit", "--config", str(big), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "'n': 160" in err and "'n': 320" in err
+    assert "manifest.json" in err and err.rstrip().endswith(RECOVER)
     # another experiment seed is another dataset seed when the dataset has none
     assert main(["fit", "--config", small, "--out", str(out), "--seed", "4"]) == 1
     err = capsys.readouterr().err
@@ -913,3 +926,40 @@ def test_dataset_from_another_config_is_refused(tmp_path, capsys):
     (out / "manifest.json").unlink()
     assert main(["evaluate", "--config", str(big), "--out", str(out)]) == 0
     assert json.loads((out / "evaluation.json").read_text())["n_test"] == 32
+
+
+def test_acic_like_manifest_records_only_seed_and_n(tmp_path):
+    cfg = write_config(tmp_path, {"dataset": {"kind": "acic_like", "n": 60}})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["dataset"] == {"kind": "acic_like", "seed": 3, "n": 60}
+
+
+ACIC_PROTOCOL_KEYS = {"d": 58, "n_continuous": 23, "n_count": 27, "n_binary": 8,
+                      "term_kinds": ["polynomial", "step", "polynomial", "indicator"],
+                      "link": "sigmoid", "noise_scale": 1.0, "outcome_terms": 3}
+
+
+@pytest.mark.parametrize("dataset,removed", [
+    ({"kind": "acic_like", "n": 60}, ACIC_PROTOCOL_KEYS),
+    ({"kind": "ihdp_like", "n": 60}, {"confounded": False}),
+], ids=["acic_like", "ihdp_like"])
+def test_a_manifest_with_a_removed_dataset_key_is_refused(tmp_path, capsys, dataset, removed):
+    cfg = write_config(tmp_path, {"dataset": dataset})
+    out = tmp_path / "run"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    data = (out / "dataset.csv").read_bytes()
+    # a manifest as the generators' former options wrote it
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["dataset"].update(removed)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "unknown fields" in err
+    assert err.rstrip().endswith(RECOVER)
+    assert not (out / "model.json").exists()
+    # the advice works: generate rewrites the manifest and the same data
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "dataset.csv").read_bytes() == data
+    assert not set(removed) & set(json.loads((out / "manifest.json").read_text())["dataset"])

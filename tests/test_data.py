@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from alrite.data import (CSV_BLOCK_ROWS, AcicProtocol, CsvFormatError, Dataset, GenerationError,
+from alrite.data import (CSV_BLOCK_ROWS, CsvFormatError, Dataset, GenerationError,
                          GroundTruth, fit_scaler, generate_acic_like, generate_ihdp_like,
                          generate_two_cluster_toy, identity_scaler, load_csv,
                          save_csv, split)
@@ -50,30 +50,30 @@ def test_ihdp_like_rejects_bad_args():
 
 
 def test_acic_like_reference_layout():
-    ds, truth = generate_acic_like(0, 300, AcicProtocol())
+    ds, truth = generate_acic_like(0, 300)
     assert ds.d == 58
-    assert ds.feature_kinds.count("continuous") == 23
-    assert ds.feature_kinds.count("count") == 27
-    assert ds.feature_kinds.count("binary") == 8
+    normal, counts, flags = ds.x[:, :23], ds.x[:, 23:50], ds.x[:, 50:]
+    # 23 columns of standard normal draws, 27 of Poisson counts, 8 of 0/1 flags
+    assert np.all(normal != np.round(normal))
+    assert np.all(np.abs(normal.mean(axis=0)) < 0.3)
+    assert np.all(np.abs(normal.std(axis=0) - 1) < 0.2)
+    assert np.all(counts == np.round(counts)) and counts.min() >= 0
+    assert np.all(counts.max(axis=0) > 1)
+    assert np.all(np.isin(flags, (0.0, 1.0))) and np.all(flags.min(axis=0) < flags.max(axis=0))
+    assert ds.feature_kinds == ["continuous"] * 50 + ["binary"] * 8
     assert 0 < ds.n1 < ds.n
     assert np.all(np.isfinite(truth.tau))
 
 
-def test_acic_protocol_validation():
-    with pytest.raises(ValueError):
-        AcicProtocol(d=10, n_continuous=5, n_count=3, n_binary=3)
-    with pytest.raises(ValueError):
-        AcicProtocol(link="probit")
-    # shapes generate_acic_like cannot use
-    for kinds in (("step",) * 3, ("step",) * 5):
-        with pytest.raises(ValueError, match="term_kinds"):
-            AcicProtocol(term_kinds=kinds)
-    with pytest.raises(ValueError, match="outcome_terms"):
-        AcicProtocol(outcome_terms=59)
-    with pytest.raises(ValueError, match="d >= 2"):
-        AcicProtocol(d=1, n_continuous=1, n_count=0, n_binary=0, outcome_terms=1)
-    with pytest.raises(ValueError, match="n_binary"):
-        AcicProtocol(n_count=26, n_binary=True)  # true is no count
+@pytest.mark.parametrize("generate", [lambda: generate_ihdp_like(0, n=300),
+                                      lambda: generate_acic_like(0, 300),
+                                      lambda: (generate_two_cluster_toy(0), None)],
+                         ids=["ihdp_like", "acic_like", "toy"])
+def test_generated_feature_kinds_survive_a_csv_round_trip(tmp_path, generate):
+    ds, truth = generate()
+    save_csv(tmp_path / "data.csv", ds, truth)
+    loaded, _ = load_csv(tmp_path / "data.csv")
+    assert loaded.feature_kinds == ds.feature_kinds
 
 
 def test_two_cluster_toy_structure():

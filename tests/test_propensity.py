@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import alrite.propensity as propensity
-from alrite.data import AcicProtocol, generate_acic_like, generate_ihdp_like
+from alrite.data import generate_acic_like, generate_ihdp_like
 from alrite.propensity import (DEFAULT_CLIP, DEFAULT_PROPENSITY_GRID,
                                PropensityModel, _fit_grid_member, _k_nearest,
                                _knn_etas, _lr_objective, _scan_first_best, _sigmoid,
@@ -132,7 +132,7 @@ def fit_hessian(model, x, t):
 @pytest.mark.parametrize("kind", ["acic_like", "ihdp_like", "separable"])
 def test_lr_newton_fit_meets_the_adam_baseline(kind, l2):
     if kind == "acic_like":
-        ds, _ = generate_acic_like(1, 600, AcicProtocol())
+        ds, _ = generate_acic_like(1, 600)
         x, t = ds.x, ds.t.astype(int)
     elif kind == "ihdp_like":
         ds, _ = generate_ihdp_like(1, n=747)
@@ -343,7 +343,7 @@ def test_tree_matches_scalar_split_scan(ties, min_leaf):
 @pytest.mark.parametrize("kind", ["acic_like", "ihdp_like"])
 def test_tree_orders_only_the_nodes_that_may_split(kind, monkeypatch):
     if kind == "acic_like":
-        ds, _ = generate_acic_like(1, 600, AcicProtocol())
+        ds, _ = generate_acic_like(1, 600)
     else:
         ds, _ = generate_ihdp_like(1, n=747)
     x, t = ds.x, ds.t.astype(int)
