@@ -5,6 +5,8 @@ minimizer sanity check.
 Bound evaluators work on unscaled pipelines (raw outcome units). They only
 certify when the true-model Lipschitz constant is supplied, which is the
 case for constructed synthetic instances; otherwise they run report-only.
+Each takes the twin map it reads as `twinmap`, or searches it when that is
+None, so bounds that read one map can share one search.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .data import Dataset, GroundTruth, _retry_arms
 from .nn import Mlp, forward, lipschitz_upper_bound
 from .pipeline import Pipeline, PipelineHyperparams, compound_loss
-from .twin import cross_pipeline_weights, mirror_twins
+from .twin import TwinMap, cross_pipeline_weights, mirror_twins
 
 
 def pehe(tau_hat: np.ndarray, truth: GroundTruth, indices=None) -> tuple[float, float]:
@@ -93,14 +95,16 @@ def _head_bound(*heads) -> float:
 
 
 def bound_m1(p: Pipeline, dataset: Dataset, truth: GroundTruth | None,
-             L: float | None) -> BoundReport:
+             L: float | None, twinmap: TwinMap | None = None) -> BoundReport:
     """Single-embedding bound: weighted factual errors plus Lipschitz-scaled
-    twin distances (latent-space distances, matching the derivation)."""
+    twin distances (latent-space distances, matching the derivation). Reads
+    both arms' twins under p's embedding: `twinmap`, or
+    `mirror_twins(forward(p.phi, x), t)` when None."""
     l_true = _bound_preamble(truth, L, p)
     x, t, y = dataset.x, dataset.t, dataset.y
     n = dataset.n
     z = forward(p.phi, x)
-    tm = mirror_twins(z, t)
+    tm = mirror_twins(z, t) if twinmap is None else twinmap
     mu0, mu1 = forward(p.h0, z)[:, 0], forward(p.h1, z)[:, 0]
     pred = np.where(t == 1, mu1, mu0)
     factual = float(np.sum((1.0 + tm.weight) * (pred - y) ** 2))
@@ -112,14 +116,16 @@ def bound_m1(p: Pipeline, dataset: Dataset, truth: GroundTruth | None,
                         "l_true": l_true, "l_hat": l_hat}, L is not None)
 
 
-def _cross_quantities(p0: Pipeline, p1: Pipeline, dataset: Dataset):
+def _cross_quantities(p0: Pipeline, p1: Pipeline, dataset: Dataset,
+                      twinmap: TwinMap | None):
     """Latents, the cross-pipeline twin map (each arm searched under its own
-    pipeline's embedding) and the cross heads' predictions and plug-in effect
-    surrogate shared by the two-pipeline bounds."""
+    pipeline's embedding; `twinmap` unless None) and the cross heads'
+    predictions and plug-in effect surrogate shared by the two-pipeline
+    bounds."""
     x, t, y = dataset.x, dataset.t, dataset.y
     z0 = forward(p0.phi, x)
     z1 = forward(p1.phi, x)
-    tm = cross_pipeline_weights(z0, z1, t)
+    tm = cross_pipeline_weights(z0, z1, t) if twinmap is None else twinmap
     cross0 = forward(p0.h1, z0)[:, 0]  # treated head of the control pipeline
     cross1 = forward(p1.h0, z1)[:, 0]  # control head of the treatment pipeline
     tau_bar = np.where(t == 0, cross0 - y, y - cross1)
@@ -132,13 +138,15 @@ def _kappa_y(w: np.ndarray, dataset: Dataset, truth: GroundTruth) -> float:
 
 
 def bound_m2(p0: Pipeline, p1: Pipeline, dataset: Dataset,
-             truth: GroundTruth | None, L: float | None) -> BoundReport:
+             truth: GroundTruth | None, L: float | None,
+             twinmap: TwinMap | None = None) -> BoundReport:
     """Two-pipeline bound on the plug-in within-sample PEHE built from the
-    cross heads and observed factual outcomes."""
+    cross heads and observed factual outcomes. Reads the cross-pipeline map:
+    `twinmap`, or `cross_pipeline_weights` of both latents when None."""
     l_true = _bound_preamble(truth, L, p0, p1)
     t, y = dataset.t, dataset.y
     n = dataset.n
-    _, _, tm, cross0, cross1, tau_bar = _cross_quantities(p0, p1, dataset)
+    _, _, tm, cross0, cross1, tau_bar = _cross_quantities(p0, p1, dataset, twinmap)
     w = tm.weight
     factual = float(np.sum(w[t == 1] * (cross0[t == 1] - y[t == 1]) ** 2)
                     + np.sum(w[t == 0] * (cross1[t == 0] - y[t == 0]) ** 2))
@@ -153,16 +161,18 @@ def bound_m2(p0: Pipeline, p1: Pipeline, dataset: Dataset,
 
 def bound_m3(p0: Pipeline, p1: Pipeline, dataset: Dataset,
              truth: GroundTruth | None, L: float | None,
-             gamma0: float = 0.0, gamma1: float = 0.0) -> BoundReport:
+             gamma0: float = 0.0, gamma1: float = 0.0,
+             twinmap: TwinMap | None = None) -> BoundReport:
     """Loss-decomposition bound: both compound losses evaluated at the
     canonical hyper-parameter setting (alpha arm-balanced at L^2 + Lhat^2,
-    beta = 1), corrected by the regularizers and the factual sums."""
+    beta = 1), corrected by the regularizers and the factual sums. Reads the
+    cross-pipeline map, as `bound_m2` does."""
     l_true = _bound_preamble(truth, L, p0, p1)
     x, t, y = dataset.x, dataset.t, dataset.y
     n, n1 = dataset.n, dataset.n1
     n0 = n - n1
     p_frac = n1 / n
-    z0, z1, tm, cross0, cross1, tau_bar = _cross_quantities(p0, p1, dataset)
+    z0, z1, tm, cross0, cross1, tau_bar = _cross_quantities(p0, p1, dataset, twinmap)
     l_hat = _head_bound(p0.h1, p1.h0)
     lam = l_true**2 + l_hat**2
     hp0 = PipelineHyperparams(alpha=(1 - p_frac) * lam, beta=1.0, gamma=gamma0)

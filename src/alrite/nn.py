@@ -15,6 +15,14 @@ A step of `pipeline.train_pipeline` allocates no parameter-sized array:
 - `backward` consumes its cache: each hidden pre-activation is overwritten
   by its ELU derivative (`elu_grad(u, out=u)`), instead of a new array per
   layer. Run `forward_cached` again before a second `backward`.
+- The cache of `forward_cached` holds each affine layer's input, each hidden
+  pre-activation and the output it returns: with `output_normalization`
+  that output is normalized in place, so no pre-normalization copy is kept,
+  and `backward` reads the unit rows from it. A caller must therefore not
+  write to the returned output before `backward`. `unit_rows_grad`, the
+  normalization's backward, builds its gradient in one n x k array, with the
+  operations of `np.where(norms > 0, (g - sum(g * u) u) / norms, g)` in
+  their order.
 - `adam_step` runs over theta in chunks of `ADAM_CHUNK` entries, with a
   scratch of two chunks. Every operation of the step is elementwise, and
   each entry goes through the same 14 operations in the same order as in
@@ -48,6 +56,9 @@ class Mlp:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         dims = self.layer_dims
+        if len(dims) < 2:
+            raise ValueError(f"layer_dims {list(dims)} holds no layer: give at least two "
+                             "sizes, the input's and the output's")
         if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
             raise ValueError("weights/biases do not chain with layer_dims")
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -106,8 +117,9 @@ def _as_batch(x: np.ndarray, in_dim: int) -> np.ndarray:
 def _forward(mlp: Mlp, x: np.ndarray, keep: bool):
     """The layer loop of `forward` and `forward_cached`: returns (output,
     cache), the cache None unless `keep`. Without `keep` each layer's result
-    is activated and normalized in place and the previous activation is
-    released, so only about two activations are alive at a time."""
+    is activated in place and the previous activation is released, so only
+    about two activations are alive at a time. The output layer's result is
+    a fresh array (an Mlp has at least one layer), normalized in place."""
     a = _as_batch(x, mlp.in_dim)
     inputs, pre_acts = [], []
     last = len(mlp.weights) - 1
@@ -121,18 +133,20 @@ def _forward(mlp: Mlp, x: np.ndarray, keep: bool):
                 pre_acts.append(a)
             if mlp.activation == "elu":
                 a = elu(a, out=None if keep else a)
-    raw_out, norms = a, None
+    norms = None
     if mlp.output_normalization:
-        norms = np.linalg.norm(raw_out, axis=1, keepdims=True)
-        a = np.divide(raw_out, np.where(norms > 0, norms, 1.0), out=None if keep else a)
-    return a, ((inputs, pre_acts, raw_out, norms) if keep else None)
+        norms = np.linalg.norm(a, axis=1, keepdims=True)
+        a /= np.where(norms > 0, norms, 1.0)
+    return a, ((inputs, pre_acts, a, norms) if keep else None)
 
 
 def forward_cached(mlp: Mlp, x: np.ndarray):
     """Forward pass keeping the per-layer activations needed by backward.
 
-    Returns (output, cache). cache holds the input of each affine layer and
-    the pre-activations of hidden layers, plus normalization state.
+    Returns (output, cache). cache holds the input of each affine layer, the
+    pre-activations of hidden layers, the returned output itself (unit rows
+    with `output_normalization`) and the rows' norms before normalization.
+    The output is not a copy: do not write to it before `backward`.
     """
     return _forward(mlp, x, keep=True)
 
@@ -143,6 +157,21 @@ def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
     out, _ = _forward(mlp, x, keep=False)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite network output")
+    return out
+
+
+def unit_rows_grad(g: np.ndarray, u: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The gradient through v -> v / |v| row by row, given g = dL/d(output),
+    the unit rows u and the (n, 1) norms |v|: (g - (g.u) u) / |v|, and g
+    itself where |v| is not > 0. Built in one new n x k array with the
+    operations of np.where(norms > 0, (g - dot * u) / safe, g) in their
+    order, so it has that expression's bits; g is not written."""
+    out = np.multiply(g, u)
+    dot = np.sum(out, axis=1, keepdims=True)
+    np.multiply(dot, u, out=out)
+    np.subtract(g, out, out=out)
+    out /= np.where(norms > 0, norms, 1.0)
+    np.copyto(out, g, where=~(norms > 0))
     return out
 
 
@@ -162,14 +191,10 @@ def backward(mlp: Mlp, cache, upstream: np.ndarray, out=None, input_grad: bool =
     upstream = np.asarray(upstream, dtype=float)
     if not np.all(np.isfinite(upstream)):
         raise FloatingPointError("non-finite upstream gradient")
-    inputs, pre_acts, raw_out, norms = cache
+    inputs, pre_acts, output, norms = cache
     g = upstream
     if mlp.output_normalization:
-        safe = np.where(norms > 0, norms, 1.0)
-        u = raw_out / safe
-        # d(v/|v|)/dv applied to g: (g - (g.u) u) / |v|; identity at v = 0.
-        dot = np.sum(g * u, axis=1, keepdims=True)
-        g = np.where(norms > 0, (g - dot * u) / safe, g)
+        g = unit_rows_grad(upstream, output, norms)
     n_layers = len(mlp.weights)
     grad_w = [None] * n_layers
     grad_b = [None] * n_layers

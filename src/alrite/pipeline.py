@@ -233,9 +233,15 @@ def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap, hp: PipelineHyperparams,
     gz = np.zeros_like(z_union)
     up_f = (2.0 / n_focus) * res_f[:, None]
     up_o = (2.0 / denom) * (w_o * res_o)[:, None]
-    for arm, cache, rows, up in ((focus, cache_own, rf, up_f), (1 - focus, cache_cross, ro, up_o)):
-        _, _, gin = backward(heads[arm], cache, up, out=head_views[arm])
-        gz[rows] += gin
+    # each head's cache and input gradient are released once backpropagated,
+    # so phi's backward runs without the heads' cached activations
+    _, _, gin = backward(heads[focus], cache_own, up_f, out=head_views[focus])
+    del cache_own
+    gz[rf] += gin
+    _, _, gin = backward(heads[1 - focus], cache_cross, up_o, out=head_views[1 - focus])
+    del cache_cross
+    gz[ro] += gin
+    del gin
     # alpha term: gradient flows through both endpoints, never through the
     # twin index itself; twins (rm) can repeat, so they need a scatter-add
     coef = 2.0 * hp.alpha / n_focus
@@ -333,6 +339,7 @@ def train_pipeline(dataset: Dataset, split_idx: SplitIndices, role: str,
     for epoch in range(hp.epochs):
         z = forward(p.phi, x)
         twinmap = mirror_twins(z, t, arm=p.focus_arm)
+        del z  # read only by the search; freed before the steps and next epoch's forward
         order = rng.permutation(n)
         epoch_terms = {"own_factual": 0.0, "cross_factual": 0.0,
                        "counterfactualizability": 0.0, "regularization": 0.0}

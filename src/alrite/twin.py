@@ -48,6 +48,15 @@ block is tiled like the whole:
   d >= 50 went to another GEMM kernel. Unfolded tails of 1 to 3 rows
   changed bits in 8 of 12 shapes (every one-row tail).
 Do not "simplify" the block to a round number of rows.
+
+Round-off can leave small negatives in a distance block, where the distance
+is 0. The search takes each row's twin as the smallest-index minimum of the
+block clipped at 0, without clipping the block: `argmin` runs on the
+unclipped row, and a row whose minimum is negative takes instead its first
+entry <= 0, which is where the clipped row's first minimum lies. Only the
+chosen entries are clipped before the square root, by the same
+`np.maximum(., 0.0)` that clipped the whole block, so each distance, a
+chosen -0.0 included, keeps the bits of the clipped form.
 """
 
 from __future__ import annotations
@@ -125,10 +134,16 @@ def _search(t: np.ndarray, searches) -> TwinMap:
         ref_sq = np.sum(ref * ref, axis=1)
         for rows in row_blocks(len(q), len(cand)):
             sq = pairwise_sq_dists(latent[q[rows]], ref, ref_sq)
-            np.maximum(sq, 0.0, out=sq)
             best = np.argmin(sq, axis=1)  # argmin returns the first (smallest-index) minimum
+            chosen = sq[np.arange(len(best)), best]
+            # the clipped block's first minimum is the first entry <= 0 where
+            # round-off left a negative (module docstring)
+            neg = np.flatnonzero(chosen < 0)
+            if len(neg):
+                best[neg] = np.argmax(sq[neg] <= 0, axis=1)
+                chosen[neg] = sq[neg, best[neg]]
             twin_index[q[rows]] = cand[best]
-            twin_distance[q[rows]] = np.sqrt(sq[np.arange(len(best)), best])
+            twin_distance[q[rows]] = np.sqrt(np.maximum(chosen, 0.0))
             del sq  # freed before the next block is allocated
     weight = np.bincount(twin_index[twin_index >= 0], minlength=n)
     tm = TwinMap(twin_index, twin_distance, weight)

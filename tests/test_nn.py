@@ -4,9 +4,9 @@ spectral norms against numpy's SVD."""
 import numpy as np
 import pytest
 
-from alrite.nn import (ADAM_CHUNK, AdamState, adam_step, backward, elu, elu_grad,
+from alrite.nn import (ACTIVATIONS, ADAM_CHUNK, AdamState, Mlp, adam_step, backward, elu, elu_grad,
                        forward, forward_cached, lipschitz_upper_bound, mlp_init,
-                       spectral_norm)
+                       spectral_norm, unit_rows_grad)
 
 
 def finite_diff(f, params, h=1e-6):
@@ -152,6 +152,70 @@ def test_forward_keeps_no_per_layer_activations(peak_bytes):
     x = rng.standard_normal((n, w))
     peak = peak_bytes(forward, mlp, x)
     assert peak < 4 * n * w * 8
+
+
+def test_mlp_refuses_a_network_without_layers():
+    # with no layer, forward's in-place normalization would write the input
+    for dims in ([3], []):
+        with pytest.raises(ValueError, match="holds no layer"):
+            Mlp(dims, [], [], "elu", True)
+    with pytest.raises(ValueError, match="holds no layer"):
+        mlp_init([3], np.random.default_rng(0), "elu", True)
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_normalized_cache_holds_the_returned_output_and_no_raw_copy(activation):
+    # an output width (3) no other activation has: the only output-shaped
+    # array in the cache is the returned, normalized output itself
+    rng = np.random.default_rng(2)
+    mlp = mlp_init([4, 6, 5, 3], rng, activation, True)
+    x = rng.standard_normal((11, 4))
+    out, cache = forward_cached(mlp, x)
+    assert np.allclose(np.linalg.norm(out, axis=1), 1.0)
+    inputs, pre_acts, *rest = cache
+    same_shape = [a for a in inputs + pre_acts + rest if np.shape(a) == out.shape]
+    assert len(same_shape) == 1 and same_shape[0] is out
+
+
+def where_form(g, u, norms):
+    """The normalization backward as one np.where expression."""
+    safe = np.where(norms > 0, norms, 1.0)
+    dot = np.sum(g * u, axis=1, keepdims=True)
+    return np.where(norms > 0, (g - dot * u) / safe, g)
+
+
+@pytest.mark.parametrize("k", (1, 3, 50, 200))
+def test_unit_rows_grad_bit_identical_to_where_form(k):
+    # unit rows of outputs spanning many magnitudes, and zero rows, whose
+    # norm is 0 and whose gradient passes through unchanged
+    rng = np.random.default_rng(k)
+    n = 300
+    v = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-150, 150, size=(n, 1))
+    v[rng.choice(n, 17, replace=False)] = 0.0
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    u = v / np.where(norms > 0, norms, 1.0)
+    g = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-8, 4, size=(n, k))
+    g_before = g.copy()
+    got = unit_rows_grad(g, u, norms)
+    assert got.tobytes() == where_form(g, u, norms).tobytes()
+    assert got[norms[:, 0] == 0].tobytes() == g[norms[:, 0] == 0].tobytes()
+    assert g.tobytes() == g_before.tobytes()  # the upstream is not written
+
+
+def test_normalized_backward_holds_one_output_sized_scratch(peak_bytes):
+    # a wide normalized output over narrow layers: the normalization's
+    # backward dominates. Its gradient takes one n x k array here; rebuilding
+    # the unit rows beside it and forming each step of the np.where
+    # expression as a new array held three at a time.
+    rng = np.random.default_rng(4)
+    n, k = 2000, 400
+    mlp = mlp_init([8, 16, k], rng, "elu", True)
+    x = rng.standard_normal((n, 8))
+    up = rng.standard_normal((n, k))
+    grads = [(np.empty_like(w), np.empty_like(b)) for w, b in zip(mlp.weights, mlp.biases)]
+    out, cache = forward_cached(mlp, x)
+    peak = peak_bytes(backward, mlp, cache, up, out=grads, input_grad=False)
+    assert peak < 1.5 * n * k * 8
 
 
 def test_forward_one_row_batches_and_batch_agree():

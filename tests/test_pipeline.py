@@ -322,6 +322,24 @@ def test_train_pipeline_smoke_and_retention():
     assert np.all(np.isfinite(predict_tau(p, ds.x[sp.test])))
 
 
+def test_train_pipeline_peak_memory_holds_each_activation_once(peak_bytes):
+    # phi 2x200 and heads 3x200 with one batch of all n = 419 training rows,
+    # the largest member architecture of the default grids' sweep draws.
+    # Five theta-sized vectors live through training (theta, its gradient,
+    # Adam's two moments, the best epoch's snapshot); the rest of the peak is
+    # n x width activations. A step that keeps the pre-normalization
+    # embedding, the head caches through phi's backward and the epoch
+    # embedding through the steps peaks at 15.9 of them; this one at 12.2.
+    ds, _ = generate_ihdp_like(1, n=747)
+    sp = split(ds, 0.2, 0.3, 0)
+    n, width = len(sp.train), 200
+    hp = PipelineHyperparams(alpha=1.0, beta=1.0, embed_layers=2, head_layers=3,
+                             embed_width=width, head_width=width, batch_size=500, epochs=3)
+    theta = build_pipeline(ds.d, "control_driven", hp, np.random.default_rng(0)).theta
+    peak = peak_bytes(train_pipeline, ds, sp, "control_driven", hp, seed=0)
+    assert peak < 5 * theta.nbytes + 14 * n * width * 8
+
+
 def test_train_pipeline_deterministic():
     ds, _ = generate_ihdp_like(1, n=100, d=3, noise_scale=0.3)
     sp = split(ds, 0.2, 0.3, 1)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import alrite
 import alrite.twin
 from alrite.blas import one_blas_thread
+from alrite.cli import _bound_instance
 from alrite.data import generate_ihdp_like, split
 from alrite.metrics import bound_m1, bound_m2, bound_m3, make_linear_instance
 from alrite.pipeline import PipelineHyperparams, train_pipeline
@@ -227,6 +228,71 @@ def test_bounds_search_each_embedding_and_query_arm_once(search_calls):
         bound(*pipelines, ds, truth, lip)
         assert sorted(search_calls) == sorted([(n1, ds.n - n1), (ds.n - n1, n1)]), \
             bound.__name__
+
+
+def test_one_bound_instance_searches_one_map_and_keeps_the_separate_bounds(monkeypatch):
+    # m1 on the noiseless draw of the same seed, m2 and m3 on the noisy one,
+    # each bound searching its own map: the rows one search now serves
+    searches = []
+
+    def counting(*args):
+        searches.append(args)
+        return search(*args)
+
+    search = alrite.twin._search
+    monkeypatch.setattr(alrite.twin, "_search", counting)
+    for seed in range(4):
+        searches.clear()
+        rows = _bound_instance(seed, seed, 60, 3, 0.3)
+        assert len(searches) == 1
+        ds0, truth0, q0, _, l0 = make_linear_instance(seed, 60, 3, noise=0.0)
+        ds1, truth1, p0, p1, l1 = make_linear_instance(seed, 60, 3, noise=0.3)
+        separate = [bound_m1(q0, ds0, truth0, l0), bound_m2(p0, p1, ds1, truth1, l1),
+                    bound_m3(p0, p1, ds1, truth1, l1)]
+        assert len(searches) == 4
+        for row, kind, rep in zip(rows, ("m1", "m2", "m3"), separate):
+            assert row[:2] == [seed, kind]
+            assert [float(v).hex() for v in row[2:5]] == \
+                [v.hex() for v in (rep.bound, rep.pehe, rep.slack)]
+
+
+def clipped_form(latent, t, arm):
+    """The search as one block clipped at 0 before argmin."""
+    q, cand = np.flatnonzero(t == arm), np.flatnonzero(t != arm)
+    sq = pairwise_sq_dists(latent[q], latent[cand])
+    np.maximum(sq, 0.0, out=sq)
+    best = np.argmin(sq, axis=1)
+    return q, cand[best], np.sqrt(sq[np.arange(len(q)), best])
+
+
+def test_unclipped_argmin_keeps_the_clipped_search_bits():
+    # rows drawn from 40 distinct points, half of them moved by 1e-9: the
+    # squared distance between copies is round-off, small negatives, -0.0
+    # or +0.0, so a row holds several entries <= 0, and its most negative
+    # entry is not always its first
+    rng = np.random.default_rng(7)
+    instances = [random_instance(rng) for _ in range(20)]
+    later_minimum = 0
+    for d in (2, 5, 25):
+        points = 3.0 * rng.standard_normal((40, d)) + 10.0
+        latent = points[rng.integers(0, 40, size=300)]
+        latent[::2] += 1e-9 * rng.standard_normal((150, d))
+        t = rng.integers(0, 2, size=300)
+        instances.append((latent, t))
+        q, cand = np.flatnonzero(t == 0), np.flatnonzero(t == 1)
+        sq = pairwise_sq_dists(latent[q], latent[cand])
+        negative = sq.min(axis=1) < 0
+        later_minimum += int(np.sum(np.argmin(sq, axis=1) != np.argmax(sq <= 0, axis=1),
+                                    where=negative))
+        assert np.any((sq == 0).any(axis=1) & negative)
+    assert later_minimum > 10
+    with one_blas_thread():
+        for latent, t in instances:
+            tm = mirror_twins(latent, t)
+            for arm in (0, 1):
+                q, index, distance = clipped_form(latent, t, arm)
+                assert tm.twin_index[q].tobytes() == index.tobytes()
+                assert tm.twin_distance[q].tobytes() == distance.tobytes()
 
 
 def test_training_searches_the_focus_arm_once_per_epoch(search_calls):
