@@ -14,7 +14,10 @@ A step of `pipeline.train_pipeline` allocates no parameter-sized array:
   input gradient of the first layer, which training never reads.
 - `backward` consumes its cache: each hidden pre-activation is overwritten
   by its ELU derivative (`elu_grad(u, out=u)`), instead of a new array per
-  layer. Run `forward_cached` again before a second `backward`.
+  layer, and each layer's cached input and pre-activation are dropped from
+  the cache once read, so they are freed layer by layer rather than when the
+  caller drops the whole cache. Run `forward_cached` again before a second
+  `backward`.
 - The cache of `forward_cached` holds each affine layer's input, each hidden
   pre-activation and the output it returns: with `output_normalization`
   that output is normalized in place, so no pre-normalization copy is kept,
@@ -186,7 +189,9 @@ def backward(mlp: Mlp, cache, upstream: np.ndarray, out=None, input_grad: bool =
     `input_grad=False` the input gradient is not computed and is None.
 
     The cache is consumed: each hidden pre-activation is overwritten by its
-    ELU derivative, so a cache serves one call.
+    ELU derivative, so a cache serves one call, and each layer's input and
+    pre-activation entry is set to None once read, so an array the cache
+    alone holds is freed before the layers below run.
     """
     upstream = np.asarray(upstream, dtype=float)
     if not np.all(np.isfinite(upstream)):
@@ -205,12 +210,14 @@ def backward(mlp: Mlp, cache, upstream: np.ndarray, out=None, input_grad: bool =
         else:
             grad_w[l] = np.matmul(inputs[l].T, g, out=out[l][0])
             grad_b[l] = g.sum(axis=0, out=out[l][1])
+        inputs[l] = None
         if l == 0 and not input_grad:
             return grad_w, grad_b, None
         g = g @ mlp.weights[l].T
         if l > 0:
             if mlp.activation == "elu":
                 g *= elu_grad(pre_acts[l - 1], out=pre_acts[l - 1])
+            pre_acts[l - 1] = None
     return grad_w, grad_b, g
 
 

@@ -178,11 +178,19 @@ def build_pipeline(d: int, role: str, hp: PipelineHyperparams,
     return Pipeline(phi, h0, h1, role)
 
 
-def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap, hp: PipelineHyperparams,
-               batch, grad: np.ndarray | None):
+def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap | None, hp: PipelineHyperparams,
+               batch, views):
     # heads[focus], the own head, fits the focus arm's outcome; heads[1 - focus],
-    # the cross head, fits the opposite arm with twin-vote weights. With a
-    # theta-shaped `grad` the gradient is written into it, else it is skipped.
+    # the cross head, fits the opposite arm with twin-vote weights. With
+    # `views`, the layer views of a theta-shaped buffer, the gradient is
+    # written through them, else it is skipped. Only what the loss reads is
+    # computed: the focus rows' twins join phi's rows only at alpha > 0, and
+    # the twin votes are read only at beta > 0, so either term at 0 needs
+    # nothing from the map, and both at 0 need no map.
+    for name, value, reads in (("alpha", hp.alpha, "twins"), ("beta", hp.beta, "twin votes")):
+        if value > 0 and twinmap is None:
+            raise ValueError(f"{name} = {value} > 0 reads the focus arm's {reads}; "
+                             "pass the map of mirror_twins(z, t, arm=focus)")
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=int)
     y = np.asarray(y, dtype=float)
@@ -195,18 +203,21 @@ def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap, hp: PipelineHyperparams,
     bf, bo = batch[in_focus], batch[~in_focus]
     if n_focus == 0 or n_other == 0:
         raise ArmError("both treatment arms must be non-empty")
-    twins = twinmap.twin_index[bf]
-    if np.any(twins < 0):
-        raise ValueError("twin map holds no twins for the focus arm's rows; "
-                         "search it with mirror_twins(z, t, arm=focus)")
+    pull = hp.alpha > 0
     # the sorted distinct rows the batch reads, and each row's position in them
     marked = np.zeros(len(t), dtype=bool)
-    for rows in (bf, bo, twins):
-        marked[rows] = True
+    marked[bf] = True
+    marked[bo] = True
+    if pull:
+        twins = twinmap.twin_index[bf]
+        if np.any(twins < 0):
+            raise ValueError("twin map holds no twins for the focus arm's rows; "
+                             "search it with mirror_twins(z, t, arm=focus)")
+        marked[twins] = True
     union = np.flatnonzero(marked)
     position = np.cumsum(marked) - 1
     z_union, cache_phi = forward_cached(p.phi, x[union])
-    rf, ro, rm = position[bf], position[bo], position[twins]
+    rf, ro = position[bf], position[bo]
 
     terms = {}
     pred_f, cache_own = forward_cached(heads[focus], z_union[rf])
@@ -215,21 +226,26 @@ def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap, hp: PipelineHyperparams,
 
     pred_o, cache_cross = forward_cached(heads[1 - focus], z_union[ro])
     res_o = pred_o[:, 0] - y[bo]
-    w_o = 1.0 + hp.beta * twinmap.weight[bo]
+    # at beta = 0 each weight, 1.0 + 0.0 * votes, is exactly 1.0: no vote is read
+    w_o = 1.0 + hp.beta * twinmap.weight[bo] if hp.beta > 0 else 1.0
     denom = n_other + hp.beta * n_focus
     terms["cross_factual"] = float(np.sum(w_o * res_o**2)) / denom
 
-    diff = z_union[rf] - z_union[rm]
-    terms["counterfactualizability"] = hp.alpha / n_focus * float(np.sum(diff**2))
+    if pull:
+        rm = position[twins]
+        diff = z_union[rf] - z_union[rm]
+        terms["counterfactualizability"] = hp.alpha / n_focus * float(np.sum(diff**2))
+    else:
+        terms["counterfactualizability"] = 0.0
 
     terms["regularization"] = hp.gamma * float(p.theta @ p.theta)
     total = sum(terms.values())
-    if grad is None:
+    if views is None:
         return total, terms
 
     # rf and ro are unique and disjoint, so plain fancy-index adds are exact;
     # an arm with no rows in the batch backpropagates exact zeros.
-    phi_views, *head_views = p.layer_views(grad)  # h0, h1
+    phi_views, *head_views = views  # h0, h1
     gz = np.zeros_like(z_union)
     up_f = (2.0 / n_focus) * res_f[:, None]
     up_o = (2.0 / denom) * (w_o * res_o)[:, None]
@@ -242,31 +258,38 @@ def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap, hp: PipelineHyperparams,
     del cache_cross
     gz[ro] += gin
     del gin
-    # alpha term: gradient flows through both endpoints, never through the
-    # twin index itself; twins (rm) can repeat, so they need a scatter-add
-    coef = 2.0 * hp.alpha / n_focus
-    gz[rf] += coef * diff
-    np.add.at(gz, rm, -coef * diff)
+    if pull:
+        # alpha term: gradient flows through both endpoints, never through
+        # the twin index itself; twins (rm) can repeat, so they need a
+        # scatter-add
+        coef = 2.0 * hp.alpha / n_focus
+        gz[rf] += coef * diff
+        np.add.at(gz, rm, -coef * diff)
     backward(p.phi, cache_phi, gz, out=phi_views, input_grad=False)
     return total, terms
 
 
 def compound_loss(p: Pipeline, x: np.ndarray, t: np.ndarray, y: np.ndarray,
-                  twinmap: TwinMap, hp: PipelineHyperparams,
+                  twinmap: TwinMap | None, hp: PipelineHyperparams,
                   batch: np.ndarray | None = None):
     """Value and per-term breakdown of the compound loss over `batch`
     (defaults to all samples). Normalizers use full-set arm counts so
     batch losses sum to the full loss over an epoch (up to the shared
-    regularizer)."""
+    regularizer). `twinmap` may be None only at alpha = beta = 0, where the
+    loss reads no twin; otherwise ValueError names the hyper-parameter that
+    reads it."""
     return _loss_core(p, x, t, y, twinmap, hp, batch, None)
 
 
-def compound_loss_grads(p: Pipeline, x, t, y, twinmap: TwinMap,
-                        hp: PipelineHyperparams, batch=None, out=None):
+def compound_loss_grads(p: Pipeline, x, t, y, twinmap: TwinMap | None,
+                        hp: PipelineHyperparams, batch=None, out=None, views=None):
     """Loss, breakdown and the gradient as one vector laid out like `p.theta`,
-    written into `out` when it is given (a float64 array of theta's shape)."""
+    written into `out` when it is given (a float64 array of theta's shape).
+    `views` are `p.layer_views(out)`, for a caller that writes into one
+    buffer step after step and cuts it once. `twinmap` as in `compound_loss`."""
     grad = np.empty_like(p.theta) if out is None else out
-    total, terms = _loss_core(p, x, t, y, twinmap, hp, batch, grad)
+    total, terms = _loss_core(p, x, t, y, twinmap, hp, batch,
+                              p.layer_views(grad) if views is None else views)
     # the L2 term 2 * gamma * theta, a chunk at a time: no theta-sized temporary
     coef = 2.0 * hp.gamma
     scaled = np.empty(min(grad.size, ADAM_CHUNK))
@@ -309,7 +332,14 @@ def train_pipeline(dataset: Dataset, split_idx: SplitIndices, role: str,
     reads) under the current embedding, sweep shuffled minibatches with Adam,
     then score validation factual MSE; the parameters of the best-scoring
     epoch are retained. Runs on one BLAS thread, so the result does not
-    depend on the core count."""
+    depend on the core count.
+
+    At alpha = beta = 0 the loss reads no twin, so no epoch embeds the
+    training set or searches twins, and the steps get no map. At alpha = 0
+    a step's phi runs on the batch's rows only (`_loss_core`). Both are
+    exact in real arithmetic, not in bits: fewer rows change the GEMM tiling
+    of phi's products (see `twin`'s docstring). At alpha > 0 nothing
+    changes."""
     train_idx = np.asarray(split_idx.train, dtype=int)
     val_idx = np.asarray(split_idx.validation, dtype=int)
     for part, name in ((train_idx, "train"), (val_idx, "validation")):
@@ -335,18 +365,23 @@ def train_pipeline(dataset: Dataset, split_idx: SplitIndices, role: str,
     best_mse = val_mses[0]
     best_theta = p.theta.copy()
     grad = np.empty_like(p.theta)  # every step's gradient is written here
+    views = p.layer_views(grad)
+    twinmap = None
+    searches = hp.alpha > 0 or hp.beta > 0
 
     for epoch in range(hp.epochs):
-        z = forward(p.phi, x)
-        twinmap = mirror_twins(z, t, arm=p.focus_arm)
-        del z  # read only by the search; freed before the steps and next epoch's forward
+        if searches:
+            z = forward(p.phi, x)
+            twinmap = mirror_twins(z, t, arm=p.focus_arm)
+            del z  # read only by the search; freed before the steps and next epoch's forward
         order = rng.permutation(n)
         epoch_terms = {"own_factual": 0.0, "cross_factual": 0.0,
                        "counterfactualizability": 0.0, "regularization": 0.0}
         n_batches = 0
         for start in range(0, n, hp.batch_size):
             batch = order[start : start + hp.batch_size]
-            loss, terms, _ = compound_loss_grads(p, x, t, y, twinmap, hp, batch, out=grad)
+            loss, terms, _ = compound_loss_grads(p, x, t, y, twinmap, hp, batch,
+                                                 out=grad, views=views)
             if not np.isfinite(loss):
                 bad = [k for k, v in terms.items() if not np.isfinite(v)]
                 raise TrainingError(f"non-finite loss at epoch {epoch}; offending terms: {bad}")

@@ -69,7 +69,9 @@ def test_training_runs_on_one_thread(threads, monkeypatch):
 
     monkeypatch.setattr(pipeline, "mirror_twins", recording)
     ds, _ = generate_ihdp_like(0, n=80, d=3)
-    hp = PipelineHyperparams(embed_layers=1, head_layers=1, batch_size=50, epochs=2)
+    # alpha > 0: the loss reads the twins, so each epoch searches them
+    hp = PipelineHyperparams(alpha=0.5, embed_layers=1, head_layers=1, batch_size=50,
+                             epochs=2)
     train_pipeline(ds, split(ds, 0.2, 0.3, 0), "control_driven", hp, seed=0)
     assert seen == [1, 1] and threads() == 2
 

@@ -345,14 +345,15 @@ THREADS_CONFIG = {
                "batch_grid": [100]},
     "ensemble": {"mode": "softmax", "candidates": [1.0, 100.0]},
 }
-RAN = ("generate", "sweep", "select", "ensemble")
+# fit trains both pipelines at alpha = beta = 0, with no twin search
+RAN = ("generate", "sweep", "select", "ensemble", "fit", "evaluate")
 RUN_COMMANDS = """
 import sys
 from alrite.cli import main
 config, out, workers, *commands = sys.argv[1:]
 for command in commands:
     args = [command, "--config", config, "--out", out]
-    if command == "sweep":
+    if command in ("sweep", "fit"):
         args += ["--workers", workers]
     if main(args) != 0:
         sys.exit(f"{command} failed")
@@ -374,7 +375,7 @@ def test_artifact_bytes_independent_of_blas_threads_and_workers(tmp_path, writte
             runs[out.name] = {str(p.relative_to(out)): p.read_bytes()
                               for p in sorted(out.rglob("*")) if p.is_file()}
     first, *others = runs
-    assert len(runs[first]) == 14  # 4 member models
+    assert len(runs[first]) == 17  # 4 member models
     assert runs[first].keys() == written(tmp_path / first, *RAN).keys()
     for name in others:
         assert runs[name].keys() == runs[first].keys(), name

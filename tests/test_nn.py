@@ -1,6 +1,8 @@
 """Network engine tests: finite-difference gradients, optimizer oracle,
 spectral norms against numpy's SVD."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,26 @@ def test_normalized_cache_holds_the_returned_output_and_no_raw_copy(activation):
     inputs, pre_acts, *rest = cache
     same_shape = [a for a in inputs + pre_acts + rest if np.shape(a) == out.shape]
     assert len(same_shape) == 1 and same_shape[0] is out
+
+
+@pytest.mark.parametrize("input_grad", (True, False))
+@pytest.mark.parametrize("activation,normalize", [
+    ("elu", False), ("identity", False), ("elu", True),
+])
+def test_consumed_cache_holds_no_activations(activation, normalize, input_grad):
+    # each layer's input and pre-activation is dropped once backward has read
+    # it, so an array only the cache held is freed before the caller drops
+    # the cache (the gradients' bits are pinned by the tests above)
+    rng = np.random.default_rng(5)
+    mlp = mlp_init([4, 6, 5, 3], rng, activation, normalize)
+    x = rng.standard_normal((11, 4))
+    _, cache = forward_cached(mlp, x)
+    inputs, pre_acts, *_ = cache
+    assert len(inputs) == 3 and len(pre_acts) == 2
+    hidden = [weakref.ref(a) for a in inputs[1:] + pre_acts]
+    backward(mlp, cache, rng.standard_normal((11, 3)), input_grad=input_grad)
+    assert inputs == [None] * 3 and pre_acts == [None] * 2
+    assert all(ref() is None for ref in hidden)
 
 
 def where_form(g, u, norms):

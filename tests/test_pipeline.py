@@ -3,6 +3,7 @@ role mirror symmetry, batch additivity, the flat parameter layout, its
 serialized form and the training loop."""
 
 import base64
+import itertools
 import json
 
 import numpy as np
@@ -17,14 +18,19 @@ from alrite.propensity import fit_knn, predict_eta, train_propensity_lr
 from alrite.twin import mirror_twins
 
 
+# (alpha, beta): both terms that read the twin map, the twin votes alone, and
+# neither, where the loss takes no map
+TWIN_READS = ((0.7, 0.4), (0.0, 0.4), (0.0, 0.0))
+
+
 def tiny_instance(seed, n=14, d=3, normalize=False, role="control_driven", layers=1,
-                  width=4):
+                  width=4, alpha=0.7, beta=0.4):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     t = rng.integers(0, 2, size=n)
     t[0], t[1] = 0, 1
     y = rng.standard_normal(n)
-    hp = PipelineHyperparams(alpha=0.7, beta=0.4, gamma=0.01, embed_layers=layers,
+    hp = PipelineHyperparams(alpha=alpha, beta=beta, gamma=0.01, embed_layers=layers,
                              head_layers=layers, embed_width=width, head_width=width,
                              batch_size=n, epochs=3, normalize_embedding=normalize)
     p = build_pipeline(d, role, hp, rng)
@@ -60,10 +66,14 @@ def test_loss_terms_scalar_oracle():
 
 @pytest.mark.parametrize("normalize", [False, True])
 def test_compound_loss_gradients_finite_differences(normalize):
-    # every role on the whole set and on single-arm minibatches, where one
-    # head sees no rows and must get an exact zero gradient
-    for role in ("control_driven", "treatment_driven"):
-        x, t, y, p, tm, hp = tiny_instance(1, normalize=normalize, role=role)
+    # every role and every TWIN_READS setting on the whole set and on
+    # single-arm minibatches, where one head sees no rows and must get an
+    # exact zero gradient; at alpha = beta = 0 without a twin map
+    for role, (alpha, beta) in itertools.product(ROLES, TWIN_READS):
+        x, t, y, p, tm, hp = tiny_instance(1, normalize=normalize, role=role, alpha=alpha,
+                                           beta=beta)
+        if alpha == beta == 0:
+            tm = None
         for rows, batch in (("all", None), ("control", np.flatnonzero(t == 0)),
                             ("treated", np.flatnonzero(t == 1))):
             _, _, grad = compound_loss_grads(p, x, t, y, tm, hp, batch)
@@ -79,7 +89,7 @@ def test_compound_loss_gradients_finite_differences(normalize):
                 p.theta[i] = old
                 fd = (up - down) / (2 * h)
                 worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6))
-            assert worst < 1e-4, (role, rows, worst)
+            assert worst < 1e-4, (role, alpha, beta, rows, worst)
 
 
 def concatenated_grads(p, x, t, y, tm, hp, batch):
@@ -89,24 +99,29 @@ def concatenated_grads(p, x, t, y, tm, hp, batch):
     n_focus = int(np.sum(t == focus))
     denom = len(t) - n_focus + hp.beta * n_focus
     bf, bo = batch[t[batch] == focus], batch[t[batch] == 1 - focus]
-    twins = tm.twin_index[bf]
+    # phi runs on the batch's rows, and on the focus rows' twins only when
+    # the alpha term reads them
+    twins = tm.twin_index[bf] if hp.alpha > 0 else np.array([], dtype=int)
     union = np.unique(np.concatenate([bf, bo, twins]))
     z, cache_phi = forward_cached(p.phi, x[union])
     rf, ro, rm = (np.searchsorted(union, rows) for rows in (bf, bo, twins))
     heads, head_grads = (p.h0, p.h1), [None, None]
     gz = np.zeros_like(z)
-    # the own head's rows weigh 1.0, an exact factor
+    # the own head's rows weigh 1.0, an exact factor, as do the cross head's
+    # at beta = 0
+    votes = 1.0 + hp.beta * tm.weight[bo] if hp.beta > 0 else 1.0
     for arm, rows, b, weight, norm in ((focus, rf, bf, 1.0, n_focus),
-                                       (1 - focus, ro, bo, 1.0 + hp.beta * tm.weight[bo], denom)):
+                                       (1 - focus, ro, bo, votes, denom)):
         pred, cache = forward_cached(heads[arm], z[rows])
         up = (2.0 / norm) * (weight * (pred[:, 0] - y[b]))[:, None]
         gw, gb, gin = backward(heads[arm], cache, up)
         head_grads[arm] = gw + gb
         gz[rows] += gin
-    diff = z[rf] - z[rm]
-    coef = 2.0 * hp.alpha / n_focus
-    gz[rf] += coef * diff
-    np.add.at(gz, rm, -coef * diff)
+    if hp.alpha > 0:
+        diff = z[rf] - z[rm]
+        coef = 2.0 * hp.alpha / n_focus
+        gz[rf] += coef * diff
+        np.add.at(gz, rm, -coef * diff)
     gw, gb, _ = backward(p.phi, cache_phi, gz)
     grad = np.concatenate([g.ravel() for g in gw + gb + head_grads[0] + head_grads[1]])
     return grad + 2.0 * hp.gamma * p.theta
@@ -115,20 +130,36 @@ def concatenated_grads(p, x, t, y, tm, hp, batch):
 @pytest.mark.parametrize("width", (4, 130))  # 130: theta spans several L2-term chunks
 @pytest.mark.parametrize("normalize", (False, True))
 def test_gradient_written_in_place_equals_concatenated_backward_results(normalize, width):
-    for role in ROLES:
+    for role, (alpha, beta) in itertools.product(ROLES, TWIN_READS):
         x, t, y, p, tm, hp = tiny_instance(3, normalize=normalize, role=role, layers=2,
-                                           width=width)
+                                           width=width, alpha=alpha, beta=beta)
         assert p.theta.size > 3 * ADAM_CHUNK or width == 4
         focus_twins = tm.twin_index[t == p.focus_arm]
         assert len(np.unique(focus_twins)) < len(focus_twins)  # repeated twins
+        if alpha == beta == 0:
+            tm = None
         out = np.full_like(p.theta, np.nan)  # every entry must be written
         for batch in (np.arange(len(t)), np.arange(0, 9), np.flatnonzero(t == 0),
                       np.flatnonzero(t == 1)):
             expect = concatenated_grads(p, x, t, y, tm, hp, batch)
             _, _, grad = compound_loss_grads(p, x, t, y, tm, hp, batch)
-            assert grad.tobytes() == expect.tobytes(), (role, batch)
+            assert grad.tobytes() == expect.tobytes(), (role, alpha, beta, batch)
             _, _, reused = compound_loss_grads(p, x, t, y, tm, hp, batch, out=out)
-            assert reused is out and out.tobytes() == expect.tobytes(), (role, batch)
+            assert reused is out and out.tobytes() == expect.tobytes(), \
+                (role, alpha, beta, batch)
+            out[:] = np.nan  # the views cut once, as train_pipeline passes them
+            compound_loss_grads(p, x, t, y, tm, hp, batch, out=out, views=p.layer_views(out))
+            assert out.tobytes() == expect.tobytes(), (role, alpha, beta, batch)
+
+
+@pytest.mark.parametrize("alpha,beta,needs", [(0.7, 0.0, "alpha"), (0.0, 0.4, "beta"),
+                                              (0.7, 0.4, "alpha")])
+def test_loss_without_a_twin_map_is_refused_where_a_term_reads_it(alpha, beta, needs):
+    x, t, y, p, _, hp = tiny_instance(4, alpha=alpha, beta=beta)
+    for call in (lambda: compound_loss(p, x, t, y, None, hp),
+                 lambda: compound_loss_grads(p, x, t, y, None, hp)):
+        with pytest.raises(ValueError, match=f"^{needs} = "):
+            call()
 
 
 def test_networks_are_views_into_theta_at_layout_offsets():

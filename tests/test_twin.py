@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alrite
+import alrite.pipeline
 import alrite.twin
 from alrite.blas import one_blas_thread
 from alrite.cli import _bound_instance
 from alrite.data import generate_ihdp_like, split
 from alrite.metrics import bound_m1, bound_m2, bound_m3, make_linear_instance
-from alrite.pipeline import PipelineHyperparams, train_pipeline
+from alrite.pipeline import ROLES, PipelineHyperparams, train_pipeline
 from alrite.twin import (BLOCK_ENTRIES, ROW_ALIGN, ArmError, TwinMap,
                          _assert_conservation, counterfactualizability_summary,
                          cross_pipeline_weights, mirror_twins, pairwise_sq_dists,
@@ -298,12 +299,66 @@ def test_unclipped_argmin_keeps_the_clipped_search_bits():
 def test_training_searches_the_focus_arm_once_per_epoch(search_calls):
     ds, _ = generate_ihdp_like(0, n=80, d=3)
     sp = split(ds, 0.2, 0.3, 0)
-    hp = PipelineHyperparams(embed_layers=1, head_layers=1, batch_size=40, epochs=3)
+    # alpha > 0: the loss reads the twins
+    hp = PipelineHyperparams(alpha=0.5, embed_layers=1, head_layers=1, batch_size=40,
+                             epochs=3)
     for role, focus in (("control_driven", 0), ("treatment_driven", 1)):
         search_calls.clear()
         train_pipeline(ds, sp, role, hp, seed=0)
         n_focus = int(np.sum(ds.t[sp.train] == focus))
         assert search_calls == [(n_focus, len(sp.train) - n_focus)] * hp.epochs
+
+
+@pytest.fixture
+def phi_rows(monkeypatch):
+    """Rows of every `forward` and `forward_cached` call training makes on a
+    network whose input width is 3, phi's on the data below (the heads take
+    the embedding width, 20), keyed by the function's name."""
+    rows = {"forward": [], "forward_cached": []}
+    for name in rows:
+        real = getattr(alrite.pipeline, name)
+
+        def recording(mlp, x, real=real, name=name):
+            if mlp.in_dim == 3:
+                rows[name].append(len(x))
+            return real(mlp, x)
+
+        monkeypatch.setattr(alrite.pipeline, name, recording)
+    return rows
+
+
+def test_training_without_twin_terms_neither_embeds_the_training_set_nor_searches(
+        search_calls, phi_rows):
+    # at alpha = beta = 0 the loss reads no twin: no search, and phi's only
+    # whole-set passes are the validation scores, one per epoch and one at
+    # initialization
+    ds, _ = generate_ihdp_like(0, n=80, d=3)
+    sp = split(ds, 0.2, 0.3, 0)
+    assert len(sp.train) != len(sp.validation)
+    hp = PipelineHyperparams(embed_layers=1, head_layers=1, batch_size=16, epochs=3)
+    for role in ROLES:
+        train_pipeline(ds, sp, role, hp, seed=0)
+    assert search_calls == []
+    assert phi_rows["forward"] == [len(sp.validation)] * (hp.epochs + 1) * len(ROLES)
+
+
+def test_training_with_votes_only_searches_each_epoch_and_steps_on_the_batch(
+        search_calls, phi_rows):
+    # at alpha = 0, beta > 0 the votes are read, so each epoch searches, but
+    # no twin row joins a step: phi's step forward sees the batch's rows only
+    ds, _ = generate_ihdp_like(0, n=80, d=3)
+    sp = split(ds, 0.2, 0.3, 0)
+    n = len(sp.train)
+    hp = PipelineHyperparams(beta=0.4, embed_layers=1, head_layers=1, batch_size=16,
+                             epochs=3)
+    batches = [min(hp.batch_size, n - start) for start in range(0, n, hp.batch_size)]
+    for role, focus in (("control_driven", 0), ("treatment_driven", 1)):
+        search_calls.clear()
+        phi_rows["forward_cached"].clear()
+        train_pipeline(ds, sp, role, hp, seed=0)
+        n_focus = int(np.sum(ds.t[sp.train] == focus))
+        assert search_calls == [(n_focus, n - n_focus)] * hp.epochs
+        assert phi_rows["forward_cached"] == batches * hp.epochs
 
 
 def test_conservation_check_covers_one_arm_maps():
