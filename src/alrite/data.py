@@ -348,14 +348,13 @@ def split(dataset: Dataset, test_fraction: float, val_fraction: float,
 @dataclass
 class Scaler:
     """Column-wise standardization of continuous covariates and the outcome.
-    Zero-variance continuous columns keep scale 1 and are flagged."""
+    Zero-variance continuous columns keep scale 1. `from_dict` ignores the
+    "continuous" and "clamped" masks that older model files hold."""
 
     x_mean: np.ndarray
     x_scale: np.ndarray
     y_mean: float
     y_scale: float
-    continuous: np.ndarray  # boolean mask
-    clamped: np.ndarray  # boolean mask of zero-variance continuous columns
 
     def transform_x(self, x: np.ndarray) -> np.ndarray:
         # refuse, rather than broadcast, rows of another width
@@ -375,8 +374,6 @@ class Scaler:
             "x_scale": self.x_scale.tolist(),
             "y_mean": self.y_mean,
             "y_scale": self.y_scale,
-            "continuous": self.continuous.astype(int).tolist(),
-            "clamped": self.clamped.astype(int).tolist(),
         }
 
     @classmethod
@@ -386,14 +383,11 @@ class Scaler:
             np.asarray(d["x_scale"], dtype=float),
             float(d["y_mean"]),
             float(d["y_scale"]),
-            np.asarray(d["continuous"], dtype=bool),
-            np.asarray(d["clamped"], dtype=bool),
         )
 
 
 def identity_scaler(d: int) -> Scaler:
-    return Scaler(np.zeros(d), np.ones(d), 0.0, 1.0,
-                  np.ones(d, dtype=bool), np.zeros(d, dtype=bool))
+    return Scaler(np.zeros(d), np.ones(d), 0.0, 1.0)
 
 
 def fit_scaler(dataset: Dataset, fit_indices) -> Scaler:
@@ -407,12 +401,8 @@ def fit_scaler(dataset: Dataset, fit_indices) -> Scaler:
     x_fit = dataset.x[idx]
     x_mean[cont] = x_fit[:, cont].mean(axis=0)
     sd = x_fit[:, cont].std(axis=0, ddof=0)
-    clamped_cont = sd == 0
-    sd = np.where(clamped_cont, 1.0, sd)
-    x_scale[cont] = sd
-    clamped = np.zeros(dataset.d, dtype=bool)
-    clamped[cont] = clamped_cont
+    x_scale[cont] = np.where(sd == 0, 1.0, sd)
     y_mean = float(dataset.y[idx].mean())
     y_sd = float(dataset.y[idx].std(ddof=0))
     y_scale = y_sd if y_sd > 0 else 1.0
-    return Scaler(x_mean, x_scale, y_mean, y_scale, cont, clamped)
+    return Scaler(x_mean, x_scale, y_mean, y_scale)

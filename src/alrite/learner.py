@@ -57,10 +57,9 @@ def aggregate_mu(p0: Pipeline, p1: Pipeline, eta: PropensityModel, x: np.ndarray
 def select_eta(dataset: Dataset, split: SplitIndices, propensity_grid,
                seed: int) -> PropensityModel:
     """eta_hat selected by 5-fold CV on the split's training rows, which are
-    copied out only once this runs."""
-    train_idx = np.asarray(split.train, dtype=int)
-    return select_propensity(dataset.x[train_idx], dataset.t[train_idx], propensity_grid,
-                             folds=5, seed=seed)
+    never copied out whole while the folds run."""
+    return select_propensity(dataset.x, dataset.t, propensity_grid, folds=5, seed=seed,
+                             rows=np.asarray(split.train, dtype=int))
 
 
 def alrite_fit_jobs(dataset: Dataset, split: SplitIndices,

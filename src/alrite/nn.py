@@ -12,20 +12,29 @@ A step of `pipeline.train_pipeline` allocates no parameter-sized array:
   These are the same GEMM calls and reductions as `a.T @ g` and
   `g.sum(axis=0)`, so the bits do not change. `input_grad=False` skips the
   input gradient of the first layer, which training never reads.
-- `backward` consumes its cache: each hidden pre-activation is overwritten
-  by its ELU derivative (`elu_grad(u, out=u)`), instead of a new array per
-  layer, and each layer's cached input and pre-activation are dropped from
-  the cache once read, so they are freed layer by layer rather than when the
-  caller drops the whole cache. Run `forward_cached` again before a second
-  `backward`.
-- The cache of `forward_cached` holds each affine layer's input, each hidden
-  pre-activation and the output it returns: with `output_normalization`
-  that output is normalized in place, so no pre-normalization copy is kept,
-  and `backward` reads the unit rows from it. A caller must therefore not
-  write to the returned output before `backward`. `unit_rows_grad`, the
-  normalization's backward, builds its gradient in one n x k array, with the
-  operations of `np.where(norms > 0, (g - sum(g * u) u) / norms, g)` in
-  their order.
+- The cache of `forward_cached` holds one array per layer: each affine
+  layer's input (the caller's `x` for the first layer, the previous layer's
+  activation, made in place, for the others) and the output it returns.
+  With `output_normalization` that output is normalized in place, so no
+  pre-normalization copy is kept, and `backward` reads the unit rows from
+  it. A caller must therefore write neither `x` nor the returned output
+  before `backward`. `unit_rows_grad`, the normalization's backward, builds
+  its gradient in one n x k array, with the operations of
+  `np.where(norms > 0, (g - sum(g * u) u) / norms, g)` in their order.
+- No pre-activation is kept, because ELU's derivative follows from its
+  output (Clevert, Unterthiner & Hochreiter, "Fast and Accurate Deep Network
+  Learning by Exponential Linear Units", ICLR 2016): for a = elu(u),
+  f'(u) = 1 where a >= 0 and a + 1 below, computed as 1 + min(a, 0). Below
+  zero this is 1 + expm1(u) where the pre-activation form was exp(u); the
+  two differ by at most about 2**-53 absolute, so bits of training change,
+  not its arithmetic.
+- `backward` consumes its cache: the only arrays it writes are the hidden
+  activations it has read, each overwritten by its ELU derivative after its
+  layer's weight gradient, never a first layer's input (a pipeline's heads
+  read views of the embedding's output there). Each cached input is dropped
+  from the cache once read, so activations are freed layer by layer rather
+  than when the caller drops the whole cache. Run `forward_cached` again
+  before a second `backward`.
 - `adam_step` runs over theta in chunks of `ADAM_CHUNK` entries, with a
   scratch of two chunks. Every operation of the step is elementwise, and
   each entry goes through the same 14 operations in the same order as in
@@ -103,13 +112,6 @@ def elu(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(u, neg, out=neg if out is None else out)
 
 
-def elu_grad(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 where u >= 0, exp(u) below, as exp(min(u, 0)). `out` may be `u`
-    itself."""
-    neg = np.minimum(u, 0.0, out=out)
-    return np.exp(neg, out=neg)
-
-
 def _as_batch(x: np.ndarray, in_dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != in_dim:
@@ -119,37 +121,36 @@ def _as_batch(x: np.ndarray, in_dim: int) -> np.ndarray:
 
 def _forward(mlp: Mlp, x: np.ndarray, keep: bool):
     """The layer loop of `forward` and `forward_cached`: returns (output,
-    cache), the cache None unless `keep`. Without `keep` each layer's result
-    is activated in place and the previous activation is released, so only
-    about two activations are alive at a time. The output layer's result is
-    a fresh array (an Mlp has at least one layer), normalized in place."""
+    cache), the cache None unless `keep`. Each layer's result is activated
+    in place. Without `keep` the previous activation is released, so only
+    about two activations are alive at a time; with it, each activation is
+    kept once, as the next layer's input. The output layer's result is a
+    fresh array (an Mlp has at least one layer), normalized in place."""
     a = _as_batch(x, mlp.in_dim)
-    inputs, pre_acts = [], []
+    inputs = []
     last = len(mlp.weights) - 1
     for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         if keep:
             inputs.append(a)
         a = a @ w
         a += b
-        if l < last:
-            if keep:
-                pre_acts.append(a)
-            if mlp.activation == "elu":
-                a = elu(a, out=None if keep else a)
+        if l < last and mlp.activation == "elu":
+            elu(a, out=a)
     norms = None
     if mlp.output_normalization:
         norms = np.linalg.norm(a, axis=1, keepdims=True)
         a /= np.where(norms > 0, norms, 1.0)
-    return a, ((inputs, pre_acts, a, norms) if keep else None)
+    return a, ((inputs, a, norms) if keep else None)
 
 
 def forward_cached(mlp: Mlp, x: np.ndarray):
     """Forward pass keeping the per-layer activations needed by backward.
 
-    Returns (output, cache). cache holds the input of each affine layer, the
-    pre-activations of hidden layers, the returned output itself (unit rows
-    with `output_normalization`) and the rows' norms before normalization.
-    The output is not a copy: do not write to it before `backward`.
+    Returns (output, cache). cache holds the input of each affine layer (for
+    a layer past the first, the previous layer's activation), the returned
+    output itself (unit rows with `output_normalization`) and the rows'
+    norms before normalization. Neither `x` nor the output is copied: do not
+    write to either before `backward`.
     """
     return _forward(mlp, x, keep=True)
 
@@ -188,15 +189,18 @@ def backward(mlp: Mlp, cache, upstream: np.ndarray, out=None, input_grad: bool =
     gradient vector), and the returned lists hold those arrays. With
     `input_grad=False` the input gradient is not computed and is None.
 
-    The cache is consumed: each hidden pre-activation is overwritten by its
-    ELU derivative, so a cache serves one call, and each layer's input and
-    pre-activation entry is set to None once read, so an array the cache
-    alone holds is freed before the layers below run.
+    The cache is consumed. Each hidden activation a = elu(u), once read for
+    its layer's weight gradient, is overwritten by ELU's derivative, which
+    Clevert et al. (ICLR 2016) give from the output: 1 where a >= 0, a + 1
+    below, computed as 1 + min(a, 0). So a cache serves one call, and no
+    pre-activation is kept. A layer-0 input, the caller's `x`, is never
+    written. Each layer's input entry is set to None once read, so an array
+    the cache alone holds is freed before the layers below run.
     """
     upstream = np.asarray(upstream, dtype=float)
     if not np.all(np.isfinite(upstream)):
         raise FloatingPointError("non-finite upstream gradient")
-    inputs, pre_acts, output, norms = cache
+    inputs, output, norms = cache
     g = upstream
     if mlp.output_normalization:
         g = unit_rows_grad(upstream, output, norms)
@@ -204,20 +208,21 @@ def backward(mlp: Mlp, cache, upstream: np.ndarray, out=None, input_grad: bool =
     grad_w = [None] * n_layers
     grad_b = [None] * n_layers
     for l in range(n_layers - 1, -1, -1):
+        a = inputs[l]
+        inputs[l] = None
         if out is None:
-            grad_w[l] = inputs[l].T @ g
+            grad_w[l] = a.T @ g
             grad_b[l] = g.sum(axis=0)
         else:
-            grad_w[l] = np.matmul(inputs[l].T, g, out=out[l][0])
+            grad_w[l] = np.matmul(a.T, g, out=out[l][0])
             grad_b[l] = g.sum(axis=0, out=out[l][1])
-        inputs[l] = None
         if l == 0 and not input_grad:
             return grad_w, grad_b, None
         g = g @ mlp.weights[l].T
-        if l > 0:
-            if mlp.activation == "elu":
-                g *= elu_grad(pre_acts[l - 1], out=pre_acts[l - 1])
-            pre_acts[l - 1] = None
+        if l > 0 and mlp.activation == "elu":
+            np.minimum(a, 0.0, out=a)
+            a += 1.0
+            g *= a
     return grad_w, grad_b, g
 
 

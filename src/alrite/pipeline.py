@@ -204,20 +204,28 @@ def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap | None, hp: PipelineHyperp
     if n_focus == 0 or n_other == 0:
         raise ArmError("both treatment arms must be non-empty")
     pull = hp.alpha > 0
-    # the sorted distinct rows the batch reads, and each row's position in them
-    marked = np.zeros(len(t), dtype=bool)
-    marked[bf] = True
-    marked[bo] = True
+    # phi's rows, in order: the batch's focus rows, its other rows, then (at
+    # alpha > 0 only) the focus rows' twins outside the batch, sorted and
+    # distinct. Each head reads its contiguous slice of phi's output in place;
+    # only the twins need a map from training row to phi's row.
+    rf, ro = slice(0, len(bf)), slice(len(bf), len(batch))
+    rows = np.concatenate([bf, bo])
     if pull:
         twins = twinmap.twin_index[bf]
         if np.any(twins < 0):
             raise ValueError("twin map holds no twins for the focus arm's rows; "
                              "search it with mirror_twins(z, t, arm=focus)")
-        marked[twins] = True
-    union = np.flatnonzero(marked)
-    position = np.cumsum(marked) - 1
-    z_union, cache_phi = forward_cached(p.phi, x[union])
-    rf, ro = position[bf], position[bo]
+        # phi's row of each training row that it reads; -1 first marks the
+        # twins outside the batch (np.setdiff1d would find them too, but its
+        # first call imports numpy.ma, about 1 MB)
+        position = np.zeros(len(t), dtype=int)
+        position[twins] = -1
+        position[rows] = np.arange(len(rows))
+        extra = np.flatnonzero(position < 0)
+        position[extra] = np.arange(len(rows), len(rows) + len(extra))
+        rows = np.concatenate([rows, extra])
+        rm = position[twins]
+    z_union, cache_phi = forward_cached(p.phi, x[rows])
 
     terms = {}
     pred_f, cache_own = forward_cached(heads[focus], z_union[rf])
@@ -232,7 +240,6 @@ def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap | None, hp: PipelineHyperp
     terms["cross_factual"] = float(np.sum(w_o * res_o**2)) / denom
 
     if pull:
-        rm = position[twins]
         diff = z_union[rf] - z_union[rm]
         terms["counterfactualizability"] = hp.alpha / n_focus * float(np.sum(diff**2))
     else:
@@ -243,8 +250,8 @@ def _loss_core(p: Pipeline, x, t, y, twinmap: TwinMap | None, hp: PipelineHyperp
     if views is None:
         return total, terms
 
-    # rf and ro are unique and disjoint, so plain fancy-index adds are exact;
-    # an arm with no rows in the batch backpropagates exact zeros.
+    # rf and ro are disjoint slices, so plain slice adds are exact; an arm
+    # with no rows in the batch backpropagates exact zeros.
     phi_views, *head_views = views  # h0, h1
     gz = np.zeros_like(z_union)
     up_f = (2.0 / n_focus) * res_f[:, None]

@@ -400,15 +400,16 @@ DEFAULT_PROPENSITY_GRID = (
 )
 
 
-def _fold_losses(grid, x, t, fold_idx, f) -> list[float]:
+def _fold_losses(grid, x, rows, t, fold_idx, f) -> list[float]:
     """Each grid member's balanced cross-entropy on fold f, fit on the other
-    folds; [] if fold f is empty or its training rows hold one arm. The
-    fold's row copies and models are freed on return."""
+    folds; [] if fold f is empty or its training rows hold one arm. `rows`
+    maps the folds' positions to rows of x, whose fold rows are gathered
+    here. The fold's row copies and models are freed on return."""
     val = fold_idx[f]
-    trn = np.concatenate([rows for g, rows in enumerate(fold_idx) if g != f])
+    trn = np.concatenate([part for g, part in enumerate(fold_idx) if g != f])
     if len(val) == 0 or t[trn].sum() in (0, len(trn)):
         return []
-    x_trn, t_trn, x_val, t_val = x[trn], t[trn], x[val], t[val]
+    x_trn, t_trn, x_val, t_val = x[rows[trn]], t[trn], x[rows[val]], t[val]
     models = [_fit_grid_member(spec, x_trn, t_trn) for spec in grid]
     knn = [i for i, m in enumerate(models) if m.variant == "knn_classifier"]
     etas = [None if i in knn else predict_eta(m, x_val) for i, m in enumerate(models)]
@@ -421,25 +422,32 @@ def _fold_losses(grid, x, t, fold_idx, f) -> list[float]:
 
 
 def select_propensity(x: np.ndarray, t: np.ndarray, grid, folds: int,
-                      seed: int) -> PropensityModel:
+                      seed: int, rows=None) -> PropensityModel:
     """Grid search by mean cross-validated balanced cross-entropy; the winner
-    is refit on all given samples. Ties keep the first grid member."""
+    is refit on all given samples. Ties keep the first grid member.
+
+    `rows`, indices into x and t (all of them by default), are the samples
+    to fit. No copy of them is made for the whole search: each fold gathers
+    its own rows of x, and the refit gathers them once the last fold's
+    arrays are freed."""
     grid = list(grid)
     if not grid:
         raise ValueError("propensity grid is empty")
     if folds < 2:
         raise ValueError("need folds >= 2")
     x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=int)
+    all_rows = rows is None
+    rows = np.arange(len(x)) if all_rows else np.asarray(rows, dtype=int)
+    t = np.asarray(t, dtype=int)[rows]
     rng = np.random.default_rng(seed)
     fold_idx = _stratified_folds(t, folds, rng)
     losses = [[] for _ in grid]  # per member, in fold order
     for f in range(folds):
-        for member, loss in zip(losses, _fold_losses(grid, x, t, fold_idx, f)):
+        for member, loss in zip(losses, _fold_losses(grid, x, rows, t, fold_idx, f)):
             member.append(loss)
     scores = [np.mean(member) if member else np.inf for member in losses]
     winner = int(np.argmin(scores))  # argmin keeps the first of tied members
-    return _fit_grid_member(grid[winner], x, t)
+    return _fit_grid_member(grid[winner], x if all_rows else x[rows], t)
 
 
 def calibration_table(model: PropensityModel, x: np.ndarray, t: np.ndarray,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from alrite.data import (CSV_BLOCK_ROWS, CsvFormatError, Dataset, GenerationError,
-                         GroundTruth, fit_scaler, generate_acic_like, generate_ihdp_like,
+                         GroundTruth, Scaler, fit_scaler, generate_acic_like, generate_ihdp_like,
                          generate_two_cluster_toy, identity_scaler, load_csv,
                          save_csv, split)
 
@@ -199,8 +199,16 @@ def test_standardize_zero_variance_clamped():
     x = np.column_stack([np.ones(10), np.arange(10.0)])
     ds = Dataset(x, np.array([0, 1] * 5), np.arange(10.0), ["continuous"] * 2)
     scaler = fit_scaler(ds, np.arange(10))
-    assert scaler.clamped[0] and not scaler.clamped[1]
+    # the zero-variance continuous column keeps scale 1, the other its sd
+    assert scaler.x_scale[0] == 1.0 and scaler.x_scale[1] == np.std(np.arange(10.0))
     assert np.all(np.isfinite(scaler.transform_x(ds.x)))
+
+
+def test_scaler_of_an_older_model_file_ignores_its_masks():
+    ds, _ = generate_ihdp_like(4, n=50, d=8)
+    scaler = fit_scaler(ds, np.arange(30))
+    old = {**scaler.to_dict(), "continuous": [1] * 6 + [0] * 2, "clamped": [0] * 8}
+    assert Scaler.from_dict(old).to_dict() == scaler.to_dict()
 
 
 def test_identity_scaler_is_identity():

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from alrite.data import generate_ihdp_like, split
+from alrite.data import generate_acic_like, generate_ihdp_like, split
 from alrite.learner import (AlriteModel, EnsembleModel, aggregate_tau,
                             alrite_fit, alrite_predict, combine_ensemble_grid,
                             ensemble_predict, eta_sensitivity_check,
                             rank_members, select_ensemble_hyperparam,
-                            softmax_weights)
+                            select_eta, softmax_weights)
 from alrite.metrics import make_linear_instance, pehe
 from alrite.pipeline import PipelineHyperparams, predict_mu, predict_tau
-from alrite.propensity import PropensityModel, predict_eta
+from alrite.propensity import (DEFAULT_PROPENSITY_GRID, PropensityModel, predict_eta,
+                               select_propensity)
 
 
 def constant_eta_model(value: float, d: int = 2) -> PropensityModel:
@@ -93,6 +94,21 @@ def test_predict_hand_values():
     x = ds.x[:5]
     expect = 0.7 * predict_tau(p0, x) + 0.3 * predict_tau(p1, x)
     assert np.allclose(alrite_predict(model, x), expect)
+
+
+def test_select_eta_keeps_no_copy_of_the_training_rows(peak_bytes):
+    # acic_like's 58 columns, 3000 training rows at the default split. Copying
+    # the training rows out for the whole 5-fold CV peaks at 6.35 times their
+    # bytes; gathering each fold's rows, and the refit's after the last fold,
+    # from the dataset peaks at 5.35 times. The model is the copy form's.
+    ds, _ = generate_acic_like(1, 5000)
+    sp = split(ds, 0.1, 0.3, 0)
+    train_rows = ds.x[sp.train]
+    peak = peak_bytes(select_eta, ds, sp, DEFAULT_PROPENSITY_GRID, 3)
+    assert peak < 5.85 * train_rows.nbytes
+    copied = select_propensity(train_rows, ds.t[sp.train], DEFAULT_PROPENSITY_GRID, folds=5,
+                               seed=3)
+    assert select_eta(ds, sp, DEFAULT_PROPENSITY_GRID, 3).to_dict() == copied.to_dict()
 
 
 def test_eta_sensitivity_trivial_zeros():

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from alrite.nn import (ACTIVATIONS, ADAM_CHUNK, AdamState, Mlp, adam_step, backward, elu, elu_grad,
+from alrite.nn import (ACTIVATIONS, ADAM_CHUNK, AdamState, Mlp, adam_step, backward, elu,
                        forward, forward_cached, lipschitz_upper_bound, mlp_init,
                        spectral_norm, unit_rows_grad)
 
@@ -107,11 +107,10 @@ EDGE_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, -1e
 
 
 @pytest.mark.parametrize("copies", (1, 7))  # 7 copies: 140 entries, the vectorized loops too
-def test_elu_and_elu_grad_equal_the_where_form(copies):
+def test_elu_equals_the_where_form(copies):
     u = np.tile(EDGE_VALUES, copies)
     with np.errstate(all="ignore"):
         ref_elu = np.where(u >= 0, u, np.expm1(u))
-        ref_grad = np.where(u >= 0, 1.0, np.exp(u))
     in_place = u.copy()
     for got in (elu(u), elu(in_place, out=in_place)):
         assert np.array_equal(np.isnan(got), np.isnan(u))
@@ -122,11 +121,31 @@ def test_elu_and_elu_grad_equal_the_where_form(copies):
         assert not np.signbit(got[neg_zero]).any()
         keep = same & ~neg_zero
         assert got[keep].tobytes() == ref_elu[keep].tobytes()
-    in_place = u.copy()
-    for grad in (elu_grad(u), elu_grad(in_place, out=in_place)):
-        assert np.array_equal(np.isnan(grad), np.isnan(u))
-        same = ~np.isnan(u)
-        assert grad[same].tobytes() == ref_grad[same].tobytes()
+
+
+@pytest.mark.parametrize("copies", (1, 7))
+def test_backward_takes_the_elu_derivative_from_the_output(copies):
+    # a one-unit chain x -> elu(x * 1 + 0) -> * 1 + 0 with upstream 1: the
+    # input gradient is the ELU derivative itself, each product by 1 being
+    # exact. The derivative is read from the output a = elu(u): 1 where
+    # a >= 0, a + 1 below, which lies within 2**-53 of the pre-activation
+    # form exp(min(u, 0)) (-0.0, subnormals and u below -40 included)
+    rng = np.random.default_rng(copies)
+    u = np.concatenate([np.tile(EDGE_VALUES, copies), -rng.exponential(1.0, 4000),
+                        rng.uniform(-60.0, 0.0, 4000), -(10.0 ** rng.uniform(-320, 0, 1000))])
+    mlp = Mlp([1, 1, 1], [np.ones((1, 1)), np.ones((1, 1))], [np.zeros(1), np.zeros(1)])
+    _, cache = forward_cached(mlp, u[:, None])
+    with np.errstate(all="ignore"):
+        _, _, gx = backward(mlp, cache, np.ones((len(u), 1)))
+        a = elu(u)
+        ref = np.where(a >= 0, 1.0, a + 1.0)
+        near = np.exp(np.minimum(u, 0.0))
+    got = gx[:, 0]
+    assert np.array_equal(np.isnan(got), np.isnan(u))
+    same = ~np.isnan(u)
+    assert got[same].tobytes() == ref[same].tobytes()
+    assert np.max(np.abs(got[same] - near[same])) <= 2.0**-53
+    assert np.any(got[same] != near[same])  # the two forms are not the same bits
 
 
 @pytest.mark.parametrize("rows", (1, 37))
@@ -146,8 +165,8 @@ def test_forward_has_the_bits_of_forward_cached(activation, normalize, rows):
 
 def test_forward_keeps_no_per_layer_activations(peak_bytes):
     # 6 layers of width 200 over 5000 rows: each activation takes n*w*8 = 8 MB.
-    # Keeping every layer's input and pre-activation, as forward_cached does,
-    # peaks above 10 of them; forward holds about two at a time.
+    # Keeping every layer's input, as forward_cached does, peaks above 6 of
+    # them; forward holds about two at a time.
     rng = np.random.default_rng(0)
     n, w = 5000, 200
     mlp = mlp_init([w] * 7, rng)
@@ -174,8 +193,8 @@ def test_normalized_cache_holds_the_returned_output_and_no_raw_copy(activation):
     x = rng.standard_normal((11, 4))
     out, cache = forward_cached(mlp, x)
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0)
-    inputs, pre_acts, *rest = cache
-    same_shape = [a for a in inputs + pre_acts + rest if np.shape(a) == out.shape]
+    inputs, *rest = cache
+    same_shape = [a for a in inputs + rest if np.shape(a) == out.shape]
     assert len(same_shape) == 1 and same_shape[0] is out
 
 
@@ -184,18 +203,20 @@ def test_normalized_cache_holds_the_returned_output_and_no_raw_copy(activation):
     ("elu", False), ("identity", False), ("elu", True),
 ])
 def test_consumed_cache_holds_no_activations(activation, normalize, input_grad):
-    # each layer's input and pre-activation is dropped once backward has read
-    # it, so an array only the cache held is freed before the caller drops
-    # the cache (the gradients' bits are pinned by the tests above)
+    # the cache holds one array per layer, its input, and each is dropped
+    # once backward has read it, so an array only the cache held is freed
+    # before the caller drops the cache (the gradients' bits are pinned by
+    # the tests above)
     rng = np.random.default_rng(5)
     mlp = mlp_init([4, 6, 5, 3], rng, activation, normalize)
     x = rng.standard_normal((11, 4))
-    _, cache = forward_cached(mlp, x)
-    inputs, pre_acts, *_ = cache
-    assert len(inputs) == 3 and len(pre_acts) == 2
-    hidden = [weakref.ref(a) for a in inputs[1:] + pre_acts]
+    out, cache = forward_cached(mlp, x)
+    inputs, output, norms = cache  # beside the inputs, the caller's output and the norms
+    assert len(inputs) == 3 and inputs[0] is x and output is out
+    assert (norms is None) != normalize
+    hidden = [weakref.ref(a) for a in inputs[1:]]
     backward(mlp, cache, rng.standard_normal((11, 3)), input_grad=input_grad)
-    assert inputs == [None] * 3 and pre_acts == [None] * 2
+    assert inputs == [None] * 3
     assert all(ref() is None for ref in hidden)
 
 

@@ -99,12 +99,12 @@ def concatenated_grads(p, x, t, y, tm, hp, batch):
     n_focus = int(np.sum(t == focus))
     denom = len(t) - n_focus + hp.beta * n_focus
     bf, bo = batch[t[batch] == focus], batch[t[batch] == 1 - focus]
-    # phi runs on the batch's rows, and on the focus rows' twins only when
-    # the alpha term reads them
+    # phi runs on the batch's focus rows, then its other rows, then, only
+    # when the alpha term reads them, the focus rows' twins outside the batch
     twins = tm.twin_index[bf] if hp.alpha > 0 else np.array([], dtype=int)
-    union = np.unique(np.concatenate([bf, bo, twins]))
-    z, cache_phi = forward_cached(p.phi, x[union])
-    rf, ro, rm = (np.searchsorted(union, rows) for rows in (bf, bo, twins))
+    rows = np.concatenate([bf, bo, np.setdiff1d(twins, batch)])
+    z, cache_phi = forward_cached(p.phi, x[rows])
+    rf, ro, rm = ([int(np.flatnonzero(rows == i)[0]) for i in part] for part in (bf, bo, twins))
     heads, head_grads = (p.h0, p.h1), [None, None]
     gz = np.zeros_like(z)
     # the own head's rows weigh 1.0, an exact factor, as do the cross head's
@@ -369,6 +369,22 @@ def test_train_pipeline_peak_memory_holds_each_activation_once(peak_bytes):
     theta = build_pipeline(ds.d, "control_driven", hp, np.random.default_rng(0)).theta
     peak = peak_bytes(train_pipeline, ds, sp, "control_driven", hp, seed=0)
     assert peak < 5 * theta.nbytes + 14 * n * width * 8
+
+
+def test_train_pipeline_peak_memory_holds_one_array_per_layer(peak_bytes):
+    # the shape above. Beyond the five theta-sized vectors, a step that
+    # caches each hidden layer's pre-activation beside its activation and
+    # gathers a copy of phi's output for each head peaks at 10.6 n x width
+    # activations; caching one array per layer, ELU's backward reading its
+    # output and the heads reading phi's output in place, at 7.4.
+    ds, _ = generate_ihdp_like(1, n=747)
+    sp = split(ds, 0.2, 0.3, 0)
+    n, width = len(sp.train), 200
+    hp = PipelineHyperparams(alpha=1.0, beta=1.0, embed_layers=2, head_layers=3,
+                             embed_width=width, head_width=width, batch_size=500, epochs=3)
+    theta = build_pipeline(ds.d, "control_driven", hp, np.random.default_rng(0)).theta
+    peak = peak_bytes(train_pipeline, ds, sp, "control_driven", hp, seed=0)
+    assert peak < 5 * theta.nbytes + 9 * n * width * 8
 
 
 def test_train_pipeline_deterministic():
